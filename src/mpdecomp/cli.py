@@ -51,7 +51,6 @@ class RunConfig:
     perturb: bool = False
     box: Optional[GradeBox] = None
     construction: str = "auto"
-    threads: int = 1
     output: Optional[Path] = None
     skip_minimize: bool = False
 
@@ -94,10 +93,18 @@ def _build_presentation(obj, cfg: RunConfig) -> Presentation:
     return pres_2param(filt, p) if filt.d == 2 else pres_dparam(filt, p)
 
 
-def _pipeline(cfg: RunConfig) -> Tuple[Presentation, Diagonalization, int]:
-    """Shared path: parse, build, minimize, sort, diagonalize."""
+def _load(cfg: RunConfig):
+    """Read and parse the input; check the --box flag against its d."""
     obj = _read_input(cfg.input_path)
     d = obj.d if isinstance(obj, Filtration) else obj.matrix.d
+    if cfg.box is not None and cfg.box.lo.d != d:
+        raise InputError(f"--box has {cfg.box.lo.d} coordinates but the input has {d}")
+    return obj, d
+
+
+def _pipeline(cfg: RunConfig) -> Tuple[Presentation, Diagonalization, int]:
+    """Shared path: parse, build, minimize, sort, diagonalize."""
+    obj, d = _load(cfg)
     pres = _build_presentation(obj, cfg)
     if not cfg.skip_minimize:
         pres = minimize(pres)
@@ -268,7 +275,7 @@ def _blockcode_csv(codes: List[Blockcode], box: GradeBox) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _box_from_flag(flag: str, d: int) -> GradeBox:
+def _box_from_flag(flag: str) -> GradeBox:
     try:
         lo_part, hi_part = flag.split(":")
         lo = Grade(tuple(int(x) for x in lo_part.split(",")))
@@ -277,8 +284,8 @@ def _box_from_flag(flag: str, d: int) -> GradeBox:
         raise InputError(
             f"bad --box {flag!r}, expected 'lo1,..,lod:hi1,..,hid'"
         ) from None
-    if lo.d != d or hi.d != d:
-        raise InputError(f"--box has {lo.d} coordinates but the input has {d}")
+    if lo.d != hi.d:
+        raise InputError(f"--box has {lo.d} coordinates below and {hi.d} above")
     return GradeBox(lo, hi)
 
 
@@ -365,7 +372,7 @@ def _cmd_check(cfg: RunConfig) -> str:
 
 
 def _cmd_export_pres(cfg: RunConfig) -> str:
-    obj = _read_input(cfg.input_path)
+    obj, _ = _load(cfg)
     pres = _build_presentation(obj, cfg)
     pres = minimize(pres)
     sorted_matrix, _, _ = sort_by_grade(pres.matrix)
@@ -421,12 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default="auto",
             help="presentation construction for degrees >= 1",
         )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="reserved; only 1 is implemented",
-        )
         if name == "export-pres":
             p.add_argument("--output", type=Path, default=None)
     return parser
@@ -435,10 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(cfg: RunConfig) -> str:
     if cfg.command not in _COMMANDS:
         raise InputError(f"unknown command {cfg.command!r}")
-    if cfg.threads < 1:
-        raise InputError(f"--threads must be >= 1, got {cfg.threads}")
-    if cfg.threads > 1:
-        print("note: --threads > 1 requested, running single-threaded", file=sys.stderr)
     return _COMMANDS[cfg.command][0](cfg)
 
 
@@ -451,14 +448,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         fmt=args.format,
         perturb=args.perturb,
         construction=args.construction,
-        threads=args.threads,
         output=getattr(args, "output", None),
     )
     try:
         if args.box is not None:
-            obj = _read_input(cfg.input_path)
-            d = obj.d if isinstance(obj, Filtration) else obj.matrix.d
-            cfg.box = _box_from_flag(args.box, d)
+            cfg.box = _box_from_flag(args.box)
         sys.stdout.write(run(cfg))
     except TiedGradesError as exc:
         print(f"error: {exc}", file=sys.stderr)

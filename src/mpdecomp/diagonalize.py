@@ -1,22 +1,28 @@
 """Total diagonalization of a graded matrix under admissible operations.
 
 The outer loop introduces columns one at a time and keeps a set of blocks
-(paired row/column index sets) that are already mutually decoupled.  For
-each block it asks whether the block's rows can be cleared outside the
-block's own columns; the answer is found by linearizing the candidate
-region into one long bit vector and reducing it against one vector per
-admissible operation.  Blocks that fail merge with the incoming column.
+(paired row/column index sets) that are already mutually decoupled: on the
+columns seen so far, each block's rows are zero outside its own columns.
+At column t a block whose rows are zero in column t therefore stays as it
+is.  For any other block B the question is whether B's rows can be
+cleared on the columns up to t outside B, as in the per-column BlockReduce
+of Dey and Xin.  The answer is found by linearizing that region into one
+bit vector and reducing it against one vector per admissible operation
+that feeds it.  Blocks that fail merge with column t and nothing is
+applied to them.
 
-The linearization order walks the last column first and rows upward inside
-a column, so a reduction can only ever touch columns at or after the one
-being introduced: earlier columns sit at the high-bit end, a reduced
-vector never gains bits above its pivot, and the already-diagonalized
-prefix stays untouched.
+The operations realized for a block that passes change only its rows.
+The region starts clear on the columns before t and ends clear on all of
+them, so those columns end up as they were: the already-diagonalized
+prefix stays untouched.  Row additions act on whole rows, so columns after
+t pick up their side effects.  Those columns are reduced later, when the
+loop reaches them.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, TiedGradesError
 from .f2 import F2Matrix, col_reduce
@@ -54,6 +60,15 @@ def _block_key(b: IndexBlock):
     return (0, b.rows[0]) if b.rows else (1, b.cols[0])
 
 
+def _gather(col: int, rows: Sequence[int]) -> int:
+    # bit rpos of the result is bit rows[rpos] of col
+    v = 0
+    for rpos, i in enumerate(rows):
+        if (col >> i) & 1:
+            v |= 1 << rpos
+    return v
+
+
 def lin(mat: F2Matrix, rows: Sequence[int], cols: Sequence[int]) -> int:
     """Flatten the (rows x cols) region, last column first, rows ascending.
 
@@ -61,15 +76,9 @@ def lin(mat: F2Matrix, rows: Sequence[int], cols: Sequence[int]) -> int:
     highest set bit (the pivot under reduction) lies in the earliest
     column of the region.
     """
-    n_rt = len(rows)
-    n_ct = len(cols)
     v = 0
-    for cpos, j in enumerate(cols):
-        c = mat.cols[j]
-        base = (n_ct - 1 - cpos) * n_rt
-        for rpos, i in enumerate(rows):
-            if (c >> i) & 1:
-                v |= 1 << (base + rpos)
+    for j in cols:
+        v = (v << len(rows)) | _gather(mat.cols[j], rows)
     return v
 
 
@@ -86,24 +95,6 @@ def lin_inv(v: int, rows: Sequence[int], cols: Sequence[int]) -> F2Matrix:
     return out
 
 
-def _write_region(
-    mat: F2Matrix, rows: Sequence[int], cols: Sequence[int], v: int
-) -> None:
-    # scatter a lin-flattened vector back into the parent matrix
-    n_rt = len(rows)
-    n_ct = len(cols)
-    row_mask = 0
-    for i in rows:
-        row_mask |= 1 << i
-    for cpos, j in enumerate(cols):
-        seg = (v >> ((n_ct - 1 - cpos) * n_rt)) & ((1 << n_rt) - 1)
-        scattered = 0
-        for rpos, i in enumerate(rows):
-            if (seg >> rpos) & 1:
-                scattered |= 1 << i
-        mat.cols[j] = (mat.cols[j] & ~row_mask) | scattered
-
-
 def block_reduce(
     A: GradedMatrix,
     ops: AdmissibleOps,
@@ -113,72 +104,70 @@ def block_reduce(
 ) -> bool:
     """Try to clear A on T's rows over T's columns up to column t.
 
-    T pairs the rows of one block B with every column outside B.  One
-    source vector is built per admissible operation that feeds the region:
-    column additions out of B into a column of T at or before t, and row
-    additions from outside T's rows into them.  The target vector is
-    reduced against the sources; whatever remains is written back over all
-    of T (columns after t included, they record side effects of row
-    operations).  Realized operations are appended to the certificate.
-
-    Returns True when the region at columns <= t ended up all zero.
+    T pairs the rows of one block B, built from columns before t, with
+    columns outside B; only those at or before t are read.  One source
+    vector is built per admissible operation that feeds that region:
+    column additions out of B into a column of T, and row additions from
+    outside T's rows into them.  When the region lies in the span of the
+    sources, the realized operations are applied to A (row additions act on
+    whole rows, so columns after t pick up their side effects), appended to
+    the certificate, and True is returned.  Otherwise A is left unchanged
+    and False is returned.
     """
     rows_t = T.rows
-    cols_t = T.cols
     if not rows_t:
         return True
+    cols_t = T.cols[: bisect_right(T.cols, t)]
     n_rt = len(rows_t)
     n_ct = len(cols_t)
-    rows_t_set = set(rows_t)
-    cols_b = [j for j in range(A.n_cols) if j not in set(cols_t)]
-    cols_b_set = set(cols_b)
-
     c = lin(A.mat, rows_t, cols_t)
+    rows_t_set = set(rows_t)
+    # B's columns on B's rows, the nonzero ones only
+    outside = set(cols_t)
+    b_cols = {}
+    for i in range(t):
+        if i not in outside:
+            v = _gather(A.mat.cols[i], rows_t)
+            if v:
+                b_cols[i] = v
 
     sources: List[Op] = []
     vecs: List[int] = []
     for cpos, j in enumerate(cols_t):
-        if j > t:
-            continue
         base = (n_ct - 1 - cpos) * n_rt
         for i in ops.col_sources(j):
-            if i not in cols_b_set:
-                continue
-            col_i = A.mat.cols[i]
-            v = 0
-            for rpos, r in enumerate(rows_t):
-                if (col_i >> r) & 1:
-                    v |= 1 << (base + rpos)
-            sources.append(Op("col", i, j))
-            vecs.append(v)
+            if i in b_cols:
+                sources.append(Op("col", i, j))
+                vecs.append(b_cols[i] << base)
+    # a row's trace on the region, placed at row position 0
+    row_traces: Dict[int, int] = {}
     for kpos, k in enumerate(rows_t):
         for l in ops.row_sources(k):
             if l in rows_t_set:
                 continue
-            mask_l = 1 << l
-            v = 0
-            for cpos, j in enumerate(cols_t):
-                if A.mat.cols[j] & mask_l:
-                    v |= 1 << ((n_ct - 1 - cpos) * n_rt + kpos)
-            sources.append(Op("row", l, k))
-            vecs.append(v)
+            if l not in row_traces:
+                trace = 0
+                for j in cols_t:
+                    trace = (trace << n_rt) | ((A.mat.cols[j] >> l) & 1)
+                row_traces[l] = trace
+            if row_traces[l]:
+                sources.append(Op("row", l, k))
+                vecs.append(row_traces[l] << kpos)
 
     S = F2Matrix(n_rt * n_ct, vecs)
     reduced, log = col_reduce(S, c)
-    _write_region(A.mat, rows_t, cols_t, reduced)
-
-    if certificate is not None and reduced != c:
-        combo = log.combination(S.n_cols, S.n_cols + 1)
-        for idx, op in enumerate(sources):
-            if (combo >> idx) & 1:
+    if reduced:
+        return False
+    combo = log.combination(S.n_cols, S.n_cols + 1)
+    for idx, op in enumerate(sources):
+        if (combo >> idx) & 1:
+            if op.kind == "col":
+                A.mat.add_col(op.source, op.target)
+            else:
+                A.mat.add_row(op.source, op.target)
+            if certificate is not None:
                 certificate.append(op)
-
-    mask_le_t = 0
-    for cpos, j in enumerate(cols_t):
-        if j <= t:
-            base = (n_ct - 1 - cpos) * n_rt
-            mask_le_t |= ((1 << n_rt) - 1) << base
-    return reduced & mask_le_t == 0
+    return True
 
 
 def tot_diagonalize(
@@ -216,14 +205,18 @@ def tot_diagonalize(
     certificate: List[Op] = []
 
     for t in range(work.n_cols):
+        col_t = work.mat.cols[t]
         merged_rows: List[int] = []
         merged_cols: List[int] = [t]
         survivors: List[IndexBlock] = []
         for B in sorted(blocks, key=_block_key):
+            # earlier columns outside B are already clear on B's rows, so
+            # B only needs work when column t meets its rows
+            if not any((col_t >> i) & 1 for i in B.rows):
+                survivors.append(B)
+                continue
             col_set = set(B.cols)
-            T = IndexBlock(
-                B.rows, tuple(j for j in range(work.n_cols) if j not in col_set)
-            )
+            T = IndexBlock(B.rows, tuple(j for j in range(t + 1) if j not in col_set))
             if block_reduce(work, ops, T, t, certificate):
                 survivors.append(B)
             else:

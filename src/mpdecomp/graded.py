@@ -110,45 +110,61 @@ class GradedMatrix:
 class AdmissibleOps:
     """The strictly-ordered operation menu of one graded matrix.
 
-    colop holds (i, j): column i may be added into column j, which needs
-    grade(c_i) <= grade(c_j).  rowop holds (l, k): row l may be added into
-    row k, which needs grade(r_k) <= grade(r_l); the source row carries the
-    larger grade.  Equal grades are ordered by index (the virtual
-    perturbation), so both relations are irreflexive, transitively closed
-    and acyclic.
+    col_src[j] lists, ascending, the columns i that may be added into
+    column j, which needs grade(c_i) <= grade(c_j).  row_src[k] lists the
+    rows l that may be added into row k, which needs grade(r_k) <=
+    grade(r_l); the source row carries the larger grade.  Equal grades are
+    ordered by index (the virtual perturbation), so both relations are
+    irreflexive, transitively closed and acyclic.
     """
 
-    colop: frozenset
-    rowop: frozenset
+    col_src: Tuple[Tuple[int, ...], ...]
+    row_src: Tuple[Tuple[int, ...], ...]
 
-    def col_sources(self, j: int) -> List[int]:
-        return sorted(i for (i, jj) in self.colop if jj == j)
+    def col_sources(self, j: int) -> Tuple[int, ...]:
+        return self.col_src[j]
 
-    def row_sources(self, k: int) -> List[int]:
-        return sorted(l for (l, kk) in self.rowop if kk == k)
+    def row_sources(self, k: int) -> Tuple[int, ...]:
+        return self.row_src[k]
+
+    @property
+    def colop(self) -> frozenset:
+        """All pairs (i, j): column i may be added into column j."""
+        return frozenset((i, j) for j, src in enumerate(self.col_src) for i in src)
+
+    @property
+    def rowop(self) -> frozenset:
+        """All pairs (l, k): row l may be added into row k."""
+        return frozenset((l, k) for k, src in enumerate(self.row_src) for l in src)
 
 
-def _strictly_below(a: Grade, ia: int, b: Grade, ib: int) -> bool:
-    # product order, equal grades broken by index: earlier acts as smaller
-    if a.coords == b.coords:
-        return ia < ib
-    return leq(a, b)
+def _below_lists(grades: Sequence[Grade]) -> List[List[int]]:
+    """For each index, the indices strictly below it, ascending.
+
+    Strictly below means lower in the product order, with equal grades
+    broken by index (the earlier one acts as smaller).  That implies
+    earlier in topo order (lexicographic, ties by index), so each index
+    only scans the ones that precede it there.
+    """
+    coords = [g.coords for g in grades]
+    order = topo_order(grades)
+    below: List[List[int]] = [[] for _ in coords]
+    for pos, b in enumerate(order):
+        cb = coords[b]
+        below[b] = sorted(
+            a for a in order[:pos] if all(x <= y for x, y in zip(coords[a], cb))
+        )
+    return below
 
 
 def admissible_ops(M: GradedMatrix) -> AdmissibleOps:
-    colop = frozenset(
-        (i, j)
-        for i in range(M.n_cols)
-        for j in range(M.n_cols)
-        if i != j and _strictly_below(M.col_grades[i], i, M.col_grades[j], j)
-    )
-    rowop = frozenset(
-        (l, k)
-        for l in range(M.n_rows)
-        for k in range(M.n_rows)
-        if l != k and _strictly_below(M.row_grades[k], k, M.row_grades[l], l)
-    )
-    return AdmissibleOps(colop=colop, rowop=rowop)
+    col_src = tuple(tuple(s) for s in _below_lists(M.col_grades))
+    # row l feeds row k when row k lies strictly below row l
+    row_src: List[List[int]] = [[] for _ in range(M.n_rows)]
+    for l, below in enumerate(_below_lists(M.row_grades)):
+        for k in below:
+            row_src[k].append(l)
+    return AdmissibleOps(col_src=col_src, row_src=tuple(tuple(s) for s in row_src))
 
 
 def sort_by_grade(

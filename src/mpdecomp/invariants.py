@@ -8,6 +8,7 @@ that presentation is free, so its generators are the whole of degree 2.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -16,6 +17,7 @@ import numpy as np
 
 from .diagonalize import IndexBlock
 from .errors import InputError
+from .f2 import F2Matrix
 from .graded import GradedMatrix
 from .grades import Grade, leq
 from .presentation import BASIS_2PARAM, Presentation, kernel_gens
@@ -63,16 +65,32 @@ def _check_covers(P: Presentation, box: GradeBox) -> None:
 
 
 def dimension_function(P: Presentation, box: GradeBox) -> np.ndarray:
-    """Pointwise dimension of coker(P) over the box (dense array)."""
+    """Pointwise dimension of coker(P) over the box (dense array).
+
+    Which grades lie below a point u depends, on each axis k, only on how
+    many of the presentation's distinct k-th coordinates are <= u_k.  So
+    the module is constant on the cells of the grid those coordinates span,
+    plus a zero cell below the lowest one on each axis.  One rank is taken
+    per cell and the box is filled by looking up each point's cell.
+    """
     _check_covers(P, box)
     M = P.matrix
-    out = np.zeros(box.shape, dtype=np.int64)
-    all_rows = list(range(M.n_rows))
-    for u in box.grades():
-        n_gen = sum(1 for g in M.row_grades if leq(g, u))
-        cols = [j for j, g in enumerate(M.col_grades) if leq(g, u)]
-        rank = M.mat.submatrix(all_rows, cols).rank()
-        out[box.index_of(u)] = n_gen - rank
+    grades = list(M.row_grades) + list(M.col_grades)
+    axes = [sorted({g[k] for g in grades}) for k in range(box.lo.d)]
+
+    def cell(g: Grade) -> Tuple[int, ...]:
+        return tuple(bisect_right(axis, x) for axis, x in zip(axes, g))
+
+    row_cells = [cell(g) for g in M.row_grades]
+    col_cells = [(cell(g), c) for g, c in zip(M.col_grades, M.mat.cols)]
+    cells = np.zeros(tuple(len(axis) + 1 for axis in axes), dtype=np.int64)
+    for u in np.ndindex(*cells.shape):
+        n_gen = sum(1 for rc in row_cells if all(x <= y for x, y in zip(rc, u)))
+        cols = [c for cc, c in col_cells if all(x <= y for x, y in zip(cc, u))]
+        cells[u] = n_gen - F2Matrix(M.n_rows, cols).rank()
+    out = cells
+    for k, (axis, lo, hi) in enumerate(zip(axes, box.lo, box.hi)):
+        out = out.take([bisect_right(axis, x) for x in range(lo, hi + 1)], axis=k)
     return out
 
 

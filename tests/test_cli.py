@@ -48,11 +48,11 @@ def test_decompose_text_golden(capsys):
         "rows:\n"
         "  [0] 0 (0,1) = 0\n"
         "  [1] 1 (1,0) = 1\n"
-        "  [2] 2 (1,1) = 2 + t^(0,1)*1\n"
+        "  [2] 2 (1,1) = 2 + t^(1,0)*0\n"
         "cols:\n"
         "  [0] 3 (1,1) = 3\n"
-        "  [1] 4 (1,2) = 4 + t^(0,1)*3\n"
-        "  [2] 5 (2,1) = 5\n"
+        "  [1] 4 (1,2) = 4\n"
+        "  [2] 5 (2,1) = 5 + t^(1,0)*3\n"
         "entries:\n"
         "  100\n"
         "  100\n"

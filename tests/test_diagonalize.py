@@ -13,12 +13,19 @@ from mpdecomp import (
     grade,
     lin,
     lin_inv,
+    minimize,
+    parse_filtration,
+    pres_h0,
     replay_certificate,
     sort_by_grade,
     tot_diagonalize,
 )
+from mpdecomp import diagonalize
 from mpdecomp.errors import InputError, TiedGradesError
 from mpdecomp.graded import admissible_ops
+from mpdecomp.grades import tied_pairs
+from mpdecomp.oracle import brute_force_finest
+from test_acceptance import merge_chain, random_filtration_text
 
 
 def triangle_matrix() -> GradedMatrix:
@@ -193,3 +200,73 @@ def test_replay_certificate_rejects_illegal_ops():
     M = triangle_matrix()
     with pytest.raises(InputError):
         replay_certificate(M, [Op("col", 1, 2)])  # (1,2) onto (2,1)
+
+
+# -- cost of the per-column BlockReduce ------------------------------------------
+
+
+def cost_cases():
+    """The merge chain, then random H0 presentations the oracle can check."""
+    yield from (merge_chain(n) for n in range(2, 6))
+    rng = random.Random(53)
+    n_random = 0
+    while n_random < 60:
+        pres = minimize(pres_h0(parse_filtration(random_filtration_text(rng))))
+        M = sort_by_grade(pres.matrix)[0]
+        if tied_pairs(M.row_grades) or tied_pairs(M.col_grades):
+            continue
+        ops = admissible_ops(M)
+        if len(ops.colop) + len(ops.rowop) > 14:
+            continue
+        n_random += 1
+        yield M
+
+
+def blocks_of(diag):
+    return {(b.rows, b.cols) for b in diag.blocks}
+
+
+def test_block_reduce_skips_blocks_clear_in_column_t(monkeypatch):
+    real = diagonalize.block_reduce
+    calls = []
+
+    def watched(A, ops, T, t, certificate=None):
+        mask = sum(1 << i for i in T.rows)
+        assert A.mat.cols[t] & mask, f"rows {T.rows} are clear in column {t}"
+        calls.append(t)
+        return real(A, ops, T, t, certificate)
+
+    monkeypatch.setattr(diagonalize, "block_reduce", watched)
+    for M in cost_cases():
+        diag = tot_diagonalize(M)
+        assert blocks_of(diag) == {(b.rows, b.cols) for b in brute_force_finest(M)}
+    assert len(calls) > 100
+
+
+def test_col_reduce_sees_only_columns_up_to_t(monkeypatch):
+    real_block_reduce = diagonalize.block_reduce
+    real_col_reduce = diagonalize.col_reduce
+    region_bits = []
+    sizes = []
+
+    def block_reduce_spy(A, ops, T, t, certificate=None):
+        region_bits.append(len(T.rows) * sum(1 for j in T.cols if j <= t))
+        try:
+            return real_block_reduce(A, ops, T, t, certificate)
+        finally:
+            region_bits.pop()
+
+    def col_reduce_spy(S, c):
+        assert S.n_rows <= region_bits[-1]
+        sizes.append(S.n_rows)
+        return real_col_reduce(S, c)
+
+    monkeypatch.setattr(diagonalize, "block_reduce", block_reduce_spy)
+    monkeypatch.setattr(diagonalize, "col_reduce", col_reduce_spy)
+    for M in cost_cases():
+        diag = tot_diagonalize(M)
+        assert blocks_of(diag) == {(b.rows, b.cols) for b in brute_force_finest(M)}
+    # a longer chain, past the oracle's budget: every vertex is a summand
+    diag = tot_diagonalize(merge_chain(24))
+    assert len([b for b in diag.blocks if b.rows]) == 24
+    assert len(sizes) > 100

@@ -84,8 +84,8 @@ def test_admissible_ops_worked_example():
     ops = admissible_ops(triangle_matrix())
     assert ops.colop == frozenset({(0, 1), (0, 2)})
     assert ops.rowop == frozenset({(2, 0), (2, 1)})
-    assert ops.col_sources(1) == [0]
-    assert ops.row_sources(0) == [2]
+    assert ops.col_sources(1) == (0,)
+    assert ops.row_sources(0) == (2,)
 
 
 def test_admissible_ops_break_exact_ties_by_index():
@@ -127,3 +127,36 @@ def test_sort_by_grade_round_trips_entries():
             for j in range(S.n_cols):
                 assert S.mat.entry(i, j) == M.mat.entry(row_perm[i], col_perm[j])
         S.validate_homogeneity()
+
+
+def _strictly_below(a, ia, b, ib) -> bool:
+    # product order, equal grades broken by index: earlier acts as smaller
+    if a.coords == b.coords:
+        return ia < ib
+    return leq(a, b)
+
+
+def test_admissible_ops_match_pairwise_definition_with_ties():
+    # small coordinate range, so exact ties between rows and between
+    # columns are common; the indexed lists must equal the pairwise rule
+    rng = random.Random(41)
+    ties = 0
+    for _ in range(300):
+        M = random_graded(rng, n_max=6, m_max=6, coord_max=2)
+        if rng.random() < 0.5:
+            M, _, _ = sort_by_grade(M)
+        ties += len({g.coords for g in M.col_grades}) < M.n_cols
+        ops = admissible_ops(M)
+        for j in range(M.n_cols):
+            assert ops.col_sources(j) == tuple(
+                i
+                for i in range(M.n_cols)
+                if i != j and _strictly_below(M.col_grades[i], i, M.col_grades[j], j)
+            )
+        for k in range(M.n_rows):
+            assert ops.row_sources(k) == tuple(
+                l
+                for l in range(M.n_rows)
+                if l != k and _strictly_below(M.row_grades[k], k, M.row_grades[l], l)
+            )
+    assert ties > 50

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpdecomp import (
     BettiTable,
@@ -199,3 +201,36 @@ def test_betti_table_merge_and_counts():
     assert [g.coords for g in t.degree(0)] == [(0, 0), (0, 0)]
     u = t.merged_with(t)
     assert len(u.degree(0)) == 4
+
+
+@st.composite
+def presentation_and_box(draw):
+    """Random presentation with repeated coordinates, and a box around it
+    that reaches below and above its grades."""
+    d = draw(st.sampled_from([2, 3]))
+    coords = st.lists(st.integers(0, 3), min_size=d, max_size=d).map(
+        lambda c: grade(*c)
+    )
+    rows = draw(st.lists(coords, min_size=1, max_size=4))
+    cols = draw(st.lists(coords, max_size=4))
+    dense = [
+        [draw(st.integers(0, 1)) if leq(r, c) else 0 for c in cols] for r in rows
+    ]
+    mat = F2Matrix.from_dense(dense) if cols else F2Matrix.zeros(len(rows), 0)
+    P = Presentation(GradedMatrix(mat, rows, cols), case_tag="RAW")
+    grades = rows + cols
+    below = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
+    above = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
+    lo = grade(*(min(g[k] for g in grades) - below[k] for k in range(d)))
+    hi = grade(*(max(g[k] for g in grades) + above[k] for k in range(d)))
+    return P, GradeBox(lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentation_and_box())
+def test_dimension_function_on_grid_cells_matches_oracle(case):
+    P, box = case
+    dm = dimension_function(P, box)
+    assert dm.shape == box.shape
+    for u in box.grades():
+        assert dm[box.index_of(u)] == dim_oracle(P, u), str(u)

@@ -10,6 +10,7 @@ flag, 4 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -395,7 +396,13 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it.
+
+    Parsing leaves the parser unchanged, so repeated in-process calls of
+    ``main`` share one instance instead of rebuilding six subparsers.
+    """
     parser = argparse.ArgumentParser(
         prog="mpdecomp",
         description="Decompose multi-parameter persistence presentations "

@@ -78,30 +78,13 @@ def lub(a: Grade, b: Grade) -> Grade:
 
 @dataclass(frozen=True)
 class GradeOrderContext:
-    """Fixes d and, optionally, an explicit order for equal grades.
-
-    ``tie_break`` is a permutation fragment over entity indices: listed
-    indices come first, in the listed order; unlisted ones follow by index.
-    Without it, equal grades fall back to input-index order, the earlier
-    index acting as the strictly smaller one.
-    """
+    """Fixes the parameter count d that a set of grades must have."""
 
     d: int
-    tie_break: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.d < 1:
             raise InputError(f"parameter count must be positive, got {self.d}")
-        if self.tie_break is not None:
-            if len(set(self.tie_break)) != len(self.tie_break):
-                raise InputError("tie_break repeats an index")
-
-
-def _tie_key(ctx: Optional[GradeOrderContext]):
-    if ctx is None or ctx.tie_break is None:
-        return lambda i: (0, i)
-    rank = {idx: p for p, idx in enumerate(ctx.tie_break)}
-    return lambda i: (0, rank[i]) if i in rank else (1, i)
 
 
 def topo_order(
@@ -120,8 +103,7 @@ def topo_order(
         raise InputError(
             f"context is {ctx.d}-parameter but grades have {gs[0].d} coordinates"
         )
-    tie = _tie_key(ctx)
-    return sorted(range(len(gs)), key=lambda i: (gs[i].coords, tie(i)))
+    return sorted(range(len(gs)), key=lambda i: gs[i].coords)  # stable: ties by index
 
 
 def strictly_distinct(grades: Iterable[Grade]) -> bool:

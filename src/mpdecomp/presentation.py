@@ -9,16 +9,20 @@ the syzygies among the generators join the boundary columns as extra
 relations.
 
 Cycle generators are found by a sweep over the grid spanned by the column
-grades: at each grid point the active columns (grade below the point) are
-reduced left to right, and a column that dies yields a generator at the
-earliest points where that happens.  With two parameters each column dies
-at a unique minimal grade; in general it can die along an antichain and
-every minimal grade is kept.
+grades, one slice (a value of every coordinate but the first) at a time.
+Columns are taken in lexicographic topo order, so the columns active before
+column j at a grid point (x, s) with x >= g_j[0] are the same for every
+such x: the reduction of j does not depend on x.  One left-to-right
+reduction per slice therefore tells where each column dies in that slice,
+and a column that dies yields a generator at the earliest such grade.
+With two parameters each column dies at a unique minimal grade; in general
+it can die along an antichain and every minimal grade is kept.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalCheckError
@@ -70,6 +74,21 @@ class Presentation:
 def kernel_gens(M: GradedMatrix, mode: str) -> List[KernelElement]:
     """Generators of ker(M), coordinates over the columns of M.
 
+    The grid spanned by the column grades is swept one slice at a time,
+    a slice being a value ``s`` of the coordinates after the first.  Take
+    the columns whose grade tail is ``<= s`` in topo order and reduce each
+    against the ones before it.  Topo order is lexicographic, so at any
+    grid point ``(x, s)`` with ``x >= g_j[0]`` the active columns before
+    ``j`` are exactly these; the reduction of ``j`` does not depend on
+    ``x``.  A column that reduces to zero therefore dies at
+    ``(g_j[0],) + s`` and at every point above it in the slice, with the
+    same combination, and one pass per slice finds every death.
+
+    A column that died at some slice ``s' <= s`` is skipped: every column
+    active before it at ``s'`` is active at ``s`` too, so it dies there
+    again, but at a grade above one already recorded.  What is left is one generator per
+    minimal death grade of each column, listed by (grade, topo position).
+
     Parameters
     ----------
     M : GradedMatrix
@@ -78,27 +97,31 @@ def kernel_gens(M: GradedMatrix, mode: str) -> List[KernelElement]:
         BASIS_2PARAM returns a basis (d == 2 only, where the kernel is
         free and one minimal death grade per column exists).
         GENSET_DPARAM returns a generating set, registering a column once
-        per minimal grade of its death antichain.
+        per minimal grade of its death antichain.  With two parameters
+        both modes return the same list.
     """
     if mode not in (BASIS_2PARAM, GENSET_DPARAM):
         raise InputError(f"unknown kernel mode {mode!r}")
     if mode == BASIS_2PARAM and M.d != 2:
         raise InputError(f"basis mode needs 2 parameters, matrix has {M.d}")
-    if M.n_cols == 0:
-        return []
 
     order = topo_order(M.col_grades)
-    axes = [sorted({g[k] for g in M.col_grades}) for k in range(M.d)]
-    recorded: Dict[int, List[Grade]] = {}
-    out: List[KernelElement] = []
+    heads = [M.col_grades[j][0] for j in order]
+    tails = [M.col_grades[j].coords[1:] for j in order]
+    cols = [M.mat.cols[j] for j in order]
+    died: List[List[Tuple[int, ...]]] = [[] for _ in order]
+    found: List[Tuple[Tuple[int, ...], int, int]] = []
+    axes = [sorted({t[k] for t in tails}) for k in range(M.d - 1)]
 
-    for point in product(*axes):
-        z = Grade(point)
-        active = [j for j in order if leq(M.col_grades[j], z)]
+    for s in product(*axes):
         pivots: Dict[int, Tuple[int, int]] = {}
-        for j in active:
-            cur = M.mat.cols[j]
-            comb = 1 << j
+        for pos, tail in enumerate(tails):
+            if not all(map(le, tail, s)) or any(
+                all(map(le, t, s)) for t in died[pos]
+            ):
+                continue
+            cur = cols[pos]
+            comb = 1 << order[pos]
             while cur:
                 lw = cur.bit_length() - 1
                 if lw in pivots:
@@ -108,17 +131,11 @@ def kernel_gens(M: GradedMatrix, mode: str) -> List[KernelElement]:
                 else:
                     pivots[lw] = (cur, comb)
                     break
-            if cur:
-                continue
-            prior = recorded.setdefault(j, [])
-            if mode == BASIS_2PARAM:
-                if prior:
-                    continue
-            elif any(leq(zp, z) for zp in prior):
-                continue
-            prior.append(z)
-            out.append(KernelElement(grade=z, coords=comb))
-    return out
+            if not cur:
+                died[pos].append(s)
+                found.append(((heads[pos],) + s, pos, comb))
+    found.sort()
+    return [KernelElement(grade=Grade(z), coords=comb) for z, _, comb in found]
 
 
 def rewrite_in_basis(
@@ -137,15 +154,18 @@ def rewrite_in_basis(
     for b in basis:
         if b.coords >> ambient:
             raise InputError("kernel element has coordinates outside the ambient")
+        if b.grade.d != cols.d:
+            raise InputError(f"kernel element grade {b.grade} is not {cols.d}-parameter")
     labels = (
         list(basis_labels)
         if basis_labels is not None
         else [f"z{i}" for i in range(len(basis))]
     )
+    born = [b.grade.coords for b in basis]
     out_cols: List[int] = []
     for j in range(cols.n_cols):
         u = cols.col_grades[j]
-        sub = [idx for idx, b in enumerate(basis) if leq(b.grade, u)]
+        sub = [idx for idx, g in enumerate(born) if all(map(le, g, u.coords))]
         S = F2Matrix(ambient, [basis[idx].coords for idx in sub])
         coeffs = express_in_span(S, cols.mat.cols[j])
         if coeffs is None:

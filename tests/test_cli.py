@@ -128,6 +128,61 @@ def test_export_pres_round_trips(tmp_path, capsys):
     assert P.n_rows == 4 and P.n_cols == 3
 
 
+def test_export_pres_golden_two_parameters(capsys):
+    code, out, _ = run_cli(capsys, "export-pres", SUSPENSION, "--dim", "1")
+    assert code == 0
+    assert out == (
+        "mppres 1\n"
+        "params 2\n"
+        "rows 4\n"
+        "r 0 1\n"
+        "r 1 0\n"
+        "r 1 1\n"
+        "r 2 2\n"
+        "cols 3\n"
+        "c 1 1 : 0 1\n"
+        "c 1 2 : 0 2\n"
+        "c 2 1 : 1 2\n"
+    )
+
+
+def test_export_pres_golden_three_parameters(capsys):
+    code, out, _ = run_cli(capsys, "export-pres", K23, "--dim", "1")
+    assert code == 0
+    assert out == (
+        "mppres 1\n"
+        "params 3\n"
+        "rows 3\n"
+        "r 0 1 1\n"
+        "r 1 0 1\n"
+        "r 1 1 0\n"
+        "cols 1\n"
+        "c 1 1 1 : 0 1 2\n"
+    )
+
+
+def test_main_twice_in_one_process_keeps_no_flags(tmp_path, capsys):
+    out_file = tmp_path / "k23.mppres"
+    code, out, _ = run_cli(
+        capsys, "export-pres", K23, "--dim", "1", "--construction", "dparam",
+        "--output", str(out_file),
+    )
+    assert code == 0
+    assert out == f"wrote {out_file}\n"
+    assert out_file.read_text().startswith("mppres 1\nparams 3\n")
+    # a leaked --dim, --construction or --output would fail or redirect this
+    code, out, _ = run_cli(capsys, "decompose", TRIANGLE, "--format", "text")
+    assert code == 0
+    assert out.startswith("case H0, 2 parameters, perturbed: no\n")
+    assert out.endswith("  0: rows=[0,1] cols=[0]\n  1: rows=[2] cols=[1,2]\n")
+    code, out, err = run_cli(capsys, "diagonalize", RAW, "--perturb", "--dim", "1")
+    assert code == 2
+    assert "filtration" in err
+    code, out, _ = run_cli(capsys, "betti", SUSPENSION, "--dim", "1")
+    assert code == 0
+    assert json.loads(out)["perturbed"] is False
+
+
 def test_exit_code_2_on_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.mpfilt"
     bad.write_text("mpfilt 1\nparams 2\ns 0 :\n")

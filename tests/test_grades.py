@@ -93,14 +93,13 @@ def test_topo_order_breaks_ties_by_index():
     assert topo_order(gs) == [1, 0, 2]
 
 
-def test_topo_order_honors_context_tie_break():
+def test_topo_order_checks_context_d():
     gs = [grade(1, 1), grade(1, 1)]
-    ctx = GradeOrderContext(d=2, tie_break=(1,))
-    assert topo_order(gs, ctx) == [1, 0]
-    with pytest.raises(InputError):
-        GradeOrderContext(d=2, tie_break=(1, 1))
+    assert topo_order(gs, GradeOrderContext(d=2)) == [0, 1]
     with pytest.raises(InputError):
         topo_order(gs, GradeOrderContext(d=3))
+    with pytest.raises(InputError):
+        GradeOrderContext(d=0)
 
 
 @given(st.lists(grades2, max_size=10))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ from mpdecomp import (
     BASIS_2PARAM,
     GENSET_DPARAM,
     F2Matrix,
+    Grade,
     GradedMatrix,
+    KernelElement,
     Presentation,
     boundary_matrix,
     format_presentation,
@@ -24,6 +27,7 @@ from mpdecomp import (
     pres_dparam,
     pres_h0,
     rewrite_in_basis,
+    topo_order,
 )
 from mpdecomp.errors import InputError
 from mpdecomp.oracle import _row_echelon_rank
@@ -136,6 +140,98 @@ def test_kernel_sound_complete_dparam_random():
         assert_kernel_sound_and_complete(random_graded_cols(rng, d=2), GENSET_DPARAM)
 
 
+def per_point_kernel_gens(M: GradedMatrix, mode: str):
+    """Reference sweep: re-reduce every active column at every grid point.
+
+    This is the construction ``kernel_gens`` replaced with its slice sweep;
+    it is kept here to pin the generators, their grades and their order.
+    """
+    order = topo_order(M.col_grades)
+    axes = [sorted({g[k] for g in M.col_grades}) for k in range(M.d)]
+    recorded = {}
+    out = []
+    for point in product(*axes):
+        z = Grade(point)
+        active = [j for j in order if leq(M.col_grades[j], z)]
+        pivots = {}
+        for j in active:
+            cur = M.mat.cols[j]
+            comb = 1 << j
+            while cur:
+                lw = cur.bit_length() - 1
+                if lw in pivots:
+                    pcol, pcomb = pivots[lw]
+                    cur ^= pcol
+                    comb ^= pcomb
+                else:
+                    pivots[lw] = (cur, comb)
+                    break
+            if cur:
+                continue
+            prior = recorded.setdefault(j, [])
+            if mode == BASIS_2PARAM:
+                if prior:
+                    continue
+            elif any(leq(zp, z) for zp in prior):
+                continue
+            prior.append(z)
+            out.append(KernelElement(grade=z, coords=comb))
+    return out
+
+
+def gens_key(gens):
+    return [(g.grade.coords, g.coords) for g in gens]
+
+
+def test_kernel_slice_sweep_equals_per_point_sweep_random():
+    rng = random.Random(109)
+    checked = 0
+    for _ in range(1200):
+        d = rng.choice((1, 2, 3, 4))
+        span = rng.randint(0, 3)  # few distinct coordinates: exact ties are common
+        n, m = rng.randint(1, 6), rng.randint(1, 9)
+        rows = [grade(*(rng.randint(0, span) for _ in range(d))) for _ in range(n)]
+        cols = [grade(*(rng.randint(0, span) for _ in range(d))) for _ in range(m)]
+        dense = [
+            [rng.randint(0, 1) if leq(rows[i], cols[j]) else 0 for j in range(m)]
+            for i in range(n)
+        ]
+        M = GradedMatrix(F2Matrix.from_dense(dense), rows, cols)
+        for mode in (BASIS_2PARAM, GENSET_DPARAM) if d == 2 else (GENSET_DPARAM,):
+            assert gens_key(kernel_gens(M, mode)) == gens_key(
+                per_point_kernel_gens(M, mode)
+            )
+            checked += 1
+    assert checked > 1200
+
+
+def random_graph_boundary(rng: random.Random, nv: int = 30, ne: int = 90) -> GradedMatrix:
+    """Edge boundary matrix of a random graph with grades in [0,1000)^2.
+
+    Shaped like the degree-1 inputs of the benchmark's export family:
+    vertices at random grades, edges at the lub of their ends plus a jitter.
+    """
+    verts = [grade(rng.randrange(1000), rng.randrange(1000)) for _ in range(nv)]
+    pairs = rng.sample([(u, v) for u in range(nv) for v in range(u + 1, nv)], ne)
+    edge_grades = [
+        grade(*(max(verts[u][k], verts[v][k]) + rng.randint(0, 2) for k in range(2)))
+        for u, v in pairs
+    ]
+    return GradedMatrix(
+        F2Matrix(nv, [(1 << u) | (1 << v) for u, v in pairs]), verts, edge_grades
+    )
+
+
+def test_kernel_slice_sweep_equals_per_point_sweep_on_graphs():
+    rng = random.Random(113)
+    for _ in range(3):
+        M = random_graph_boundary(rng)
+        expected = gens_key(per_point_kernel_gens(M, BASIS_2PARAM))
+        assert len(expected) >= 90 - 30
+        assert gens_key(kernel_gens(M, BASIS_2PARAM)) == expected
+        assert gens_key(kernel_gens(M, GENSET_DPARAM)) == expected
+
+
 # -- rewriting ----------------------------------------------------------------
 
 
@@ -156,11 +252,13 @@ def test_rewrite_respects_column_grades():
 
     cols = GradedMatrix(F2Matrix.from_dense([[1], [0]]),
                         [grade(0, 0), grade(0, 0)], [grade(1, 0)])
-    from mpdecomp import KernelElement
-
     late = [KernelElement(grade(0, 5), 0b01), KernelElement(grade(0, 0), 0b10)]
     with pytest.raises(InternalCheckError):
         rewrite_in_basis(cols, late)
+    with pytest.raises(InputError):
+        rewrite_in_basis(cols, [KernelElement(grade(0, 0, 0), 0b01)])
+    with pytest.raises(InputError):
+        rewrite_in_basis(cols, [KernelElement(grade(0, 0), 0b100)])
 
 
 # -- presentation constructions ----------------------------------------------

@@ -14,7 +14,6 @@ from .diagonalize import (
     Op,
     block_reduce,
     lin,
-    lin_inv,
     replay_certificate,
     tot_diagonalize,
 )
@@ -24,7 +23,6 @@ from .filtration import Filtration, Simplex, boundary_matrix, parse_filtration
 from .graded import AdmissibleOps, GradedMatrix, admissible_ops, sort_by_grade
 from .grades import (
     Grade,
-    GradeOrderContext,
     grade,
     leq,
     lub,
@@ -75,7 +73,6 @@ __all__ = [
     "GENSET_DPARAM",
     "Grade",
     "GradeBox",
-    "GradeOrderContext",
     "GradedMatrix",
     "IndexBlock",
     "InputError",
@@ -104,7 +101,6 @@ __all__ = [
     "kernel_gens",
     "leq",
     "lin",
-    "lin_inv",
     "lub",
     "minimize",
     "parse_filtration",

@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import InputError, TiedGradesError
 from .f2 import F2Matrix, col_reduce
 from .graded import AdmissibleOps, GradedMatrix, admissible_ops
-from .grades import GradeOrderContext, tied_pairs, topo_order
+from .grades import tied_pairs, topo_order
 
 
 @dataclass(frozen=True)
@@ -80,19 +80,6 @@ def lin(mat: F2Matrix, rows: Sequence[int], cols: Sequence[int]) -> int:
     for j in cols:
         v = (v << len(rows)) | _gather(mat.cols[j], rows)
     return v
-
-
-def lin_inv(v: int, rows: Sequence[int], cols: Sequence[int]) -> F2Matrix:
-    """Inverse of lin: rebuild the region as a len(rows) x len(cols) matrix."""
-    n_rt = len(rows)
-    n_ct = len(cols)
-    if v < 0 or v >> (n_rt * n_ct):
-        raise InputError("flattened vector longer than the region")
-    out = F2Matrix.zeros(n_rt, n_ct)
-    for cpos in range(n_ct):
-        seg = (v >> ((n_ct - 1 - cpos) * n_rt)) & ((1 << n_rt) - 1)
-        out.cols[cpos] = seg
-    return out
 
 
 def block_reduce(
@@ -172,7 +159,6 @@ def block_reduce(
 
 def tot_diagonalize(
     A: GradedMatrix,
-    ctx: Optional[GradeOrderContext] = None,
     *,
     perturb_ties: bool = False,
     iteration_hook: Optional[Callable[[int, GradedMatrix], None]] = None,
@@ -185,9 +171,9 @@ def tot_diagonalize(
     The certificate lists every realized operation in application order;
     replaying it on the input reproduces the returned matrix.
     """
-    if topo_order(A.row_grades, ctx) != list(range(A.n_rows)):
+    if topo_order(A.row_grades) != list(range(A.n_rows)):
         raise InputError("rows are not in topo order; sort before diagonalizing")
-    if topo_order(A.col_grades, ctx) != list(range(A.n_cols)):
+    if topo_order(A.col_grades) != list(range(A.n_cols)):
         raise InputError("columns are not in topo order; sort before diagonalizing")
 
     row_ties = tied_pairs(A.row_grades)

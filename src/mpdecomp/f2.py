@@ -2,8 +2,7 @@
 
 Columns are arbitrary-precision integers, bit i = row i, so a column
 addition is one XOR and the pivot of a column is its highest set bit.
-Storage is column-major; row access and transposition are explicit
-(and pay for the swap) rather than hidden behind a stride.
+Storage is column-major; a row addition walks every column.
 """
 from __future__ import annotations
 
@@ -74,14 +73,6 @@ class F2Matrix:
     def column(self, j: int) -> int:
         return self.cols[j]
 
-    def row(self, i: int) -> int:
-        mask = 1 << i
-        out = 0
-        for j, c in enumerate(self.cols):
-            if c & mask:
-                out |= 1 << j
-        return out
-
     def entries(self) -> Iterator[Tuple[int, int]]:
         for j, c in enumerate(self.cols):
             while c:
@@ -115,12 +106,6 @@ class F2Matrix:
         for j, c in enumerate(self.cols):
             if c & m_src:
                 self.cols[j] = c ^ m_dst
-
-    def transpose(self) -> "F2Matrix":
-        out = F2Matrix.zeros(self.n_cols, self.n_rows)
-        for i, j in self.entries():
-            out.cols[i] |= 1 << j
-        return out
 
     def matmul(self, other: "F2Matrix") -> "F2Matrix":
         if self.n_cols != other.n_rows:
@@ -190,19 +175,11 @@ class F2Matrix:
 class ColOpLog:
     """Ordered record of column additions performed on one matrix.
 
-    Each pair is (source, target) with source < target; replaying the pairs
-    on the original matrix reproduces the reduction exactly.
+    Each pair is (source, target) with source < target; applying the pairs
+    in order to the original matrix reproduces the reduction exactly.
     """
 
     ops: List[Tuple[int, int]] = field(default_factory=list)
-
-    def replay(self, mat: F2Matrix) -> F2Matrix:
-        out = mat.copy()
-        for s, t in self.ops:
-            if s >= t:
-                raise InputError(f"log pair ({s},{t}) is not left-to-right")
-            out.add_col(s, t)
-        return out
 
     def combination(self, target: int, n_cols: int) -> int:
         """Bitmask over original columns whose sum was folded into target.

@@ -9,11 +9,11 @@ invariant is preserved by use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import InputError
 from .f2 import F2Matrix
-from .grades import Grade, GradeOrderContext, leq, topo_order
+from .grades import Grade, leq, topo_order
 
 
 @dataclass
@@ -93,9 +93,6 @@ class GradedMatrix:
             )
         self.mat.add_row(src, dst)
 
-    def restrict(self, rows: Sequence[int], cols: Sequence[int]) -> F2Matrix:
-        return self.mat.submatrix(rows, cols)
-
     def copy(self) -> "GradedMatrix":
         return GradedMatrix(
             self.mat.copy(),
@@ -167,16 +164,14 @@ def admissible_ops(M: GradedMatrix) -> AdmissibleOps:
     return AdmissibleOps(col_src=col_src, row_src=tuple(tuple(s) for s in row_src))
 
 
-def sort_by_grade(
-    M: GradedMatrix, ctx: Optional[GradeOrderContext] = None
-) -> Tuple[GradedMatrix, List[int], List[int]]:
+def sort_by_grade(M: GradedMatrix) -> Tuple[GradedMatrix, List[int], List[int]]:
     """Permute rows and columns into topo order.
 
     Returns the sorted matrix plus the two permutations, each mapping new
     position -> original index.
     """
-    row_perm = topo_order(M.row_grades, ctx)
-    col_perm = topo_order(M.col_grades, ctx)
+    row_perm = topo_order(M.row_grades)
+    col_perm = topo_order(M.col_grades)
     mat = M.mat.submatrix(row_perm, col_perm)
     return (
         GradedMatrix(

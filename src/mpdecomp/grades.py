@@ -9,7 +9,7 @@ is exactly the virtual perturbation used when ties are tolerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from .errors import InputError
 
@@ -76,20 +76,7 @@ def lub(a: Grade, b: Grade) -> Grade:
     return Grade(tuple(max(x, y) for x, y in zip(a.coords, b.coords)))
 
 
-@dataclass(frozen=True)
-class GradeOrderContext:
-    """Fixes the parameter count d that a set of grades must have."""
-
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise InputError(f"parameter count must be positive, got {self.d}")
-
-
-def topo_order(
-    grades: Sequence[Grade], ctx: Optional[GradeOrderContext] = None
-) -> list:
+def topo_order(grades: Sequence[Grade]) -> list:
     """Permutation sorting grades lexicographically, ties by index.
 
     Lexicographic order extends the product order, so consuming rows and
@@ -99,10 +86,6 @@ def topo_order(
     gs = list(grades)
     for g in gs[1:]:
         _same_d(gs[0], g)
-    if ctx is not None and gs and ctx.d != gs[0].d:
-        raise InputError(
-            f"context is {ctx.d}-parameter but grades have {gs[0].d} coordinates"
-        )
     return sorted(range(len(gs)), key=lambda i: gs[i].coords)  # stable: ties by index
 
 

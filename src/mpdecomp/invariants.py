@@ -2,12 +2,19 @@
 
 Everything here is rank counting.  The dimension function of a cokernel
 at a grade u is (generators born by u) minus (rank of the relations born
-by u); graded Betti numbers in degrees 0 and 1 are the row and column
-grades of a minimized presentation, and with two parameters the kernel of
-that presentation is free, so its generators are the whole of degree 2.
+by u).  ``minimize`` returns a minimal presentation, so its row and
+column grades are exactly the graded Betti numbers in degrees 0 and 1, and
+each summand of its decomposition is minimal too.  With two parameters the
+kernel of that presentation is free, so its generators are the whole of
+degree 2 and the Betti tables are complete.
+
+Dimension functions are dense arrays over a box of integer grades, one
+entry per point.  A box of more than ``MAX_BOX_POINTS`` points is refused
+with an ``InputError`` before any per-point work starts.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
@@ -21,6 +28,9 @@ from .f2 import F2Matrix
 from .graded import GradedMatrix
 from .grades import Grade, leq
 from .presentation import BASIS_2PARAM, Presentation, kernel_gens
+
+# Largest box, in grade points, that a dimension function is evaluated on.
+MAX_BOX_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,15 @@ class GradeBox:
 
     def index_of(self, u: Grade) -> Tuple[int, ...]:
         return tuple(x - l for x, l in zip(u, self.lo))
+
+    def check_size(self) -> None:
+        """Refuse a box of more than MAX_BOX_POINTS points."""
+        points = math.prod(self.shape)
+        if points > MAX_BOX_POINTS:
+            raise InputError(
+                f"box {self.lo}..{self.hi} has {points} grade points, "
+                f"more than the limit of {MAX_BOX_POINTS}"
+            )
 
 
 def default_box(P: Presentation, d: Optional[int] = None) -> GradeBox:
@@ -73,6 +92,7 @@ def dimension_function(P: Presentation, box: GradeBox) -> np.ndarray:
     plus a zero cell below the lowest one on each axis.  One rank is taken
     per cell and the box is filled by looking up each point's cell.
     """
+    box.check_size()
     _check_covers(P, box)
     M = P.matrix
     grades = list(M.row_grades) + list(M.col_grades)
@@ -160,9 +180,10 @@ def persistent_betti(
 ) -> List[Tuple[IndexBlock, BettiTable]]:
     """One Betti table per generator-carrying block of a decomposition.
 
-    Blocks without rows present the zero module and are skipped; every
-    kept block has a nonempty degree 0.  With two parameters degree 2 is
-    included and the tables are complete.
+    Blocks without rows present the zero module and are skipped (a
+    minimal presentation has none); every kept block has a nonempty
+    degree 0.  With two parameters degree 2 is included and the tables
+    are complete.
     """
     out = []
     for block in blocks:
@@ -184,6 +205,7 @@ def betti_euler_function(table: BettiTable, box: GradeBox) -> np.ndarray:
     Equals the dimension function whenever the table covers the full
     resolution, which is the case for d == 2 tables from this module.
     """
+    box.check_size()
     out = np.zeros(box.shape, dtype=np.int64)
     for u in box.grades():
         total = 0
@@ -210,6 +232,8 @@ class Blockcode:
 def blockcodes(
     P: Presentation, blocks: Sequence[IndexBlock], box: GradeBox
 ) -> List[Blockcode]:
+    """One dimension function per block with rows; checks the box first."""
+    box.check_size()
     out = []
     for block in blocks:
         if not block.rows:

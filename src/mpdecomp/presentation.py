@@ -255,50 +255,84 @@ def pres_dparam(F, p: int) -> Presentation:
 
 
 def minimize(P: Presentation) -> Presentation:
-    """Split off unit pivots until no entry has equal row and column grade.
+    """A minimal presentation of the same module: no redundant line left.
 
-    Each pivot (i, j) with grade(r_i) == grade(c_j) is cleared along its
-    row and column by grade-legal additions and both lines are deleted;
-    the cokernel never changes.  Relation columns left with no entries are
-    dropped for the same reason.  Pivots are taken smallest (grade, row,
-    column) first, so the result is deterministic.
+    First, unit pivots are split off: while some entry (i, j) has
+    grade(r_i) == grade(c_j), taking the smallest (grade, row, column),
+    column j is added into every other column that meets row i, then row i
+    and column j are deleted.  The cokernel never changes.
+
+    Then each relation in the span of the relations of lower or equal
+    grade is dropped (the minimization step of Lesnick and Wright,
+    arXiv:1902.05708); of tied columns the later one goes.  As in
+    ``kernel_gens``, topo order is lexicographic, so the columns before j
+    with a grade tail <= tail(j) are exactly those with grade <= grade(j):
+    one left-to-right reduction per distinct tail s, over the columns whose
+    tail is <= s, tests every column whose tail is s.
+
+    The row and column grades left are the module's graded Betti numbers
+    in degrees 0 and 1.  Kept rows and columns stay in input order.
     """
-    M = P.matrix.copy()
+    M = P.matrix
+    row_coords = [g.coords for g in M.row_grades]
+    col_coords = [g.coords for g in M.col_grades]
+    cols = list(M.mat.cols)
+    at_grade: Dict[Tuple[int, ...], int] = {}
+    for i, g in enumerate(row_coords):
+        at_grade[g] = at_grade.get(g, 0) | (1 << i)
+    unit = [at_grade.get(g, 0) for g in col_coords]  # rows at the column's grade
+    live_rows = set(range(M.n_rows))
+    live_cols = list(range(M.n_cols))
     while True:
         best = None
-        for i, j in M.mat.entries():
-            if M.row_grades[i].coords == M.col_grades[j].coords:
-                key = (M.row_grades[i].coords, i, j)
+        for j in live_cols:
+            hits = cols[j] & unit[j]
+            if hits:
+                key = (col_coords[j], (hits & -hits).bit_length() - 1, j)
                 if best is None or key < best:
                     best = key
         if best is None:
             break
         _, i, j = best
-        for j2 in range(M.n_cols):
-            if j2 != j and M.mat.entry(i, j2):
-                M.add_col(j, j2)
-        for i2 in range(M.n_rows):
-            if i2 != i and M.mat.entry(i2, j):
-                M.add_row(i, i2)
-        keep_rows = [r for r in range(M.n_rows) if r != i]
-        keep_cols = [c for c in range(M.n_cols) if c != j]
-        M = GradedMatrix(
-            M.mat.submatrix(keep_rows, keep_cols),
-            [M.row_grades[r] for r in keep_rows],
-            [M.col_grades[c] for c in keep_cols],
-            [M.row_labels[r] for r in keep_rows],
-            [M.col_labels[c] for c in keep_cols],
-        )
-    nonzero = [c for c in range(M.n_cols) if M.mat.cols[c]]
-    if len(nonzero) != M.n_cols:
-        M = GradedMatrix(
-            M.mat.submatrix(range(M.n_rows), nonzero),
-            list(M.row_grades),
-            [M.col_grades[c] for c in nonzero],
-            list(M.row_labels),
-            [M.col_labels[c] for c in nonzero],
-        )
-    return Presentation(M, case_tag=P.case_tag, minimized=True)
+        # row i then meets column j only; its row addition would change
+        # nothing but column j, which goes
+        for j2 in live_cols:
+            if j2 != j and (cols[j2] >> i) & 1:
+                cols[j2] ^= cols[j]
+        live_rows.discard(i)
+        live_cols.remove(j)
+
+    order = sorted(live_cols, key=col_coords.__getitem__)  # stable: ties by index
+    tails = [col_coords[j][1:] for j in order]
+    last = {t: pos for pos, t in enumerate(tails)}  # last position per tail
+    redundant = set()
+    for s, end in last.items():
+        pivots: Dict[int, int] = {}
+        for pos in range(end + 1):
+            tail = tails[pos]
+            if not all(map(le, tail, s)):
+                continue
+            cur = cols[order[pos]]
+            while cur:
+                lw = cur.bit_length() - 1
+                if lw in pivots:
+                    cur ^= pivots[lw]
+                else:
+                    pivots[lw] = cur
+                    break
+            if not cur and tail == s:
+                redundant.add(order[pos])
+
+    keep_rows = sorted(live_rows)
+    keep_cols = [j for j in live_cols if j not in redundant]
+    out = GradedMatrix(
+        F2Matrix(M.n_rows, cols).submatrix(keep_rows, keep_cols),
+        [M.row_grades[i] for i in keep_rows],
+        [M.col_grades[j] for j in keep_cols],
+        [M.row_labels[i] for i in keep_rows],
+        [M.col_labels[j] for j in keep_cols],
+    )
+    return Presentation(out, case_tag=P.case_tag, minimized=True)
 
 
 # -- raw presentation files -------------------------------------------------

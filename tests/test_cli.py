@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,45 @@ def test_bad_box_flag(capsys):
     code2, _, err2 = run_cli(capsys, "decompose", TRIANGLE, "--box", "0,0,0:1,1,1")
     assert code2 == 2
     assert "coordinates" in err2
+
+
+def test_redundant_relation_leaves_no_trivial_block(tmp_path, capsys):
+    # three vertices at (0,0), edges at (1,0), (1,0) and (2,0): the last
+    # edge only closes a cycle, so the minimal presentation drops it
+    path = tmp_path / "cycle.mpfilt"
+    path.write_text(
+        "mpfilt 1\nparams 2\ns 0 0 :\ns 0 0 :\ns 0 0 :\n"
+        "s 1 0 : 0 1\ns 1 0 : 1 2\ns 2 0 : 0 2\n"
+    )
+    code, out, _ = run_cli(capsys, "betti", str(path), "--perturb", "--format", "text")
+    assert code == 0
+    beta1 = [g for line in out.splitlines() if "beta_1:" in line for g in line.split()[1:]]
+    assert beta1 == ["(1,0)", "(1,0)"]
+    code, out, _ = run_cli(capsys, "decompose", str(path), "--perturb", "--format", "text")
+    assert code == 0
+    assert "matrix 3x2," in out
+    assert "(trivial)" not in out
+
+
+def test_runaway_box_exits_2_quickly(tmp_path, capsys):
+    path = tmp_path / "far.mppres"
+    path.write_text("mppres 1\nparams 2\nrows 2\nr 0 0\nr 0 1\ncols 1\nc 3000 3000 : 0 1\n")
+    for argv in (
+        ["decompose", str(path)],
+        ["decompose", str(path), "--format", "csv"],
+        ["blockcode", str(path)],
+        ["blockcode", str(path), "--box", "0,0:1000,1000"],
+    ):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == 2, argv
+        assert out == ""
+        assert "grade points" in err
+    assert "9012004" in run_cli(capsys, "decompose", str(path))[2]  # 3002 x 3002
+    # the text report walks no box, so it still succeeds
+    code, _, _ = run_cli(capsys, "decompose", str(path), "--format", "text")
+    assert code == 0
 
 
 def test_installed_entry_point_runs():

@@ -12,7 +12,6 @@ from mpdecomp import (
     block_reduce,
     grade,
     lin,
-    lin_inv,
     minimize,
     parse_filtration,
     pres_h0,
@@ -57,6 +56,16 @@ def random_sorted_graded(rng: random.Random, n_max=4, m_max=5) -> GradedMatrix:
     M = GradedMatrix(F2Matrix.from_dense(dense), rows, cols)
     S, _, _ = sort_by_grade(M)
     return S
+
+
+def lin_inv(v: int, rows, cols) -> F2Matrix:
+    """Reference inverse of lin: rebuild the region as a len(rows) x len(cols) matrix."""
+    n_rt, n_ct = len(rows), len(cols)
+    assert 0 <= v and not v >> (n_rt * n_ct), "flattened vector longer than the region"
+    return F2Matrix(
+        n_rt,
+        [(v >> ((n_ct - 1 - cpos) * n_rt)) & ((1 << n_rt) - 1) for cpos in range(n_ct)],
+    )
 
 
 def test_lin_orders_last_column_first():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from mpdecomp import (
     Grade,
-    GradeOrderContext,
     grade,
     leq,
     lub,
@@ -93,13 +92,10 @@ def test_topo_order_breaks_ties_by_index():
     assert topo_order(gs) == [1, 0, 2]
 
 
-def test_topo_order_checks_context_d():
-    gs = [grade(1, 1), grade(1, 1)]
-    assert topo_order(gs, GradeOrderContext(d=2)) == [0, 1]
+def test_topo_order_rejects_mixed_d():
+    assert topo_order([grade(1, 1), grade(1, 1)]) == [0, 1]
     with pytest.raises(InputError):
-        topo_order(gs, GradeOrderContext(d=3))
-    with pytest.raises(InputError):
-        GradeOrderContext(d=0)
+        topo_order([grade(1, 1), grade(1, 1, 0)])
 
 
 @given(st.lists(grades2, max_size=10))

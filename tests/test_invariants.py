@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from itertools import product
+from operator import le
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from mpdecomp import (
     tot_diagonalize,
 )
 from mpdecomp.errors import InputError
+from mpdecomp.invariants import MAX_BOX_POINTS
 from mpdecomp.oracle import dim_oracle
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -106,6 +109,20 @@ def test_box_must_cover_presentation():
     final, _ = triangle_pipeline()
     with pytest.raises(InputError):
         dimension_function(final, GradeBox(grade(0, 0), grade(1, 1)))
+
+
+def test_box_over_point_cap_rejected():
+    final, diag = triangle_pipeline()
+    side = int(MAX_BOX_POINTS**0.5) + 1  # just over the cap
+    box = GradeBox(grade(0, 0), grade(side - 1, side - 1))
+    for call in (
+        lambda: dimension_function(final, box),
+        lambda: blockcodes(final, diag.blocks, box),
+        lambda: blockcodes(final, [], box),
+        lambda: betti_euler_function(BettiTable(), box),
+    ):
+        with pytest.raises(InputError, match=str(side * side)):
+            call()
 
 
 def test_betti01_requires_minimized():
@@ -234,3 +251,69 @@ def test_dimension_function_on_grid_cells_matches_oracle(case):
     assert dm.shape == box.shape
     for u in box.grades():
         assert dm[box.index_of(u)] == dim_oracle(P, u), str(u)
+
+
+# -- Betti numbers against rank counts on the input ----------------------------
+
+
+def rank_betti01(M: GradedMatrix):
+    """beta_0 and beta_1 at every point u of the grade grid, from ranks of M.
+
+    With cols(<= u) the columns of grade <= u and cols(< u) those strictly
+    below u, and unit(u) = rank M[rows at u, cols(<= u)]:
+      beta_0(u) = #{rows at u} - unit(u)
+      beta_1(u) = rank cols(<= u) - rank cols(< u) - unit(u)
+    The second is Tor_1 read off 0 -> im M -> F_0 -> coker M -> 0; the unit
+    term vanishes when no entry of M has equal row and column grade.
+    """
+    rows = [g.coords for g in M.row_grades]
+    cols = [g.coords for g in M.col_grades]
+    axes = [sorted({g[k] for g in rows + cols}) for k in range(M.d)]
+
+    def rank(vecs):
+        return F2Matrix(M.n_rows, vecs).rank()
+
+    b0, b1 = {}, {}
+    for u in product(*axes):
+        le_u = [c for c, g in zip(M.mat.cols, cols) if all(map(le, g, u))]
+        lt_u = [c for c, g in zip(M.mat.cols, cols) if all(map(le, g, u)) and g != u]
+        at_u = [i for i, g in enumerate(rows) if g == u]
+        unit = F2Matrix(M.n_rows, le_u).submatrix(at_u, range(len(le_u))).rank()
+        b0[u] = len(at_u) - unit
+        b1[u] = rank(le_u) - rank(lt_u) - unit
+    return b0, b1
+
+
+def test_betti01_of_minimize_matches_rank_counts():
+    rng = random.Random(4)
+    for case in range(600):
+        d = 2 if case % 3 else 3
+        span = rng.choice([1, 2])  # coordinates in 0..span: exact ties are common
+        n, m = rng.randint(0, 6), rng.randint(0, 8)
+        rows = [grade(*(rng.randint(0, span) for _ in range(d))) for _ in range(n)]
+        cols = [grade(*(rng.randint(0, span) for _ in range(d))) for _ in range(m)]
+        vecs = [
+            sum(1 << i for i in range(n) if leq(rows[i], c) and rng.random() < 0.6)
+            for c in cols
+        ]
+        M = GradedMatrix(F2Matrix(n, vecs), rows, cols)
+        table = betti01(minimize(Presentation(M, case_tag="RAW")))
+        b0, b1 = rank_betti01(M)
+        for deg, want in ((0, b0), (1, b1)):
+            got = {}
+            for g in table.degree(deg):
+                got[g.coords] = got.get(g.coords, 0) + 1
+            assert got == {u: k for u, k in want.items() if k}, (case, deg)
+
+
+def test_minimize_drops_relation_that_only_closes_a_cycle():
+    # three vertices at (0,0); edges at (1,0) and (1,0) join them, so the
+    # edge at (2,0) closing the cycle is a redundant relation
+    filt = parse_filtration(
+        "mpfilt 1\nparams 2\n"
+        "s 0 0 :\ns 0 0 :\ns 0 0 :\n"
+        "s 1 0 : 0 1\ns 1 0 : 1 2\ns 2 0 : 0 2\n"
+    )
+    table = betti01(minimize(pres_h0(filt)))
+    assert table.degree(0) == [grade(0, 0)] * 3
+    assert table.degree(1) == [grade(1, 0), grade(1, 0)]

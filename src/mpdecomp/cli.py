@@ -169,7 +169,7 @@ def _decompose_payload(
             entry["dim_function"] = {
                 "origin": list(code.origin.coords),
                 "shape": list(code.shape),
-                "values": [int(v) for v in code.values.reshape(-1)],
+                "values": code.values.reshape(-1).tolist(),
             }
         blocks_payload.append(entry)
     return {
@@ -348,7 +348,7 @@ def _cmd_blockcode(cfg: RunConfig) -> str:
                     "cols": list(c.block.cols),
                     "origin": list(c.origin.coords),
                     "shape": list(c.shape),
-                    "values": [int(v) for v in c.values.reshape(-1)],
+                    "values": c.values.reshape(-1).tolist(),
                 }
                 for c in codes
             ],

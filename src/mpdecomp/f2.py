@@ -229,9 +229,29 @@ def express_in_span(S: F2Matrix, c: int) -> Optional[int]:
     """Coefficients of c over the original columns of S, or None.
 
     None means c is independent of S.  Otherwise the returned bitmask b
-    satisfies c == XOR of S.cols[j] for the set bits j of b.
+    satisfies c == XOR of S.cols[j] for the set bits j of b.  The columns
+    of S are reduced left to right as in ``reduce_matrix``, each carrying
+    its combination over the original columns, and then c against them.
     """
-    residual, log = col_reduce(S, c)
-    if residual:
-        return None
-    return log.combination(S.n_cols, S.n_cols + 1)
+    if c < 0 or c >> S.n_rows:
+        raise InputError(f"target column has bits outside {S.n_rows} rows")
+    owner: dict = {}  # low -> (reduced column, its combination)
+    for j, cur in enumerate(S.cols):
+        comb = 1 << j
+        while cur:
+            lw = cur.bit_length() - 1
+            if lw not in owner:
+                owner[lw] = (cur, comb)
+                break
+            pcol, pcomb = owner[lw]
+            cur ^= pcol
+            comb ^= pcomb
+    comb = 0
+    while c:
+        lw = c.bit_length() - 1
+        if lw not in owner:
+            return None
+        pcol, pcomb = owner[lw]
+        c ^= pcol
+        comb ^= pcomb
+    return comb

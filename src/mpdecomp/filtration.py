@@ -16,12 +16,13 @@ by a mapping-telescope construction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import le
 from typing import Dict, List, Tuple
 
 from .errors import InputError
 from .f2 import F2Matrix
 from .graded import GradedMatrix
-from .grades import Grade, leq
+from .grades import Grade
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def parse_filtration(text: str) -> Filtration:
                     f"a {dim}-simplex needs {dim + 1} facets, got {len(facets)}",
                 )
             for f in facets:
-                if not leq(filt.simplices[f].grade, g):
+                if not all(map(le, filt.simplices[f].grade.coords, coords)):
                     _fail(
                         line_no,
                         f"grade {g} of simplex {next_id} is not above grade "

@@ -9,6 +9,7 @@ invariant is preserved by use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import le
 from typing import List, Sequence, Tuple
 
 from .errors import InputError
@@ -65,8 +66,11 @@ class GradedMatrix:
 
     def validate_homogeneity(self) -> None:
         """Every nonzero entry must satisfy row grade <= column grade."""
+        # __post_init__ has checked that all grades share one d
+        rows = [g.coords for g in self.row_grades]
+        cols = [g.coords for g in self.col_grades]
         for i, j in self.mat.entries():
-            if not leq(self.row_grades[i], self.col_grades[j]):
+            if not all(map(le, rows[i], cols[j])):
                 raise InputError(
                     f"entry ({i},{j}) is 1 but row grade "
                     f"{self.row_grades[i]} is not <= column grade "

@@ -1,8 +1,12 @@
 """Invariants read off a decomposed presentation.
 
-Everything here is rank counting.  The dimension function of a cokernel
-at a grade u is (generators born by u) minus (rank of the relations born
-by u).  ``minimize`` returns a minimal presentation, so its row and
+The dimension function of a cokernel at a grade u is (generators born by
+u) minus (rank of the relations born by u).  Both change only where u
+crosses a grade coordinate of the presentation, so they are computed on
+the grid of its distinct coordinates: generator counts by cumulative sums,
+relation ranks by one left-to-right reduction per slice of that grid (a
+value of every coordinate after the first), never one rank per point.
+``minimize`` returns a minimal presentation, so its row and
 column grades are exactly the graded Betti numbers in degrees 0 and 1, and
 each summand of its decomposition is minimal too.  With two parameters the
 kernel of that presentation is free, so its generators are the whole of
@@ -18,15 +22,15 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
+from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .diagonalize import IndexBlock
 from .errors import InputError
-from .f2 import F2Matrix
 from .graded import GradedMatrix
-from .grades import Grade, leq
+from .grades import Grade, leq, topo_order
 from .presentation import BASIS_2PARAM, Presentation, kernel_gens
 
 # Largest box, in grade points, that a dimension function is evaluated on.
@@ -89,8 +93,19 @@ def dimension_function(P: Presentation, box: GradeBox) -> np.ndarray:
     Which grades lie below a point u depends, on each axis k, only on how
     many of the presentation's distinct k-th coordinates are <= u_k.  So
     the module is constant on the cells of the grid those coordinates span,
-    plus a zero cell below the lowest one on each axis.  One rank is taken
-    per cell and the box is filled by looking up each point's cell.
+    plus a zero cell below the lowest one on each axis.  The dimension at a
+    cell is the number of generators below it minus the rank of the
+    relations below it; the box is filled by looking up each point's cell.
+
+    Generators are counted per cell and summed cumulatively along every
+    axis.  Relations are swept one slice at a time, a slice ``s`` being a
+    cell index on every axis after the first: the columns whose tail cell
+    is ``<= s`` are reduced left to right in topo order, and each column
+    that claims a new pivot adds one at ``(head cell,) + s``.  Topo order
+    is lexicographic, so the columns with head ``<= x`` are a prefix of
+    that pass, and a cumulative sum along the first axis gives the rank at
+    every ``(x, s)`` (the argument of ``kernel_gens``).  That is one
+    reduction of the slice's columns per slice instead of one rank per cell.
     """
     box.check_size()
     _check_covers(P, box)
@@ -101,14 +116,28 @@ def dimension_function(P: Presentation, box: GradeBox) -> np.ndarray:
     def cell(g: Grade) -> Tuple[int, ...]:
         return tuple(bisect_right(axis, x) for axis, x in zip(axes, g))
 
-    row_cells = [cell(g) for g in M.row_grades]
-    col_cells = [(cell(g), c) for g, c in zip(M.col_grades, M.mat.cols)]
-    cells = np.zeros(tuple(len(axis) + 1 for axis in axes), dtype=np.int64)
-    for u in np.ndindex(*cells.shape):
-        n_gen = sum(1 for rc in row_cells if all(x <= y for x, y in zip(rc, u)))
-        cols = [c for cc, c in col_cells if all(x <= y for x, y in zip(cc, u))]
-        cells[u] = n_gen - F2Matrix(M.n_rows, cols).rank()
-    out = cells
+    shape = tuple(len(axis) + 1 for axis in axes)
+    gens = np.zeros(shape, dtype=np.int64)
+    for g in M.row_grades:
+        gens[cell(g)] += 1
+    for k in range(len(axes)):
+        gens = gens.cumsum(axis=k)
+    pivots = np.zeros(shape, dtype=np.int64)
+    cols = [(cell(M.col_grades[j]), M.mat.cols[j]) for j in topo_order(M.col_grades)]
+    # a slice through a zero cell holds no column
+    for s in product(*(range(1, n) for n in shape[1:])):
+        owner: Dict[int, int] = {}
+        for cc, cur in cols:
+            if not all(map(le, cc[1:], s)):
+                continue
+            while cur:
+                lw = cur.bit_length() - 1
+                if lw not in owner:
+                    owner[lw] = cur
+                    pivots[(cc[0],) + s] += 1
+                    break
+                cur ^= owner[lw]
+    out = gens - pivots.cumsum(axis=0)
     for k, (axis, lo, hi) in enumerate(zip(axes, box.lo, box.hi)):
         out = out.take([bisect_right(axis, x) for x in range(lo, hi + 1)], axis=k)
     return out

@@ -144,3 +144,15 @@ def test_col_reduce_combination_reproduces_result(dense, cbits):
         if (comb >> j) & 1:
             acc ^= M.column(j)
     assert acc == reduced
+
+
+@given(dense_strategy(max_n=6, max_m=7), st.integers(0, 63))
+def test_express_in_span_matches_col_reduce_reference(dense, cbits):
+    # the reference: reduce the stacked [S|c] and replay the log; with
+    # dependent columns in S the combination is not unique, so this pins
+    # the one the left-to-right reduction picks
+    S = F2Matrix.from_dense(dense)
+    c = cbits & ((1 << S.n_rows) - 1)
+    reduced, log = col_reduce(S, c)
+    want = None if reduced else log.combination(S.n_cols, S.n_cols + 1)
+    assert express_in_span(S, c) == want

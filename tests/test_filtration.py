@@ -64,6 +64,15 @@ def test_grade_monotonicity_enforced():
     )
 
 
+def test_grade_monotonicity_checks_every_coordinate():
+    # the edge lies above its facets on one axis but not on the other
+    for edge in ("2 0", "0 2"):
+        fails_with(
+            f"mpfilt 1\nparams 2\ns 0 1 :\ns 1 0 :\ns {edge} : 0 1\n",
+            "not above",
+        )
+
+
 def test_duplicate_facet_set_rejected_with_hint():
     text = (
         "mpfilt 1\nparams 2\ns 0 0 :\ns 0 0 :\n"

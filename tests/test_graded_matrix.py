@@ -42,6 +42,16 @@ def test_homogeneity_enforced_on_construction():
         GradedMatrix(
             F2Matrix.from_dense([[1]]), [grade(1, 0)], [grade(0, 1)]
         )
+    # entries (0,0), (0,1) and (1,1) are fine; only the later (2,1) is not
+    with pytest.raises(InputError) as err:
+        GradedMatrix(
+            F2Matrix.from_dense([[1, 1], [0, 1], [0, 1]]),
+            [grade(0, 0), grade(1, 1), grade(0, 3)],
+            [grade(1, 1), grade(2, 2)],
+        )
+    assert str(err.value) == (
+        "entry (2,1) is 1 but row grade (0,3) is not <= column grade (2,2)"
+    )
 
 
 def test_label_defaults_and_count_checks():

@@ -253,6 +253,73 @@ def test_dimension_function_on_grid_cells_matches_oracle(case):
         assert dm[box.index_of(u)] == dim_oracle(P, u), str(u)
 
 
+def random_presentation(rng, d, n_rows, n_cols, coords):
+    """Random homogeneous presentation; coords(k) draws the k-th coordinates
+    of all n_rows + n_cols grades, rows first."""
+    axes = [coords(k) for k in range(d)]
+    grades = [grade(*(axis[i] for axis in axes)) for i in range(n_rows + n_cols)]
+    rows, cols = grades[:n_rows], grades[n_rows:]
+    vecs = [
+        sum(1 << i for i, r in enumerate(rows) if leq(r, c) and rng.random() < 0.5)
+        for c in cols
+    ]
+    return Presentation(GradedMatrix(F2Matrix(n_rows, vecs), rows, cols), case_tag="RAW")
+
+
+def assert_matches_oracle(P, box):
+    dm = dimension_function(P, box)
+    assert dm.shape == box.shape
+    for u in box.grades():
+        assert dm[box.index_of(u)] == dim_oracle(P, u), str(u)
+
+
+def widened(box):
+    return GradeBox(
+        grade(*(x - 1 for x in box.lo)), grade(*(x + 1 for x in box.hi))
+    )
+
+
+def test_dimension_function_on_wide_grid_matches_oracle():
+    # 42 grades with pairwise distinct coordinates on both axes: every
+    # column opens a slice of its own
+    rng = random.Random(11)
+    P = random_presentation(rng, 2, 12, 30, lambda k: rng.sample(range(50), 42))
+    assert len({g[1] for g in P.matrix.col_grades}) == 30
+    assert_matches_oracle(P, widened(default_box(P)))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_dimension_function_matches_oracle_in_one_and_three_parameters(d):
+    rng = random.Random(d)
+    for _ in range(20):
+        n, m = rng.randint(1, 6), rng.randint(0, 10)
+        P = random_presentation(
+            rng, d, n, m, lambda k: [rng.randint(0, 4) for _ in range(n + m)]
+        )
+        assert_matches_oracle(P, widened(default_box(P)))
+
+
+def test_dimension_function_at_the_64_bit_edge():
+    top = 2**63 - 1
+    rows = [grade(top - 3, -(2**63)), grade(top - 1, -(2**63) + 1)]
+    cols = [grade(top - 1, -(2**63) + 2)]
+    P = Presentation(GradedMatrix(F2Matrix(2, [0b11]), rows, cols), case_tag="RAW")
+    box = GradeBox(grade(top - 4, -(2**63)), grade(top, -(2**63) + 3))
+    assert_matches_oracle(P, box)
+
+
+def test_dimension_function_takes_no_rank(monkeypatch):
+    def no_rank(self):
+        raise AssertionError("F2Matrix.rank called")
+
+    monkeypatch.setattr(F2Matrix, "rank", no_rank)
+    final, _ = triangle_pipeline()
+    assert_matches_oracle(final, default_box(final))
+    rng = random.Random(5)
+    P = random_presentation(rng, 2, 6, 12, lambda k: rng.sample(range(20), 18))
+    assert_matches_oracle(P, default_box(P))
+
+
 # -- Betti numbers against rank counts on the input ----------------------------
 
 

@@ -50,8 +50,9 @@ def main() -> None:
           "(x1 grows downwards, x2 to the right):")
     for code in blockcodes(final, diag.blocks, box):
         print(f"  block rows={list(code.block.rows)}:")
-        for row in code.values:
-            print("    " + " ".join(str(v) for v in row))
+        width = code.shape[-1]  # values are flat, last coordinate fastest
+        for start in range(0, len(code.values), width):
+            print("    " + " ".join(str(v) for v in code.values[start : start + width]))
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ from .invariants import (
     Blockcode,
     GradeBox,
     betti01,
-    betti_euler_function,
     betti_higher_2param,
     blockcodes,
     default_box,
@@ -84,7 +83,6 @@ __all__ = [
     "TiedGradesError",
     "admissible_ops",
     "betti01",
-    "betti_euler_function",
     "betti_higher_2param",
     "block_partition",
     "block_reduce",

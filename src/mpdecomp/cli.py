@@ -169,7 +169,7 @@ def _decompose_payload(
             entry["dim_function"] = {
                 "origin": list(code.origin.coords),
                 "shape": list(code.shape),
-                "values": code.values.reshape(-1).tolist(),
+                "values": code.values,
             }
         blocks_payload.append(entry)
     return {
@@ -266,12 +266,10 @@ def _blockcode_csv(codes: List[Blockcode], box: GradeBox) -> str:
     d = box.lo.d
     header = ",".join(f"x{k + 1}" for k in range(d)) + ",block_id,dim"
     lines = [header]
-    for u in box.grades():
-        idx = box.index_of(u)
+    for pos, u in enumerate(box.grades()):
         for block_id, code in enumerate(codes):
-            val = int(code.values[idx])
             lines.append(
-                ",".join(str(x) for x in u.coords) + f",{block_id},{val}"
+                ",".join(str(x) for x in u.coords) + f",{block_id},{code.values[pos]}"
             )
     return "\n".join(lines) + "\n"
 
@@ -348,7 +346,7 @@ def _cmd_blockcode(cfg: RunConfig) -> str:
                     "cols": list(c.block.cols),
                     "origin": list(c.origin.coords),
                     "shape": list(c.shape),
-                    "values": c.values.reshape(-1).tolist(),
+                    "values": c.values,
                 }
                 for c in codes
             ],

@@ -136,20 +136,6 @@ class F2Matrix:
             out.cols[jj] = v
         return out
 
-    def rank(self) -> int:
-        """Column elimination; counts pivot lows."""
-        pivots: dict = {}
-        for c in self.cols:
-            cur = c
-            while cur:
-                lw = cur.bit_length() - 1
-                if lw in pivots:
-                    cur ^= pivots[lw]
-                else:
-                    pivots[lw] = cur
-                    break
-        return len(pivots)
-
     def copy(self) -> "F2Matrix":
         return F2Matrix(self.n_rows, self.cols)
 

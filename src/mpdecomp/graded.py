@@ -4,13 +4,14 @@ A graded matrix couples an F2Matrix with one grade per row and column.
 Homogeneity (every 1 sits where row grade <= column grade) is the data
 invariant everything else relies on; construction rejects violations, and
 the two addition operations only accept grade-compatible pairs, so the
-invariant is preserved by use.
+invariant is preserved by use.  Copies and re-indexings of a matrix that
+has passed those checks go through ``_reindexed``, which skips them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import le
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .f2 import F2Matrix
@@ -98,13 +99,7 @@ class GradedMatrix:
         self.mat.add_row(src, dst)
 
     def copy(self) -> "GradedMatrix":
-        return GradedMatrix(
-            self.mat.copy(),
-            list(self.row_grades),
-            list(self.col_grades),
-            list(self.row_labels),
-            list(self.col_labels),
-        )
+        return _reindexed(self, range(self.n_rows), range(self.n_cols), self.mat.copy())
 
 
 @dataclass(frozen=True)
@@ -176,15 +171,27 @@ def sort_by_grade(M: GradedMatrix) -> Tuple[GradedMatrix, List[int], List[int]]:
     """
     row_perm = topo_order(M.row_grades)
     col_perm = topo_order(M.col_grades)
-    mat = M.mat.submatrix(row_perm, col_perm)
-    return (
-        GradedMatrix(
-            mat,
-            [M.row_grades[i] for i in row_perm],
-            [M.col_grades[j] for j in col_perm],
-            [M.row_labels[i] for i in row_perm],
-            [M.col_labels[j] for j in col_perm],
-        ),
-        row_perm,
-        col_perm,
-    )
+    return _reindexed(M, row_perm, col_perm), row_perm, col_perm
+
+
+def _reindexed(
+    M: GradedMatrix,
+    rows: Sequence[int],
+    cols: Sequence[int],
+    mat: Optional[F2Matrix] = None,
+) -> GradedMatrix:
+    """M's rows and columns picked by index, without re-validation.
+
+    ``mat`` holds the picked entries, by default ``M.mat.submatrix(rows,
+    cols)``.  A caller may pass grade-compatible column sums of M's
+    entries instead, as ``minimize`` does.  Either way the result is
+    homogeneous because M is, and the checks of ``__post_init__`` would
+    only repeat what M passed.
+    """
+    out = object.__new__(GradedMatrix)
+    out.mat = M.mat.submatrix(rows, cols) if mat is None else mat
+    out.row_grades = [M.row_grades[i] for i in rows]
+    out.col_grades = [M.col_grades[j] for j in cols]
+    out.row_labels = [M.row_labels[i] for i in rows]
+    out.col_labels = [M.col_labels[j] for j in cols]
+    return out

@@ -12,24 +12,23 @@ each summand of its decomposition is minimal too.  With two parameters the
 kernel of that presentation is free, so its generators are the whole of
 degree 2 and the Betti tables are complete.
 
-Dimension functions are dense arrays over a box of integer grades, one
-entry per point.  A box of more than ``MAX_BOX_POINTS`` points is refused
-with an ``InputError`` before any per-point work starts.
+A dimension function lists one value per integer grade of a box, as a
+flat list of ints in the C order of ``GradeBox.grades()``.  A box of more
+than ``MAX_BOX_POINTS`` points is refused with an ``InputError`` before
+any per-point work starts.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .diagonalize import IndexBlock
 from .errors import InputError
-from .graded import GradedMatrix
+from .graded import _reindexed
 from .grades import Grade, leq, topo_order
 from .presentation import BASIS_2PARAM, Presentation, kernel_gens
 
@@ -81,51 +80,56 @@ def default_box(P: Presentation, d: Optional[int] = None) -> GradeBox:
     return GradeBox(lo, hi)
 
 
-def _check_covers(P: Presentation, box: GradeBox) -> None:
-    for g in list(P.matrix.row_grades) + list(P.matrix.col_grades):
-        if not (leq(box.lo, g) and leq(g, box.hi)):
-            raise InputError(f"box {box.lo}..{box.hi} does not cover grade {g}")
-
-
-def dimension_function(P: Presentation, box: GradeBox) -> np.ndarray:
-    """Pointwise dimension of coker(P) over the box (dense array).
+def dimension_function(P: Presentation, box: GradeBox) -> List[int]:
+    """Pointwise dimension of coker(P) over the box, flat in C order.
 
     Which grades lie below a point u depends, on each axis k, only on how
     many of the presentation's distinct k-th coordinates are <= u_k.  So
     the module is constant on the cells of the grid those coordinates span,
     plus a zero cell below the lowest one on each axis.  The dimension at a
     cell is the number of generators below it minus the rank of the
-    relations below it; the box is filled by looking up each point's cell.
+    relations below it; the box is filled by repeating each cell's value
+    over the run of box points that falls in it, axis by axis.
 
-    Generators are counted per cell and summed cumulatively along every
-    axis.  Relations are swept one slice at a time, a slice ``s`` being a
-    cell index on every axis after the first: the columns whose tail cell
-    is ``<= s`` are reduced left to right in topo order, and each column
-    that claims a new pivot adds one at ``(head cell,) + s``.  Topo order
-    is lexicographic, so the columns with head ``<= x`` are a prefix of
-    that pass, and a cumulative sum along the first axis gives the rank at
-    every ``(x, s)`` (the argument of ``kernel_gens``).  That is one
-    reduction of the slice's columns per slice instead of one rank per cell.
+    The grid is swept one slice at a time, a slice ``s`` being a cell index
+    on every axis after the first (a slice through a zero cell is all
+    zero).  Each row whose tail cell is ``<= s`` adds one at its head cell.
+    The columns whose tail cell is ``<= s`` are reduced left to right in
+    topo order, and each column that claims a new pivot subtracts one at
+    its head cell.  Topo order is lexicographic, so the columns with head
+    ``<= x`` are a prefix of that pass, and a cumulative sum along the
+    first axis gives the dimension at every ``(x, s)`` (the argument of
+    ``kernel_gens``).  That is one reduction of the slice's columns per
+    slice instead of one rank per cell.
     """
     box.check_size()
-    _check_covers(P, box)
     M = P.matrix
     grades = list(M.row_grades) + list(M.col_grades)
-    axes = [sorted({g[k] for g in grades}) for k in range(box.lo.d)]
+    if not grades:
+        return [0] * math.prod(box.shape)
+    axes = [sorted(set(col)) for col in zip(*(g.coords for g in grades))]
+    # each axis's min and max against the box; the scan names the culprit
+    if len(axes) != box.lo.d or any(
+        a[0] < l or a[-1] > h for a, l, h in zip(axes, box.lo, box.hi)
+    ):
+        g = next(g for g in grades if not (leq(box.lo, g) and leq(g, box.hi)))
+        raise InputError(f"box {box.lo}..{box.hi} does not cover grade {g}")
 
     def cell(g: Grade) -> Tuple[int, ...]:
-        return tuple(bisect_right(axis, x) for axis, x in zip(axes, g))
+        return tuple(map(bisect_right, axes, g.coords))
 
-    shape = tuple(len(axis) + 1 for axis in axes)
-    gens = np.zeros(shape, dtype=np.int64)
-    for g in M.row_grades:
-        gens[cell(g)] += 1
-    for k in range(len(axes)):
-        gens = gens.cumsum(axis=k)
-    pivots = np.zeros(shape, dtype=np.int64)
+    shape = [len(axis) + 1 for axis in axes]
+    stride = math.prod(shape[1:])  # of the first axis; the rest is a slice
+    rows = [cell(g) for g in M.row_grades]
     cols = [(cell(M.col_grades[j]), M.mat.cols[j]) for j in topo_order(M.col_grades)]
-    # a slice through a zero cell holds no column
-    for s in product(*(range(1, n) for n in shape[1:])):
+    out = [0] * (shape[0] * stride)
+    for offset, s in enumerate(product(*(range(n) for n in shape[1:]))):
+        if not all(s):
+            continue
+        dims = [0] * shape[0]
+        for rc in rows:
+            if all(map(le, rc[1:], s)):
+                dims[rc[0]] += 1
         owner: Dict[int, int] = {}
         for cc, cur in cols:
             if not all(map(le, cc[1:], s)):
@@ -134,12 +138,21 @@ def dimension_function(P: Presentation, box: GradeBox) -> np.ndarray:
                 lw = cur.bit_length() - 1
                 if lw not in owner:
                     owner[lw] = cur
-                    pivots[(cc[0],) + s] += 1
+                    dims[cc[0]] -= 1
                     break
                 cur ^= owner[lw]
-    out = gens - pivots.cumsum(axis=0)
-    for k, (axis, lo, hi) in enumerate(zip(axes, box.lo, box.hi)):
-        out = out.take([bisect_right(axis, x) for x in range(lo, hi + 1)], axis=k)
+        out[offset::stride] = accumulate(dims)
+
+    # the points lo..hi of an axis fall in its cells in runs
+    for k in reversed(range(len(shape))):
+        axis, lo, hi = axes[k], box.lo[k], box.hi[k]
+        runs = [b - a for a, b in zip([lo] + axis, axis + [hi + 1])]
+        chunk = len(out) // math.prod(shape[: k + 1])
+        filled: List[int] = []
+        for c0 in range(0, len(out), shape[k] * chunk):
+            for c, run in enumerate(runs):
+                filled += out[c0 + c * chunk : c0 + (c + 1) * chunk] * run
+        out = filled
     return out
 
 
@@ -172,14 +185,7 @@ class BettiTable:
 
 
 def restrict_presentation(P: Presentation, block: IndexBlock) -> Presentation:
-    M = P.matrix
-    sub = GradedMatrix(
-        M.mat.submatrix(block.rows, block.cols),
-        [M.row_grades[i] for i in block.rows],
-        [M.col_grades[j] for j in block.cols],
-        [M.row_labels[i] for i in block.rows],
-        [M.col_labels[j] for j in block.cols],
-    )
+    sub = _reindexed(P.matrix, block.rows, block.cols)
     return Presentation(sub, case_tag=P.case_tag, minimized=P.minimized)
 
 
@@ -228,34 +234,14 @@ def persistent_betti(
     return out
 
 
-def betti_euler_function(table: BettiTable, box: GradeBox) -> np.ndarray:
-    """Alternating cumulative sum of a Betti table over a box.
-
-    Equals the dimension function whenever the table covers the full
-    resolution, which is the case for d == 2 tables from this module.
-    """
-    box.check_size()
-    out = np.zeros(box.shape, dtype=np.int64)
-    for u in box.grades():
-        total = 0
-        for (deg, g), cnt in table.entries.items():
-            if leq(g, u):
-                total += cnt if deg % 2 == 0 else -cnt
-        out[box.index_of(u)] = total
-    return out
-
-
 @dataclass
 class Blockcode:
     """Dimension function of one indecomposable over a shared box."""
 
     block: IndexBlock
     origin: Grade
-    values: np.ndarray
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(self.values.shape)
+    shape: Tuple[int, ...]
+    values: List[int]  # flat, in the C order of GradeBox.grades()
 
 
 def blockcodes(
@@ -269,5 +255,5 @@ def blockcodes(
             continue
         sub = restrict_presentation(P, block)
         values = dimension_function(sub, box)
-        out.append(Blockcode(block=block, origin=box.lo, values=values))
+        out.append(Blockcode(block, box.lo, box.shape, values))
     return out

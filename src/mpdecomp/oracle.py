@@ -2,14 +2,14 @@
 
 Everything in here is deliberately independent of the main algorithms: the
 finest block structure is found by enumerating admissible transformation
-pairs rather than by reduction, and ranks come from a numpy row echelon
-rather than the packed-column elimination.  Slow and simple on purpose.
+pairs rather than by reduction, and ranks come from a row echelon on dense
+0/1 lists rather than the packed-column elimination.  No F2Matrix
+arithmetic is used.  Slow and simple on purpose.
 """
 from __future__ import annotations
 
+from operator import xor
 from typing import Dict, FrozenSet, List, Set, Tuple
-
-import numpy as np
 
 from .diagonalize import IndexBlock
 from .errors import InputError, InternalCheckError
@@ -83,41 +83,34 @@ def brute_force_finest(M: GradedMatrix, budget: int = 20) -> List[IndexBlock]:
         )
 
     n, m = M.n_rows, M.n_cols
-    a = np.array(M.mat.to_dense(), dtype=np.uint8).reshape(n, m)
+    a = M.mat.to_dense()
 
-    p_variants = []
+    # P @ A for every row transform P = I + chosen deltas: row k of P @ A
+    # is row k of A plus the rows l of every chosen pair (l, k)
+    pa_variants = []
     for mask in range(1 << len(rowop)):
-        p = np.eye(n, dtype=np.uint8)
+        pa = [list(r) for r in a]
         for bit, (l, k) in enumerate(rowop):
             if (mask >> bit) & 1:
-                p[k, l] ^= 1
-        p_variants.append(p)
-    q_variants = []
-    for mask in range(1 << len(colop)):
-        q = np.eye(m, dtype=np.uint8)
-        for bit, (i, j) in enumerate(colop):
-            if (mask >> bit) & 1:
-                q[i, j] ^= 1
-        q_variants.append(q)
+                pa[k] = list(map(xor, pa[k], a[l]))
+        pa_variants.append(pa)
 
     best_count = -1
     best_partitions: Set[Partition] = set()
-    seen: Set[bytes] = set()
-    for p in p_variants:
-        pa = (p @ a) % 2
-        for q in q_variants:
-            paq = (pa @ q) % 2
-            key = paq.tobytes()
+    seen: Set[Tuple[Tuple[int, ...], ...]] = set()
+    for pa in pa_variants:
+        pa_cols = [tuple(r[j] for r in pa) for j in range(m)]
+        for mask in range(1 << len(colop)):
+            # (P @ A) @ Q: column j plus the columns i of every chosen (i, j)
+            paq = list(pa_cols)
+            for bit, (i, j) in enumerate(colop):
+                if (mask >> bit) & 1:
+                    paq[j] = tuple(map(xor, paq[j], pa_cols[i]))
+            key = tuple(paq)
             if key in seen:
                 continue
             seen.add(key)
-            cols = []
-            for j in range(m):
-                v = 0
-                for i in range(n):
-                    if paq[i, j]:
-                        v |= 1 << i
-                cols.append(v)
+            cols = [sum(bit << i for i, bit in enumerate(col)) for col in paq]
             blocks = block_partition(F2Matrix(n, cols))
             if len(blocks) > best_count:
                 best_count = len(blocks)
@@ -137,25 +130,21 @@ def brute_force_finest(M: GradedMatrix, budget: int = 20) -> List[IndexBlock]:
     )
 
 
-def _row_echelon_rank(a: np.ndarray) -> int:
-    """Rank over F2 by forward elimination on rows."""
-    a = a.copy() % 2
-    n_rows, n_cols = a.shape
+def _row_echelon_rank(a) -> int:
+    """Rank over F2 of a dense 0/1 matrix (a sequence of rows)."""
+    rows = [[int(x) % 2 for x in r] for r in a]
     rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if a[r, col]:
-                pivot = r
-                break
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        for r in range(n_rows):
-            if r != rank and a[r, col]:
-                a[r, :] ^= a[rank, :]
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = list(map(xor, rows[r], top))
         rank += 1
-        if rank == n_rows:
+        if rank == len(rows):
             break
     return rank
 
@@ -167,5 +156,5 @@ def dim_oracle(P: Presentation, u) -> int:
     cols = [j for j, g in enumerate(M.col_grades) if leq(g, u)]
     if not cols or M.n_rows == 0:
         return n_gen
-    dense = np.array(M.mat.to_dense(), dtype=np.uint8)[:, cols]
+    dense = [[row[j] for j in cols] for row in M.mat.to_dense()]
     return n_gen - _row_echelon_rank(dense)

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalCheckError
 from .f2 import F2Matrix, express_in_span
-from .graded import GradedMatrix
+from .graded import GradedMatrix, _reindexed
 from .grades import Grade, leq, topo_order
 
 H0 = "H0"
@@ -325,12 +325,9 @@ def minimize(P: Presentation) -> Presentation:
 
     keep_rows = sorted(live_rows)
     keep_cols = [j for j in live_cols if j not in redundant]
-    out = GradedMatrix(
-        F2Matrix(M.n_rows, cols).submatrix(keep_rows, keep_cols),
-        [M.row_grades[i] for i in keep_rows],
-        [M.col_grades[j] for j in keep_cols],
-        [M.row_labels[i] for i in keep_rows],
-        [M.col_labels[j] for j in keep_cols],
+    # the column additions above only add a column into one of larger grade
+    out = _reindexed(
+        M, keep_rows, keep_cols, F2Matrix(M.n_rows, cols).submatrix(keep_rows, keep_cols)
     )
     return Presentation(out, case_tag=P.case_tag, minimized=True)
 

@@ -1,0 +1,58 @@
+"""The package has no runtime dependency: numpy stays unloaded.
+
+A fresh interpreter imports ``mpdecomp`` and ``mpdecomp.cli``, runs every
+subcommand on ``data/*`` through ``cli.main``, and reports whether numpy
+was loaded on the way.  It matters for cold start: importing numpy alone
+takes longer than a whole small ``decompose`` run.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpdecomp
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+RUNS = [
+    ["decompose", "triangle.mpfilt", "--format", "json"],
+    ["decompose", "suspension.mpfilt", "--dim", "1", "--format", "csv"],
+    ["decompose", "k23.mpfilt", "--dim", "1", "--format", "text"],
+    ["blockcode", "triangle.mpfilt", "--format", "csv"],
+    ["blockcode", "suspension.mpfilt", "--dim", "1", "--format", "json"],
+    ["betti", "suspension.mpfilt", "--dim", "1"],
+    ["diagonalize", "triangle.mppres"],
+    ["export-pres", "suspension.mpfilt", "--dim", "1"],
+    ["check", "k23.mpfilt", "--dim", "1"],
+]
+
+SCRIPT = """
+import contextlib, io, json, sys
+import mpdecomp, mpdecomp.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(mpdecomp.cli.main(argv))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_cli_runs_without_loading_numpy():
+    runs = [[argv[0], str(DATA / argv[1])] + argv[2:] for argv in RUNS]
+    env = dict(os.environ)
+    package_root = str(Path(mpdecomp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0] * len(RUNS)
+    assert report["numpy"] is False

@@ -17,6 +17,7 @@ from mpdecomp import (
     replay_certificate,
     tot_diagonalize,
 )
+from mpdecomp.oracle import op_pairs
 
 
 def show(M: GradedMatrix, title: str) -> None:
@@ -36,9 +37,9 @@ def main() -> None:
     M = GradedMatrix(mat, rows, cols, ["b", "r", "g"], ["br", "bg", "rg"])
     show(M, "input matrix (rows = vertices, cols = edges):")
 
-    ops = admissible_ops(M)
-    print("admissible column additions (src -> dst):", sorted(ops.colop))
-    print("admissible row additions   (src -> dst):", sorted(ops.rowop))
+    colop, rowop = op_pairs(admissible_ops(M))
+    print("admissible column additions (src -> dst):", sorted(colop))
+    print("admissible row additions   (src -> dst):", sorted(rowop))
     print()
 
     # Grades are already totally ordered row- and column-wise, so we can

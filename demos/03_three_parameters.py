@@ -13,7 +13,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from mpdecomp import (
-    GENSET_DPARAM,
     boundary_matrix,
     kernel_gens,
     minimize,
@@ -30,7 +29,7 @@ def main() -> None:
     filt = parse_filtration(DATA.read_text())
     d1 = boundary_matrix(filt, 1)
 
-    gens = kernel_gens(d1, GENSET_DPARAM)
+    gens = kernel_gens(d1)
     print("cycle generators (grade, support over edge columns):")
     for g in gens:
         support = [j for j in range(d1.n_cols) if (g.coords >> j) & 1]

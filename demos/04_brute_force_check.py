@@ -14,12 +14,11 @@ import random
 from mpdecomp import (
     F2Matrix,
     GradedMatrix,
-    block_partition,
-    brute_force_finest,
     grade,
     sort_by_grade,
     tot_diagonalize,
 )
+from mpdecomp.oracle import block_partition, brute_force_finest
 
 
 def random_instance(rng: random.Random) -> GradedMatrix:

@@ -18,18 +18,10 @@ from .diagonalize import (
     tot_diagonalize,
 )
 from .errors import InputError, InternalCheckError, TiedGradesError
-from .f2 import ColOpLog, F2Matrix, col_reduce, express_in_span, reduce_matrix
+from .f2 import F2Matrix, col_reduce
 from .filtration import Filtration, Simplex, boundary_matrix, parse_filtration
 from .graded import AdmissibleOps, GradedMatrix, admissible_ops, sort_by_grade
-from .grades import (
-    Grade,
-    grade,
-    leq,
-    lub,
-    strictly_distinct,
-    tied_pairs,
-    topo_order,
-)
+from .grades import Grade, grade, leq, tied_pairs, topo_order
 from .invariants import (
     BettiTable,
     Blockcode,
@@ -42,10 +34,7 @@ from .invariants import (
     persistent_betti,
     restrict_presentation,
 )
-from .oracle import block_partition, brute_force_finest, dim_oracle
 from .presentation import (
-    BASIS_2PARAM,
-    GENSET_DPARAM,
     KernelElement,
     Presentation,
     format_presentation,
@@ -62,14 +51,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibleOps",
-    "BASIS_2PARAM",
     "BettiTable",
     "Blockcode",
-    "ColOpLog",
     "Diagonalization",
     "F2Matrix",
     "Filtration",
-    "GENSET_DPARAM",
     "Grade",
     "GradeBox",
     "GradedMatrix",
@@ -84,22 +70,17 @@ __all__ = [
     "admissible_ops",
     "betti01",
     "betti_higher_2param",
-    "block_partition",
     "block_reduce",
     "blockcodes",
     "boundary_matrix",
-    "brute_force_finest",
     "col_reduce",
     "default_box",
-    "dim_oracle",
     "dimension_function",
-    "express_in_span",
     "format_presentation",
     "grade",
     "kernel_gens",
     "leq",
     "lin",
-    "lub",
     "minimize",
     "parse_filtration",
     "parse_presentation",
@@ -107,12 +88,10 @@ __all__ = [
     "pres_2param",
     "pres_dparam",
     "pres_h0",
-    "reduce_matrix",
     "replay_certificate",
     "restrict_presentation",
     "rewrite_in_basis",
     "sort_by_grade",
-    "strictly_distinct",
     "tied_pairs",
     "topo_order",
     "tot_diagonalize",

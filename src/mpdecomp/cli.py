@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from operator import add, sub
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -29,10 +30,7 @@ from .invariants import (
     default_box,
     persistent_betti,
 )
-from .oracle import brute_force_finest
 from .presentation import (
-    D_PARAM,
-    RAW,
     Presentation,
     format_presentation,
     minimize,
@@ -51,7 +49,6 @@ class RunConfig:
     fmt: str = "json"
     perturb: bool = False
     box: Optional[GradeBox] = None
-    construction: str = "auto"
     output: Optional[Path] = None
     skip_minimize: bool = False
 
@@ -84,13 +81,7 @@ def _build_presentation(obj, cfg: RunConfig) -> Presentation:
     if p < 0:
         raise InputError(f"--dim must be >= 0, got {p}")
     if p == 0:
-        if cfg.construction != "auto":
-            raise InputError("--construction applies to degrees >= 1")
         return pres_h0(filt)
-    if cfg.construction == "2param":
-        return pres_2param(filt, p)
-    if cfg.construction == "dparam":
-        return pres_dparam(filt, p)
     return pres_2param(filt, p) if filt.d == 2 else pres_dparam(filt, p)
 
 
@@ -198,19 +189,17 @@ def _basis_expressions(
     """
     if not grades:
         return []
-    zero = (0,) * grades[0].d
+    coords = [g.coords for g in grades]
+    zero = (0,) * len(coords[0])
     exprs: List[set] = [{(i, zero)} for i in range(len(grades))]
     for op in cert:
         if op.kind != kind:
             continue
-        if kind == "col":
-            upd, base = op.target, op.source
-            shift = grades[op.target] - grades[op.source]
-        else:
-            upd, base = op.source, op.target
-            shift = grades[op.source] - grades[op.target]
+        upd, base = (op.target, op.source) if kind == "col" else (op.source, op.target)
+        # an exponent is a difference of grades, so it may leave the 64-bit range
+        shift = tuple(map(sub, coords[upd], coords[base]))
         exprs[upd] = exprs[upd] ^ {
-            (m, tuple(a + b for a, b in zip(e, shift))) for (m, e) in exprs[base]
+            (m, tuple(map(add, e, shift))) for (m, e) in exprs[base]
         }
     out = []
     for terms in exprs:
@@ -293,9 +282,9 @@ def _box_from_flag(flag: str) -> GradeBox:
 
 def _cmd_decompose(cfg: RunConfig) -> str:
     final, diag, d = _pipeline(cfg)
-    box = cfg.box if cfg.box is not None else default_box(final, d)
     if cfg.fmt == "text":
         return _decompose_text(final, diag)
+    box = cfg.box if cfg.box is not None else default_box(final, d)
     if cfg.fmt == "csv":
         codes = blockcodes(final, diag.blocks, box)
         return _blockcode_csv(codes, box)
@@ -356,6 +345,8 @@ def _cmd_blockcode(cfg: RunConfig) -> str:
 
 
 def _cmd_check(cfg: RunConfig) -> str:
+    from .oracle import brute_force_finest  # here, so no other command loads it
+
     final, diag, _ = _pipeline(cfg)
     reference = brute_force_finest(final.matrix)
     mine = sorted((b.rows, b.cols) for b in diag.blocks)
@@ -427,12 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="override the evaluation box, 'lo1,..,lod:hi1,..,hid'",
         )
-        p.add_argument(
-            "--construction",
-            choices=("auto", "2param", "dparam"),
-            default="auto",
-            help="presentation construction for degrees >= 1",
-        )
         if name == "export-pres":
             p.add_argument("--output", type=Path, default=None)
     return parser
@@ -452,7 +437,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         dim=args.dim,
         fmt=args.format,
         perturb=args.perturb,
-        construction=args.construction,
         output=getattr(args, "output", None),
     )
     try:

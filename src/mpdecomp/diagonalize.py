@@ -141,11 +141,9 @@ def block_reduce(
                 sources.append(Op("row", l, k))
                 vecs.append(row_traces[l] << kpos)
 
-    S = F2Matrix(n_rt * n_ct, vecs)
-    reduced, log = col_reduce(S, c)
-    if reduced:
+    combo = col_reduce(F2Matrix(n_rt * n_ct, vecs), c)
+    if combo is None:
         return False
-    combo = log.combination(S.n_cols, S.n_cols + 1)
     for idx, op in enumerate(sources):
         if (combo >> idx) & 1:
             if op.kind == "col":

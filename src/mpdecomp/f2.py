@@ -6,7 +6,6 @@ Storage is column-major; a row addition walks every column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
@@ -157,67 +156,14 @@ class F2Matrix:
         return f"F2Matrix({self.n_rows}x{self.n_cols}:{body})"
 
 
-@dataclass
-class ColOpLog:
-    """Ordered record of column additions performed on one matrix.
-
-    Each pair is (source, target) with source < target; applying the pairs
-    in order to the original matrix reproduces the reduction exactly.
-    """
-
-    ops: List[Tuple[int, int]] = field(default_factory=list)
-
-    def combination(self, target: int, n_cols: int) -> int:
-        """Bitmask over original columns whose sum was folded into target.
-
-        Tracks coefficients through the whole log, so source columns that
-        were themselves rewritten before being used resolve to the original
-        basis.  The target's own unit coefficient is dropped.
-        """
-        coeff = [1 << j for j in range(n_cols)]
-        for s, t in self.ops:
-            coeff[t] ^= coeff[s]
-        return coeff[target] & ~(1 << target)
-
-
-def reduce_matrix(mat: F2Matrix) -> Tuple[F2Matrix, ColOpLog]:
-    """Left-to-right additions until no two nonzero columns share a low."""
-    out = mat.copy()
-    log = ColOpLog()
-    owner: dict = {}  # low -> column that claimed it
-    for j in range(out.n_cols):
-        while out.cols[j]:
-            lw = out.cols[j].bit_length() - 1
-            src = owner.get(lw)
-            if src is None:
-                owner[lw] = j
-                break
-            out.add_col(src, j)
-            log.ops.append((src, j))
-    return out, log
-
-
-def col_reduce(S: F2Matrix, c: int) -> Tuple[int, ColOpLog]:
-    """Reduce the stacked matrix [S|c]; return the final state of c.
-
-    The returned column is zero exactly when c lies in the column span of
-    S.  The log covers every addition made in [S|c]; the ones that landed
-    in c are the pairs whose target equals S.n_cols.
-    """
-    if c < 0 or c >> S.n_rows:
-        raise InputError(f"target column has bits outside {S.n_rows} rows")
-    stacked = F2Matrix(S.n_rows, list(S.cols) + [c])
-    reduced, log = reduce_matrix(stacked)
-    return reduced.cols[-1], log
-
-
-def express_in_span(S: F2Matrix, c: int) -> Optional[int]:
-    """Coefficients of c over the original columns of S, or None.
+def col_reduce(S: F2Matrix, c: int) -> Optional[int]:
+    """Express c in the span of S's columns: the combination, or None.
 
     None means c is independent of S.  Otherwise the returned bitmask b
     satisfies c == XOR of S.cols[j] for the set bits j of b.  The columns
-    of S are reduced left to right as in ``reduce_matrix``, each carrying
-    its combination over the original columns, and then c against them.
+    of S are reduced left to right, each against the ones before it and
+    each carrying its combination over the original columns, and then c
+    against them; with dependent columns in S this picks one combination.
     """
     if c < 0 or c >> S.n_rows:
         raise InputError(f"target column has bits outside {S.n_rows} rows")

@@ -123,16 +123,6 @@ class AdmissibleOps:
     def row_sources(self, k: int) -> Tuple[int, ...]:
         return self.row_src[k]
 
-    @property
-    def colop(self) -> frozenset:
-        """All pairs (i, j): column i may be added into column j."""
-        return frozenset((i, j) for j, src in enumerate(self.col_src) for i in src)
-
-    @property
-    def rowop(self) -> frozenset:
-        """All pairs (l, k): row l may be added into row k."""
-        return frozenset((l, k) for k, src in enumerate(self.row_src) for l in src)
-
 
 def _below_lists(grades: Sequence[Grade]) -> List[List[int]]:
     """For each index, the indices strictly below it, ascending.

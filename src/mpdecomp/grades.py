@@ -9,7 +9,7 @@ is exactly the virtual perturbation used when ties are tolerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .errors import InputError
 
@@ -33,10 +33,6 @@ class Grade:
 
     def leq(self, other: "Grade") -> bool:
         return leq(self, other)
-
-    def __sub__(self, other: "Grade") -> "Grade":
-        _same_d(self, other)
-        return Grade(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.coords)
@@ -70,12 +66,6 @@ def leq(a: Grade, b: Grade) -> bool:
     return all(x <= y for x, y in zip(a.coords, b.coords))
 
 
-def lub(a: Grade, b: Grade) -> Grade:
-    """Componentwise maximum (least upper bound in the product order)."""
-    _same_d(a, b)
-    return Grade(tuple(max(x, y) for x, y in zip(a.coords, b.coords)))
-
-
 def topo_order(grades: Sequence[Grade]) -> list:
     """Permutation sorting grades lexicographically, ties by index.
 
@@ -87,12 +77,6 @@ def topo_order(grades: Sequence[Grade]) -> list:
     for g in gs[1:]:
         _same_d(gs[0], g)
     return sorted(range(len(gs)), key=lambda i: gs[i].coords)  # stable: ties by index
-
-
-def strictly_distinct(grades: Iterable[Grade]) -> bool:
-    """True when no two grades coincide exactly."""
-    gs = list(grades)
-    return len({g.coords for g in gs}) == len(gs)
 
 
 def tied_pairs(grades: Sequence[Grade]) -> list:

@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .diagonalize import IndexBlock
 from .errors import InputError
 from .graded import _reindexed
-from .grades import Grade, leq, topo_order
-from .presentation import BASIS_2PARAM, Presentation, kernel_gens
+from .grades import _BOUND, Grade, leq, topo_order
+from .presentation import Presentation, kernel_gens
 
 # Largest box, in grade points, that a dimension function is evaluated on.
 MAX_BOX_POINTS = 1_000_000
@@ -55,9 +55,6 @@ class GradeBox:
         for point in product(*(range(l, h + 1) for l, h in zip(self.lo, self.hi))):
             yield Grade(point)
 
-    def index_of(self, u: Grade) -> Tuple[int, ...]:
-        return tuple(x - l for x, l in zip(u, self.lo))
-
     def check_size(self) -> None:
         """Refuse a box of more than MAX_BOX_POINTS points."""
         points = math.prod(self.shape)
@@ -69,14 +66,18 @@ class GradeBox:
 
 
 def default_box(P: Presentation, d: Optional[int] = None) -> GradeBox:
-    """Componentwise min of all grades up to max plus a margin of one."""
+    """Componentwise min of all grades up to max plus a margin of one.
+
+    The margin stops at the largest 64-bit coordinate, 2**63 - 1.
+    """
     grades = list(P.matrix.row_grades) + list(P.matrix.col_grades)
     if not grades:
         dd = d if d is not None else P.matrix.d
         return GradeBox(Grade((0,) * dd), Grade((1,) * dd))
     dd = grades[0].d
     lo = Grade(tuple(min(g[k] for g in grades) for k in range(dd)))
-    hi = Grade(tuple(max(g[k] for g in grades) + 1 for k in range(dd)))
+    top = _BOUND - 1
+    hi = Grade(tuple(min(max(g[k] for g in grades) + 1, top) for k in range(dd)))
     return GradeBox(lo, hi)
 
 
@@ -207,7 +208,7 @@ def betti_higher_2param(P: Presentation) -> List[Grade]:
         raise InputError(f"degree-2 Betti numbers computed only for d == 2, have d == {P.d}")
     if not P.minimized:
         raise InputError("Betti numbers need a minimized presentation")
-    return [k.grade for k in kernel_gens(P.matrix, BASIS_2PARAM)]
+    return [k.grade for k in kernel_gens(P.matrix)]
 
 
 def persistent_betti(

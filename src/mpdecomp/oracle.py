@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 from .diagonalize import IndexBlock
 from .errors import InputError, InternalCheckError
 from .f2 import F2Matrix
-from .graded import GradedMatrix, admissible_ops
+from .graded import AdmissibleOps, GradedMatrix, admissible_ops
 from .grades import leq
 from .presentation import Presentation
 
@@ -64,6 +64,17 @@ def _as_partition(blocks: List[IndexBlock]) -> Partition:
     return frozenset((b.rows, b.cols) for b in blocks)
 
 
+def op_pairs(ops: AdmissibleOps) -> Tuple[FrozenSet, FrozenSet]:
+    """All admissible additions as pairs: (colop, rowop).
+
+    colop holds (i, j) when column i may be added into column j, rowop
+    holds (l, k) when row l may be added into row k.
+    """
+    colop = frozenset((i, j) for j, src in enumerate(ops.col_src) for i in src)
+    rowop = frozenset((l, k) for k, src in enumerate(ops.row_src) for l in src)
+    return colop, rowop
+
+
 def brute_force_finest(M: GradedMatrix, budget: int = 20) -> List[IndexBlock]:
     """Finest block partition over all admissible transformation pairs.
 
@@ -73,9 +84,7 @@ def brute_force_finest(M: GradedMatrix, budget: int = 20) -> List[IndexBlock]:
     induce the same partition, otherwise something is deeply wrong and an
     internal error is raised.
     """
-    ops = admissible_ops(M)
-    rowop = sorted(ops.rowop)
-    colop = sorted(ops.colop)
+    colop, rowop = map(sorted, op_pairs(admissible_ops(M)))
     n_bits = len(rowop) + len(colop)
     if n_bits > budget:
         raise InputError(

@@ -26,7 +26,7 @@ from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalCheckError
-from .f2 import F2Matrix, express_in_span
+from .f2 import F2Matrix, col_reduce
 from .graded import GradedMatrix, _reindexed
 from .grades import Grade, leq, topo_order
 
@@ -35,9 +35,6 @@ TWO_PARAM = "TWO_PARAM"
 D_PARAM = "D_PARAM"
 RAW = "RAW"
 _CASES = (H0, TWO_PARAM, D_PARAM, RAW)
-
-BASIS_2PARAM = "BASIS_2PARAM"
-GENSET_DPARAM = "GENSET_DPARAM"
 
 
 @dataclass(frozen=True)
@@ -71,7 +68,7 @@ class Presentation:
         return self.matrix.n_cols
 
 
-def kernel_gens(M: GradedMatrix, mode: str) -> List[KernelElement]:
+def kernel_gens(M: GradedMatrix) -> List[KernelElement]:
     """Generators of ker(M), coordinates over the columns of M.
 
     The grid spanned by the column grades is swept one slice at a time,
@@ -86,25 +83,12 @@ def kernel_gens(M: GradedMatrix, mode: str) -> List[KernelElement]:
 
     A column that died at some slice ``s' <= s`` is skipped: every column
     active before it at ``s'`` is active at ``s`` too, so it dies there
-    again, but at a grade above one already recorded.  What is left is one generator per
-    minimal death grade of each column, listed by (grade, topo position).
-
-    Parameters
-    ----------
-    M : GradedMatrix
-        The ambient matrix; its column grades drive the sweep grid.
-    mode : str
-        BASIS_2PARAM returns a basis (d == 2 only, where the kernel is
-        free and one minimal death grade per column exists).
-        GENSET_DPARAM returns a generating set, registering a column once
-        per minimal grade of its death antichain.  With two parameters
-        both modes return the same list.
+    again, but at a grade above one already recorded.  What is left is one
+    generator per minimal death grade of each column, listed by (grade,
+    topo position).  With two parameters a slice is one coordinate, so the
+    slices are totally ordered, each column gives at most one generator, and
+    the list is a basis of the free kernel.
     """
-    if mode not in (BASIS_2PARAM, GENSET_DPARAM):
-        raise InputError(f"unknown kernel mode {mode!r}")
-    if mode == BASIS_2PARAM and M.d != 2:
-        raise InputError(f"basis mode needs 2 parameters, matrix has {M.d}")
-
     order = topo_order(M.col_grades)
     heads = [M.col_grades[j][0] for j in order]
     tails = [M.col_grades[j].coords[1:] for j in order]
@@ -167,7 +151,7 @@ def rewrite_in_basis(
         u = cols.col_grades[j]
         sub = [idx for idx, g in enumerate(born) if all(map(le, g, u.coords))]
         S = F2Matrix(ambient, [basis[idx].coords for idx in sub])
-        coeffs = express_in_span(S, cols.mat.cols[j])
+        coeffs = col_reduce(S, cols.mat.cols[j])
         if coeffs is None:
             raise InternalCheckError(
                 f"column {j} (grade {u}) is not generated by the cycle basis"
@@ -214,7 +198,7 @@ def pres_2param(F, p: int) -> Presentation:
     if p < 1:
         raise InputError(f"degree must be >= 1, got {p}; degree 0 has its own path")
     bp = boundary_matrix(F, p)
-    basis = kernel_gens(bp, BASIS_2PARAM)
+    basis = kernel_gens(bp)
     labels = [f"z{i}" for i in range(len(basis))]
     dp1 = boundary_matrix(F, p + 1)
     return Presentation(rewrite_in_basis(dp1, basis, labels), case_tag=TWO_PARAM)
@@ -231,7 +215,7 @@ def pres_dparam(F, p: int) -> Presentation:
     if p < 1:
         raise InputError(f"degree must be >= 1, got {p}; degree 0 has its own path")
     bp = boundary_matrix(F, p)
-    gens = kernel_gens(bp, GENSET_DPARAM)
+    gens = kernel_gens(bp)
     labels = [f"z{i}" for i in range(len(gens))]
     dp1 = boundary_matrix(F, p + 1)
     dbar = rewrite_in_basis(dp1, gens, labels)
@@ -243,7 +227,7 @@ def pres_dparam(F, p: int) -> Presentation:
         list(bp.col_labels),
         labels,
     )
-    syzygies = kernel_gens(gen_matrix, GENSET_DPARAM)
+    syzygies = kernel_gens(gen_matrix)
     syz = GradedMatrix(
         F2Matrix(len(gens), [s.coords for s in syzygies]),
         [g.grade for g in gens],

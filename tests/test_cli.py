@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import subprocess
 import sys
 import time
@@ -8,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from mpdecomp.cli import main
+from mpdecomp.cli import _build_parser, main
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 TRIANGLE = str(DATA / "triangle.mpfilt")
 SUSPENSION = str(DATA / "suspension.mpfilt")
@@ -165,13 +168,12 @@ def test_export_pres_golden_three_parameters(capsys):
 def test_main_twice_in_one_process_keeps_no_flags(tmp_path, capsys):
     out_file = tmp_path / "k23.mppres"
     code, out, _ = run_cli(
-        capsys, "export-pres", K23, "--dim", "1", "--construction", "dparam",
-        "--output", str(out_file),
+        capsys, "export-pres", K23, "--dim", "1", "--output", str(out_file),
     )
     assert code == 0
     assert out == f"wrote {out_file}\n"
     assert out_file.read_text().startswith("mppres 1\nparams 3\n")
-    # a leaked --dim, --construction or --output would fail or redirect this
+    # a leaked --dim or --output would fail or redirect this
     code, out, _ = run_cli(capsys, "decompose", TRIANGLE, "--format", "text")
     assert code == 0
     assert out.startswith("case H0, 2 parameters, perturbed: no\n")
@@ -264,6 +266,52 @@ def test_runaway_box_exits_2_quickly(tmp_path, capsys):
     # the text report walks no box, so it still succeeds
     code, _, _ = run_cli(capsys, "decompose", str(path), "--format", "text")
     assert code == 0
+
+
+def test_text_exponents_may_leave_the_grade_range(tmp_path, capsys):
+    # c1 absorbs c0, so its expression carries t^(g1 - g0) with an
+    # exponent of 2**63 + 5, which is no grade but is a valid exponent
+    low, high = -(2**62 + 5), 2**62
+    path = tmp_path / "wide.mppres"
+    path.write_text(
+        f"mppres 1\nparams 1\nrows 2\nr {low}\nr {low}\n"
+        f"cols 2\nc {low} : 0\nc {high} : 0 1\n"
+    )
+    code, out, err = run_cli(capsys, "diagonalize", str(path), "--perturb",
+                             "--format", "text")
+    assert code == 0, err
+    assert f"  [1] c1 ({high}) = c1 + t^({2**63 + 5})*c0\n" in out
+    code, _, _ = run_cli(capsys, "diagonalize", str(path), "--perturb")
+    assert code == 0
+
+
+def test_grades_at_the_top_of_the_64_bit_range(tmp_path, capsys):
+    top = 2**63 - 1
+    path = tmp_path / "top.mppres"
+    path.write_text(f"mppres 1\nparams 1\nrows 1\nr {top}\ncols 0\n")
+    for fmt in ("json", "text", "csv"):
+        code, out, err = run_cli(capsys, "decompose", str(path), "--format", fmt)
+        assert code == 0, (fmt, err)
+    # the default box's margin of one stops at the largest coordinate
+    code, out, _ = run_cli(capsys, "decompose", str(path))
+    assert json.loads(out)["box"] == {"lo": [top], "hi": [top]}
+    code, out, _ = run_cli(capsys, "blockcode", str(path))
+    assert code == 0
+    assert out == f"x1,block_id,dim\n{top},0,1\n"
+
+
+def test_readme_names_exactly_the_cli_flags():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    sub = next(
+        a for a in _build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        s for p in sub.choices.values() for a in p._actions for s in a.option_strings
+    }
+    assert named == options - {"-h", "--help"}
 
 
 def test_installed_entry_point_runs():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mpdecomp import F2Matrix, col_reduce, express_in_span, reduce_matrix
+from mpdecomp import F2Matrix, col_reduce
 from mpdecomp.oracle import _row_echelon_rank
 from reference import rank
 
@@ -86,73 +86,49 @@ def test_rank_against_echelon_many_seeds():
         assert rank(M) == _row_echelon_rank(dense)
 
 
-def test_reduce_matrix_lowest_conflict_free():
-    M = F2Matrix.from_dense([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    R, log = reduce_matrix(M)
-    lows = [R.low(j) for j in range(R.n_cols) if R.low(j) is not None]
-    assert len(lows) == len(set(lows))
-    replayed = M.copy()
-    for s, t in log.ops:
-        assert s < t
-        replayed.add_col(s, t)
-    assert replayed == R
-
-
 def test_col_reduce_worked_example():
     # reduce c = (0,1,1,0) against s1=(1,0,1,0), s2=(0,1,0,1), s3=(0,0,1,1):
     # c dies and the net combination is s2 + s3
     S = F2Matrix.from_dense([[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]])
-    c = 0b0110
-    reduced, log = col_reduce(S, c)
-    assert reduced == 0
-    assert log.combination(S.n_cols, S.n_cols + 1) == 0b110
+    assert col_reduce(S, 0b0110) == 0b110
 
 
 def test_col_reduce_survivor():
     S = F2Matrix.from_dense([[1], [0]])
-    reduced, _ = col_reduce(S, 0b10)
-    assert reduced == 0b10
+    assert col_reduce(S, 0b10) is None
+    assert col_reduce(S, 0) == 0
+    with pytest.raises(ValueError):
+        col_reduce(S, 0b100)
 
 
 def test_express_in_span():
     S = F2Matrix.from_dense([[1, 0], [1, 1], [0, 1]])
-    assert express_in_span(S, 0b011) == 0b01
-    assert express_in_span(S, 0b101) == 0b11  # col0 + col1 = (1,0,1)
-    assert express_in_span(S, 0b001) is None
-
-
-@given(dense_strategy(max_n=5, max_m=5))
-def test_reduce_matrix_preserves_column_span(dense):
-    M = F2Matrix.from_dense(dense)
-    R, _ = reduce_matrix(M)
-    # replayed column operations are invertible, so ranks agree and every
-    # reduced column stays inside the original span
-    assert rank(R) == rank(M)
-    for j in range(R.n_cols):
-        if R.column(j):
-            assert express_in_span(M, R.column(j)) is not None
+    assert col_reduce(S, 0b011) == 0b01
+    assert col_reduce(S, 0b101) == 0b11  # col0 + col1 = (1,0,1)
+    assert col_reduce(S, 0b001) is None
 
 
 @given(dense_strategy(max_n=5, max_m=5), st.integers(0, 31))
-def test_col_reduce_combination_reproduces_result(dense, cbits):
+def test_col_reduce_combination_reproduces_result(dense, mask):
+    # c is a sum of columns of M, so it lies in their span
     M = F2Matrix.from_dense(dense)
-    c = cbits & ((1 << M.n_rows) - 1)
-    reduced, log = col_reduce(M, c)
-    comb = log.combination(M.n_cols, M.n_cols + 1)
+    c = 0
+    for j in range(M.n_cols):
+        if (mask >> j) & 1:
+            c ^= M.column(j)
+    comb = col_reduce(M, c)
+    assert comb is not None and comb >> M.n_cols == 0
     acc = c
     for j in range(M.n_cols):
         if (comb >> j) & 1:
             acc ^= M.column(j)
-    assert acc == reduced
+    assert acc == 0
 
 
 @given(dense_strategy(max_n=6, max_m=7), st.integers(0, 63))
-def test_express_in_span_matches_col_reduce_reference(dense, cbits):
-    # the reference: reduce the stacked [S|c] and replay the log; with
-    # dependent columns in S the combination is not unique, so this pins
-    # the one the left-to-right reduction picks
+def test_col_reduce_none_exactly_when_rank_rises(dense, cbits):
     S = F2Matrix.from_dense(dense)
     c = cbits & ((1 << S.n_rows) - 1)
-    reduced, log = col_reduce(S, c)
-    want = None if reduced else log.combination(S.n_cols, S.n_cols + 1)
-    assert express_in_span(S, c) == want
+    with_c = [row + [(c >> i) & 1] for i, row in enumerate(dense)]
+    rises = _row_echelon_rank(with_c) > _row_echelon_rank(dense)
+    assert (col_reduce(S, c) is None) == rises

@@ -13,6 +13,7 @@ from mpdecomp import (
     sort_by_grade,
 )
 from mpdecomp.errors import InputError
+from mpdecomp.oracle import op_pairs
 
 
 def triangle_matrix() -> GradedMatrix:
@@ -79,21 +80,22 @@ def test_add_preserves_homogeneity():
     rng = random.Random(11)
     for _ in range(200):
         M = random_graded(rng)
-        ops = admissible_ops(M)
+        colop, rowop = op_pairs(admissible_ops(M))
         for _ in range(4):
-            if ops.colop and rng.random() < 0.5:
-                i, j = rng.choice(sorted(ops.colop))
+            if colop and rng.random() < 0.5:
+                i, j = rng.choice(sorted(colop))
                 M.add_col(i, j)
-            if ops.rowop:
-                l, k = rng.choice(sorted(ops.rowop))
+            if rowop:
+                l, k = rng.choice(sorted(rowop))
                 M.add_row(l, k)
         M.validate_homogeneity()
 
 
 def test_admissible_ops_worked_example():
     ops = admissible_ops(triangle_matrix())
-    assert ops.colop == frozenset({(0, 1), (0, 2)})
-    assert ops.rowop == frozenset({(2, 0), (2, 1)})
+    colop, rowop = op_pairs(ops)
+    assert colop == frozenset({(0, 1), (0, 2)})
+    assert rowop == frozenset({(2, 0), (2, 1)})
     assert ops.col_sources(1) == (0,)
     assert ops.row_sources(0) == (2,)
 
@@ -104,10 +106,10 @@ def test_admissible_ops_break_exact_ties_by_index():
         [grade(0, 0), grade(0, 0)],
         [grade(1, 1), grade(1, 1)],
     )
-    ops = admissible_ops(M)
+    colop, rowop = op_pairs(admissible_ops(M))
     # equal grades: earlier index counts as strictly smaller
-    assert ops.colop == frozenset({(0, 1)})
-    assert ops.rowop == frozenset({(1, 0)})
+    assert colop == frozenset({(0, 1)})
+    assert rowop == frozenset({(1, 0)})
 
 
 def test_sort_by_grade_is_stable_topological():

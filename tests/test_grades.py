@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mpdecomp import (
-    Grade,
-    grade,
-    leq,
-    lub,
-    strictly_distinct,
-    tied_pairs,
-    topo_order,
-)
+from mpdecomp import Grade, grade, leq, tied_pairs, topo_order
 from mpdecomp.errors import InputError
 
 coords = st.integers(min_value=-8, max_value=8)
@@ -26,16 +18,9 @@ def test_product_order_basics():
     assert not leq(grade(1, 0), grade(0, 1))
 
 
-def test_lub_of_incomparables():
-    assert lub(grade(0, 1), grade(1, 0)) == grade(1, 1)
-    assert lub(grade(2, 2), grade(1, 1)) == grade(2, 2)
-
-
 def test_dimension_mismatch_rejected():
     with pytest.raises(InputError):
         leq(grade(1), grade(1, 2))
-    with pytest.raises(InputError):
-        grade(1, 2) - grade(1)
 
 
 def test_empty_grade_rejected():
@@ -48,24 +33,11 @@ def test_out_of_range_coordinate_rejected():
         Grade((1 << 63,))
 
 
-def test_subtraction_and_iteration():
-    g = grade(3, 5) - grade(1, 2)
-    assert g == grade(2, 3)
+def test_iteration_and_indexing():
+    g = grade(2, 3)
     assert list(g) == [2, 3]
     assert g[0] == 2 and len(g) == 2
     assert str(g) == "(2,3)"
-
-
-@given(grades2, grades2)
-def test_lub_is_least_upper_bound(a, b):
-    u = lub(a, b)
-    assert leq(a, u) and leq(b, u)
-    # nothing strictly below u bounds both
-    for k in range(2):
-        lower = list(u.coords)
-        lower[k] -= 1
-        v = Grade(tuple(lower))
-        assert not (leq(a, v) and leq(b, v))
 
 
 @given(grades2, grades2, grades2)
@@ -105,7 +77,5 @@ def test_topo_order_is_a_permutation(gs):
 
 def test_tie_detection():
     gs = [grade(0, 1), grade(1, 0), grade(0, 1)]
-    assert not strictly_distinct(gs)
     assert tied_pairs(gs) == [(0, 2, grade(0, 1))]
-    assert strictly_distinct(gs[:2])
     assert tied_pairs(gs[:2]) == []

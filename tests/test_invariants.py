@@ -54,7 +54,6 @@ def test_grade_box_basics():
     pts = list(box.grades())
     assert pts[0] == grade(0, 0) and pts[-1] == grade(2, 1)
     assert len(pts) == 6
-    assert box.index_of(grade(1, 1)) == (1, 1)
     with pytest.raises(InputError):
         GradeBox(grade(1, 1), grade(0, 0))
 

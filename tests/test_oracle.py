@@ -8,13 +8,12 @@ from mpdecomp import (
     F2Matrix,
     GradedMatrix,
     IndexBlock,
-    block_partition,
-    brute_force_finest,
     grade,
     sort_by_grade,
     tot_diagonalize,
 )
 from mpdecomp.errors import InputError
+from mpdecomp.oracle import block_partition, brute_force_finest
 
 
 def triangle_diagonalized() -> F2Matrix:

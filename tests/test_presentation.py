@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from mpdecomp import (
-    BASIS_2PARAM,
-    GENSET_DPARAM,
     F2Matrix,
     Grade,
     GradedMatrix,
     KernelElement,
     Presentation,
+    betti_higher_2param,
     boundary_matrix,
     format_presentation,
     grade,
@@ -44,7 +43,7 @@ def load(name: str):
 
 def test_kernel_basis_of_triangle_boundary():
     d1 = boundary_matrix(load("triangle.mpfilt"), 1)
-    basis = kernel_gens(d1, BASIS_2PARAM)
+    basis = kernel_gens(d1)
     assert len(basis) == 1
     assert basis[0].grade == grade(2, 2)
     assert basis[0].coords == 0b111  # the full cycle br+bg+rg
@@ -52,7 +51,7 @@ def test_kernel_basis_of_triangle_boundary():
 
 def test_kernel_genset_registers_multiple_minimal_grades():
     d1 = boundary_matrix(load("k23.mpfilt"), 1)
-    gens = kernel_gens(d1, GENSET_DPARAM)
+    gens = kernel_gens(d1)
     assert [(g.grade.coords, g.coords) for g in gens] == [
         ((0, 1, 1), 0b001111),
         ((1, 0, 1), 0b110011),
@@ -60,12 +59,14 @@ def test_kernel_genset_registers_multiple_minimal_grades():
     ]
 
 
-def test_kernel_basis_mode_requires_two_parameters():
-    d1 = boundary_matrix(load("k23.mpfilt"), 1)
+def test_basis_paths_require_two_parameters():
+    # kernel generators form a basis only with two parameters, so the
+    # constructions that rely on one refuse other parameter counts
+    filt = load("k23.mpfilt")
     with pytest.raises(InputError):
-        kernel_gens(d1, BASIS_2PARAM)
+        pres_2param(filt, 1)
     with pytest.raises(InputError):
-        kernel_gens(d1, "NO_SUCH_MODE")
+        betti_higher_2param(minimize(pres_dparam(filt, 1)))
 
 
 def random_graded_cols(rng: random.Random, d: int = 2, m_max: int = 6) -> GradedMatrix:
@@ -108,8 +109,8 @@ def grid_points(M: GradedMatrix):
         yield grade(*point)
 
 
-def assert_kernel_sound_and_complete(M: GradedMatrix, mode: str):
-    gens = kernel_gens(M, mode)
+def assert_kernel_sound_and_complete(M: GradedMatrix):
+    gens = kernel_gens(M)
     for g in gens:
         # soundness: the recorded combination really is a cycle at its grade
         acc = 0
@@ -120,8 +121,8 @@ def assert_kernel_sound_and_complete(M: GradedMatrix, mode: str):
         assert acc == 0
     for u in grid_points(M):
         assert kernel_rank_at(M, gens, u) == gradewise_nullity(M, u)
-    if mode == BASIS_2PARAM:
-        # a basis is globally independent
+    if M.d == 2:
+        # with two parameters the generators are a basis: globally independent
         top = grade(*(max(g[k] for g in M.col_grades) for k in range(M.d)))
         assert kernel_rank_at(M, gens, top) == len(gens)
 
@@ -129,22 +130,24 @@ def assert_kernel_sound_and_complete(M: GradedMatrix, mode: str):
 def test_kernel_sound_complete_2param_random():
     rng = random.Random(101)
     for _ in range(300):
-        assert_kernel_sound_and_complete(random_graded_cols(rng), BASIS_2PARAM)
+        assert_kernel_sound_and_complete(random_graded_cols(rng))
 
 
 def test_kernel_sound_complete_dparam_random():
     rng = random.Random(103)
     for _ in range(150):
-        assert_kernel_sound_and_complete(random_graded_cols(rng, d=3), GENSET_DPARAM)
+        assert_kernel_sound_and_complete(random_graded_cols(rng, d=3))
     for _ in range(150):
-        assert_kernel_sound_and_complete(random_graded_cols(rng, d=2), GENSET_DPARAM)
+        assert_kernel_sound_and_complete(random_graded_cols(rng, d=2))
 
 
-def per_point_kernel_gens(M: GradedMatrix, mode: str):
+def per_point_kernel_gens(M: GradedMatrix, first_only: bool = False):
     """Reference sweep: re-reduce every active column at every grid point.
 
     This is the construction ``kernel_gens`` replaced with its slice sweep;
     it is kept here to pin the generators, their grades and their order.
+    A column is recorded at every minimal grade where it dies, or with
+    ``first_only`` at the first one only, which gives a basis when d == 2.
     """
     order = topo_order(M.col_grades)
     axes = [sorted({g[k] for g in M.col_grades}) for k in range(M.d)]
@@ -169,10 +172,7 @@ def per_point_kernel_gens(M: GradedMatrix, mode: str):
             if cur:
                 continue
             prior = recorded.setdefault(j, [])
-            if mode == BASIS_2PARAM:
-                if prior:
-                    continue
-            elif any(leq(zp, z) for zp in prior):
+            if (first_only and prior) or any(leq(zp, z) for zp in prior):
                 continue
             prior.append(z)
             out.append(KernelElement(grade=z, coords=comb))
@@ -197,10 +197,12 @@ def test_kernel_slice_sweep_equals_per_point_sweep_random():
             for i in range(n)
         ]
         M = GradedMatrix(F2Matrix.from_dense(dense), rows, cols)
-        for mode in (BASIS_2PARAM, GENSET_DPARAM) if d == 2 else (GENSET_DPARAM,):
-            assert gens_key(kernel_gens(M, mode)) == gens_key(
-                per_point_kernel_gens(M, mode)
-            )
+        got = gens_key(kernel_gens(M))
+        assert got == gens_key(per_point_kernel_gens(M))
+        checked += 1
+        if d == 2:
+            # a column's first death is its only minimal one
+            assert got == gens_key(per_point_kernel_gens(M, first_only=True))
             checked += 1
     assert checked > 1200
 
@@ -226,10 +228,10 @@ def test_kernel_slice_sweep_equals_per_point_sweep_on_graphs():
     rng = random.Random(113)
     for _ in range(3):
         M = random_graph_boundary(rng)
-        expected = gens_key(per_point_kernel_gens(M, BASIS_2PARAM))
+        expected = gens_key(per_point_kernel_gens(M, first_only=True))
         assert len(expected) >= 90 - 30
-        assert gens_key(kernel_gens(M, BASIS_2PARAM)) == expected
-        assert gens_key(kernel_gens(M, GENSET_DPARAM)) == expected
+        assert gens_key(kernel_gens(M)) == expected
+        assert gens_key(per_point_kernel_gens(M)) == expected
 
 
 # -- rewriting ----------------------------------------------------------------
@@ -238,7 +240,7 @@ def test_kernel_slice_sweep_equals_per_point_sweep_on_graphs():
 def test_rewrite_in_basis_triangle_h1():
     filt = load("triangle.mpfilt")
     d1 = boundary_matrix(filt, 1)
-    basis = kernel_gens(d1, BASIS_2PARAM)
+    basis = kernel_gens(d1)
     d2 = boundary_matrix(filt, 2)  # no triangles: 3x0
     out = rewrite_in_basis(d2, basis)
     assert out.n_rows == 1 and out.n_cols == 0

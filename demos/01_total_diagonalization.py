@@ -13,27 +13,28 @@ from mpdecomp import (
     F2Matrix,
     GradedMatrix,
     admissible_ops,
-    grade,
     replay_certificate,
     tot_diagonalize,
 )
+from mpdecomp.grades import fmt
 from mpdecomp.oracle import op_pairs
 
 
 def show(M: GradedMatrix, title: str) -> None:
     print(title)
-    header = "      " + " ".join(f"{lab}@{g}" for lab, g in zip(M.col_labels, M.col_grades))
-    print(header)
+    heads = [f"{lab}@{fmt(g)}" for lab, g in zip(M.col_labels, M.col_grades)]
+    print("      " + " ".join(heads))
     for i, row in enumerate(M.mat.to_dense()):
-        cells = " ".join(str(v).center(len(f"{lab}@{g}")) for v, lab, g in zip(row, M.col_labels, M.col_grades))
-        print(f"{M.row_labels[i]}@{M.row_grades[i]} {cells}")
+        cells = " ".join(str(v).center(len(h)) for v, h in zip(row, heads))
+        print(f"{M.row_labels[i]}@{fmt(M.row_grades[i])} {cells}")
     print()
 
 
 def main() -> None:
-    rows = [grade(0, 1), grade(1, 0), grade(1, 1)]
-    cols = [grade(1, 1), grade(1, 2), grade(2, 1)]
-    mat = F2Matrix.from_dense([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    rows = [(0, 1), (1, 0), (1, 1)]
+    cols = [(1, 1), (1, 2), (2, 1)]
+    # one int per column, bit i = row i: br meets b and r, bg b and g, rg r and g
+    mat = F2Matrix(3, [0b011, 0b101, 0b110])
     M = GradedMatrix(mat, rows, cols, ["b", "r", "g"], ["br", "bg", "rg"])
     show(M, "input matrix (rows = vertices, cols = edges):")
 

@@ -22,6 +22,7 @@ from mpdecomp import (
     tot_diagonalize,
     Presentation,
 )
+from mpdecomp.grades import fmt
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "suspension.mpfilt"
 
@@ -43,10 +44,10 @@ def main() -> None:
         gens = [final.matrix.row_labels[i] for i in block.rows]
         print(f"summand generated by {gens}:")
         for deg in range(table.max_degree_computed + 1):
-            print(f"  beta_{deg} supported at {[str(g) for g in table.degree(deg)]}")
+            print(f"  beta_{deg} supported at {[fmt(g) for g in table.degree(deg)]}")
 
-    box = default_box(final, final.d)
-    print(f"\ndimension functions on box {box.lo}..{box.hi} "
+    box = default_box(final)
+    print(f"\ndimension functions on box {fmt(box.lo)}..{fmt(box.hi)} "
           "(x1 grows downwards, x2 to the right):")
     for code in blockcodes(final, diag.blocks, box):
         print(f"  block rows={list(code.block.rows)}:")

@@ -21,6 +21,7 @@ from mpdecomp import (
     sort_by_grade,
     tot_diagonalize,
 )
+from mpdecomp.grades import fmt
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "k23.mpfilt"
 
@@ -34,16 +35,16 @@ def main() -> None:
     for g in gens:
         support = [j for j in range(d1.n_cols) if (g.coords >> j) & 1]
         names = [d1.col_labels[j] for j in support]
-        print(f"  {g.grade}  {names}")
+        print(f"  {fmt(g.grade)}  {names}")
     print()
 
     pres = minimize(pres_dparam(filt, 1))
     print("minimal presentation of H_1:")
     for i, g in enumerate(pres.matrix.row_grades):
-        print(f"  generator {pres.matrix.row_labels[i]} at {g}")
+        print(f"  generator {pres.matrix.row_labels[i]} at {fmt(g)}")
     for j, g in enumerate(pres.matrix.col_grades):
         rows = [i for i in range(pres.n_rows) if pres.matrix.mat.entry(i, j)]
-        print(f"  relation {pres.matrix.col_labels[j]} at {g} over rows {rows}")
+        print(f"  relation {pres.matrix.col_labels[j]} at {fmt(g)} over rows {rows}")
     print()
 
     sorted_matrix, _, _ = sort_by_grade(pres.matrix)

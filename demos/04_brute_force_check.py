@@ -14,7 +14,6 @@ import random
 from mpdecomp import (
     F2Matrix,
     GradedMatrix,
-    grade,
     sort_by_grade,
     tot_diagonalize,
 )
@@ -26,14 +25,14 @@ def random_instance(rng: random.Random) -> GradedMatrix:
     m = rng.randint(1, 4)
     # distinct grades keep the instance in the guaranteed regime
     pool = rng.sample([(a, b) for a in range(6) for b in range(6)], n + m)
-    rows = [grade(*c) for c in pool[:n]]
-    cols = [grade(*c) for c in pool[n:]]
-    dense = [[0] * m for _ in range(n)]
+    rows = [tuple(c) for c in pool[:n]]
+    cols = [tuple(c) for c in pool[n:]]
+    vecs = [0] * m  # one int per column, bit i = row i
     for i in range(n):
         for j in range(m):
-            if all(a <= b for a, b in zip(rows[i].coords, cols[j].coords)):
-                dense[i][j] = rng.randint(0, 1)
-    return GradedMatrix(F2Matrix.from_dense(dense), rows, cols)
+            if all(a <= b for a, b in zip(rows[i], cols[j])):
+                vecs[j] |= rng.randint(0, 1) << i
+    return GradedMatrix(F2Matrix(n, vecs), rows, cols)
 
 
 def main() -> None:

@@ -21,7 +21,7 @@ from .errors import InputError, InternalCheckError, TiedGradesError
 from .f2 import F2Matrix, col_reduce
 from .filtration import Filtration, Simplex, boundary_matrix, parse_filtration
 from .graded import AdmissibleOps, GradedMatrix, admissible_ops, sort_by_grade
-from .grades import Grade, grade, leq, tied_pairs, topo_order
+from .grades import leq, tied_pairs, topo_order
 from .invariants import (
     BettiTable,
     Blockcode,
@@ -56,7 +56,6 @@ __all__ = [
     "Diagonalization",
     "F2Matrix",
     "Filtration",
-    "Grade",
     "GradeBox",
     "GradedMatrix",
     "IndexBlock",
@@ -77,7 +76,6 @@ __all__ = [
     "default_box",
     "dimension_function",
     "format_presentation",
-    "grade",
     "kernel_gens",
     "leq",
     "lin",

@@ -13,16 +13,15 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from operator import add, sub
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .diagonalize import Diagonalization, Op, tot_diagonalize
 from .errors import InputError, InternalCheckError, TiedGradesError
-from .filtration import Filtration, parse_filtration
+from .filtration import parse_filtration
 from .graded import GradedMatrix, sort_by_grade
-from .grades import Grade
+from .grades import check_grade, fmt
 from .invariants import (
     Blockcode,
     GradeBox,
@@ -39,18 +38,6 @@ from .presentation import (
     pres_dparam,
     pres_h0,
 )
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: Path
-    dim: Optional[int] = None
-    fmt: str = "json"
-    perturb: bool = False
-    box: Optional[GradeBox] = None
-    output: Optional[Path] = None
-    skip_minimize: bool = False
 
 
 def _read_input(path: Path):
@@ -71,46 +58,43 @@ def _read_input(path: Path):
     raise InputError(f"{path}: empty input")
 
 
-def _build_presentation(obj, cfg: RunConfig) -> Presentation:
+def _load(args: argparse.Namespace) -> Presentation:
+    """Read the input, check --box against its d, build the presentation."""
+    obj = _read_input(args.input)
+    if args.box is not None and len(args.box.lo) != obj.d:
+        raise InputError(
+            f"--box has {len(args.box.lo)} coordinates but the input has {obj.d}"
+        )
     if isinstance(obj, Presentation):
-        if cfg.dim is not None:
+        if args.dim is not None:
             raise InputError("--dim applies to filtration input only")
         return obj
-    filt: Filtration = obj
-    p = cfg.dim if cfg.dim is not None else 0
+    p = args.dim if args.dim is not None else 0
     if p < 0:
         raise InputError(f"--dim must be >= 0, got {p}")
     if p == 0:
-        return pres_h0(filt)
-    return pres_2param(filt, p) if filt.d == 2 else pres_dparam(filt, p)
+        return pres_h0(obj)
+    return pres_2param(obj, p) if obj.d == 2 else pres_dparam(obj, p)
 
 
-def _load(cfg: RunConfig):
-    """Read and parse the input; check the --box flag against its d."""
-    obj = _read_input(cfg.input_path)
-    d = obj.d if isinstance(obj, Filtration) else obj.matrix.d
-    if cfg.box is not None and cfg.box.lo.d != d:
-        raise InputError(f"--box has {cfg.box.lo.d} coordinates but the input has {d}")
-    return obj, d
-
-
-def _pipeline(cfg: RunConfig) -> Tuple[Presentation, Diagonalization, int]:
-    """Shared path: parse, build, minimize, sort, diagonalize."""
-    obj, d = _load(cfg)
-    pres = _build_presentation(obj, cfg)
-    if not cfg.skip_minimize:
+def _pipeline(
+    args: argparse.Namespace, minimal: bool = True
+) -> Tuple[Presentation, Diagonalization]:
+    """Shared path: parse, build, minimize if minimal, sort, diagonalize."""
+    pres = _load(args)
+    if minimal:
         pres = minimize(pres)
     sorted_matrix, _, _ = sort_by_grade(pres.matrix)
-    diag = tot_diagonalize(sorted_matrix, perturb_ties=cfg.perturb)
+    diag = tot_diagonalize(sorted_matrix, perturb_ties=args.perturb)
     final = Presentation(diag.matrix, case_tag=pres.case_tag, minimized=pres.minimized)
-    return final, diag, d
+    return final, diag
 
 
 # -- serialization -----------------------------------------------------------
 
 
 def _grade_list(gs) -> List[List[int]]:
-    return [list(g.coords) for g in gs]
+    return [list(g) for g in gs]
 
 
 def _matrix_payload(M: GradedMatrix) -> dict:
@@ -158,7 +142,7 @@ def _decompose_payload(
         if b in codes:
             code = codes[b]
             entry["dim_function"] = {
-                "origin": list(code.origin.coords),
+                "origin": list(code.origin),
                 "shape": list(code.shape),
                 "values": code.values,
             }
@@ -168,7 +152,7 @@ def _decompose_payload(
         "d": M.d,
         "perturbed": diag.perturbed,
         "num_ops_applied": len(diag.certificate),
-        "box": {"lo": list(box.lo.coords), "hi": list(box.hi.coords)},
+        "box": {"lo": list(box.lo), "hi": list(box.hi)},
         "matrix": _matrix_payload(M),
         "blocks": blocks_payload,
     }
@@ -179,7 +163,10 @@ def _dump_json(payload: dict) -> str:
 
 
 def _basis_expressions(
-    grades: Sequence[Grade], labels: Sequence[str], cert: Sequence[Op], kind: str
+    grades: Sequence[Tuple[int, ...]],
+    labels: Sequence[str],
+    cert: Sequence[Op],
+    kind: str,
 ) -> List[str]:
     """Rebuild each final basis element over the input basis.
 
@@ -189,15 +176,14 @@ def _basis_expressions(
     """
     if not grades:
         return []
-    coords = [g.coords for g in grades]
-    zero = (0,) * len(coords[0])
+    zero = (0,) * len(grades[0])
     exprs: List[set] = [{(i, zero)} for i in range(len(grades))]
     for op in cert:
         if op.kind != kind:
             continue
         upd, base = (op.target, op.source) if kind == "col" else (op.source, op.target)
         # an exponent is a difference of grades, so it may leave the 64-bit range
-        shift = tuple(map(sub, coords[upd], coords[base]))
+        shift = tuple(map(sub, grades[upd], grades[base]))
         exprs[upd] = exprs[upd] ^ {
             (m, tuple(map(add, e, shift))) for (m, e) in exprs[base]
         }
@@ -224,10 +210,10 @@ def _decompose_text(final: Presentation, diag: Diagonalization) -> str:
     col_exprs = _basis_expressions(M.col_grades, M.col_labels, diag.certificate, "col")
     lines.append("rows:")
     for i in range(M.n_rows):
-        lines.append(f"  [{i}] {M.row_labels[i]} {M.row_grades[i]} = {row_exprs[i]}")
+        lines.append(f"  [{i}] {M.row_labels[i]} {fmt(M.row_grades[i])} = {row_exprs[i]}")
     lines.append("cols:")
     for j in range(M.n_cols):
-        lines.append(f"  [{j}] {M.col_labels[j]} {M.col_grades[j]} = {col_exprs[j]}")
+        lines.append(f"  [{j}] {M.col_labels[j]} {fmt(M.col_grades[j])} = {col_exprs[j]}")
     lines.append("entries:")
     for row in M.mat.to_dense():
         lines.append("  " + "".join(str(v) for v in row))
@@ -246,19 +232,19 @@ def _betti_text(final: Presentation, diag: Diagonalization) -> str:
         labels = ",".join(final.matrix.row_labels[i] for i in block.rows)
         lines.append(f"block {pos} (generators {labels}):")
         for deg in range(table.max_degree_computed + 1):
-            grades = " ".join(str(g) for g in table.degree(deg))
+            grades = " ".join(map(fmt, table.degree(deg)))
             lines.append(f"  beta_{deg}: {grades}".rstrip())
     return "\n".join(lines) + "\n"
 
 
 def _blockcode_csv(codes: List[Blockcode], box: GradeBox) -> str:
-    d = box.lo.d
+    d = len(box.lo)
     header = ",".join(f"x{k + 1}" for k in range(d)) + ",block_id,dim"
     lines = [header]
     for pos, u in enumerate(box.grades()):
         for block_id, code in enumerate(codes):
             lines.append(
-                ",".join(str(x) for x in u.coords) + f",{block_id},{code.values[pos]}"
+                ",".join(map(str, u)) + f",{block_id},{code.values[pos]}"
             )
     return "\n".join(lines) + "\n"
 
@@ -266,43 +252,42 @@ def _blockcode_csv(codes: List[Blockcode], box: GradeBox) -> str:
 def _box_from_flag(flag: str) -> GradeBox:
     try:
         lo_part, hi_part = flag.split(":")
-        lo = Grade(tuple(int(x) for x in lo_part.split(",")))
-        hi = Grade(tuple(int(x) for x in hi_part.split(",")))
+        lo = check_grade(int(x) for x in lo_part.split(","))
+        hi = check_grade(int(x) for x in hi_part.split(","))
     except (ValueError, InputError):
         raise InputError(
             f"bad --box {flag!r}, expected 'lo1,..,lod:hi1,..,hid'"
         ) from None
-    if lo.d != hi.d:
-        raise InputError(f"--box has {lo.d} coordinates below and {hi.d} above")
+    if len(lo) != len(hi):
+        raise InputError(f"--box has {len(lo)} coordinates below and {len(hi)} above")
     return GradeBox(lo, hi)
 
 
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_decompose(cfg: RunConfig) -> str:
-    final, diag, d = _pipeline(cfg)
-    if cfg.fmt == "text":
+def _cmd_decompose(args: argparse.Namespace) -> str:
+    final, diag = _pipeline(args)
+    if args.format == "text":
         return _decompose_text(final, diag)
-    box = cfg.box if cfg.box is not None else default_box(final, d)
-    if cfg.fmt == "csv":
+    box = args.box or default_box(final)
+    if args.format == "csv":
         codes = blockcodes(final, diag.blocks, box)
         return _blockcode_csv(codes, box)
     return _dump_json(_decompose_payload(final, diag, box, with_invariants=True))
 
 
-def _cmd_diagonalize(cfg: RunConfig) -> str:
-    cfg.skip_minimize = True
-    final, diag, d = _pipeline(cfg)
-    if cfg.fmt == "text":
+def _cmd_diagonalize(args: argparse.Namespace) -> str:
+    final, diag = _pipeline(args, minimal=False)
+    if args.format == "text":
         return _decompose_text(final, diag)
-    box = cfg.box if cfg.box is not None else default_box(final, d)
+    box = args.box or default_box(final)
     return _dump_json(_decompose_payload(final, diag, box, with_invariants=False))
 
 
-def _cmd_betti(cfg: RunConfig) -> str:
-    final, diag, _ = _pipeline(cfg)
-    if cfg.fmt == "text":
+def _cmd_betti(args: argparse.Namespace) -> str:
+    final, diag = _pipeline(args)
+    if args.format == "text":
         return _betti_text(final, diag)
     payload = {
         "case": final.case_tag,
@@ -322,18 +307,18 @@ def _cmd_betti(cfg: RunConfig) -> str:
     return _dump_json(payload)
 
 
-def _cmd_blockcode(cfg: RunConfig) -> str:
-    final, diag, d = _pipeline(cfg)
-    box = cfg.box if cfg.box is not None else default_box(final, d)
+def _cmd_blockcode(args: argparse.Namespace) -> str:
+    final, diag = _pipeline(args)
+    box = args.box or default_box(final)
     codes = blockcodes(final, diag.blocks, box)
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
-            "box": {"lo": list(box.lo.coords), "hi": list(box.hi.coords)},
+            "box": {"lo": list(box.lo), "hi": list(box.hi)},
             "blocks": [
                 {
                     "rows": list(c.block.rows),
                     "cols": list(c.block.cols),
-                    "origin": list(c.origin.coords),
+                    "origin": list(c.origin),
                     "shape": list(c.shape),
                     "values": c.values,
                 }
@@ -344,10 +329,10 @@ def _cmd_blockcode(cfg: RunConfig) -> str:
     return _blockcode_csv(codes, box)
 
 
-def _cmd_check(cfg: RunConfig) -> str:
+def _cmd_check(args: argparse.Namespace) -> str:
     from .oracle import brute_force_finest  # here, so no other command loads it
 
-    final, diag, _ = _pipeline(cfg)
+    final, diag = _pipeline(args)
     reference = brute_force_finest(final.matrix)
     mine = sorted((b.rows, b.cols) for b in diag.blocks)
     theirs = sorted((b.rows, b.cols) for b in reference)
@@ -361,17 +346,15 @@ def _cmd_check(cfg: RunConfig) -> str:
     )
 
 
-def _cmd_export_pres(cfg: RunConfig) -> str:
-    obj, _ = _load(cfg)
-    pres = _build_presentation(obj, cfg)
-    pres = minimize(pres)
+def _cmd_export_pres(args: argparse.Namespace) -> str:
+    pres = minimize(_load(args))
     sorted_matrix, _, _ = sort_by_grade(pres.matrix)
     text = format_presentation(
         Presentation(sorted_matrix, case_tag=pres.case_tag, minimized=True)
     )
-    if cfg.output is not None:
-        cfg.output.write_text(text)
-        return f"wrote {cfg.output}\n"
+    if args.output is not None:
+        args.output.write_text(text)
+        return f"wrote {args.output}\n"
     return text
 
 
@@ -423,26 +406,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(cfg: RunConfig) -> str:
-    if cfg.command not in _COMMANDS:
-        raise InputError(f"unknown command {cfg.command!r}")
-    return _COMMANDS[cfg.command][0](cfg)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        dim=args.dim,
-        fmt=args.format,
-        perturb=args.perturb,
-        output=getattr(args, "output", None),
-    )
     try:
         if args.box is not None:
-            cfg.box = _box_from_flag(args.box)
-        sys.stdout.write(run(cfg))
+            args.box = _box_from_flag(args.box)
+        sys.stdout.write(_COMMANDS[args.command][0](args))
     except TiedGradesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, TiedGradesError
 from .f2 import F2Matrix, col_reduce
@@ -155,12 +155,7 @@ def block_reduce(
     return True
 
 
-def tot_diagonalize(
-    A: GradedMatrix,
-    *,
-    perturb_ties: bool = False,
-    iteration_hook: Optional[Callable[[int, GradedMatrix], None]] = None,
-) -> Diagonalization:
+def tot_diagonalize(A: GradedMatrix, *, perturb_ties: bool = False) -> Diagonalization:
     """Decompose A into the finest block structure admissible ops can reach.
 
     Rows and columns must already be in topo order.  Exactly equal grades
@@ -209,8 +204,6 @@ def tot_diagonalize(
         blocks = survivors + [
             IndexBlock(tuple(sorted(merged_rows)), tuple(sorted(merged_cols)))
         ]
-        if iteration_hook is not None:
-            iteration_hook(t, work)
 
     return Diagonalization(
         matrix=work,

@@ -15,10 +15,12 @@ class TiedGradesError(ValueError):
     """Identical grades on two rows or two columns, with perturbation off."""
 
     def __init__(self, kind: str, pairs):
+        from .grades import fmt  # grades imports this module
+
         # pairs: iterable of (index, index, grade) triples
         self.kind = kind
         self.pairs = list(pairs)
-        listing = ", ".join(f"{i}~{j} at {g}" for i, j, g in self.pairs)
+        listing = ", ".join(f"{i}~{j} at {fmt(g)}" for i, j, g in self.pairs)
         super().__init__(
             f"tied {kind} grades ({listing}); rerun with perturbation enabled "
             "to break ties by index order"

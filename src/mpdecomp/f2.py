@@ -33,10 +33,6 @@ class F2Matrix:
         return cls(n_rows, [0] * n_cols)
 
     @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, [1 << i for i in range(n)])
-
-    @classmethod
     def from_entries(
         cls, n_rows: int, n_cols: int, entries: Iterable[Tuple[int, int]]
     ) -> "F2Matrix":
@@ -47,19 +43,6 @@ class F2Matrix:
             m.cols[j] ^= 1 << i
         return m
 
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence[int]]) -> "F2Matrix":
-        n_rows = len(rows)
-        n_cols = len(rows[0]) if n_rows else 0
-        m = cls.zeros(n_rows, n_cols)
-        for i, r in enumerate(rows):
-            if len(r) != n_cols:
-                raise InputError("ragged dense matrix")
-            for j, v in enumerate(r):
-                if v & 1:
-                    m.cols[j] |= 1 << i
-        return m
-
     # -- shape and access --------------------------------------------------
 
     @property
@@ -68,9 +51,6 @@ class F2Matrix:
 
     def entry(self, i: int, j: int) -> int:
         return (self.cols[j] >> i) & 1
-
-    def column(self, j: int) -> int:
-        return self.cols[j]
 
     def entries(self) -> Iterator[Tuple[int, int]]:
         for j, c in enumerate(self.cols):
@@ -87,11 +67,6 @@ class F2Matrix:
 
     # -- operations --------------------------------------------------------
 
-    def low(self, j: int) -> Optional[int]:
-        """Largest row index carrying a 1 in column j, or None if zero."""
-        c = self.cols[j]
-        return c.bit_length() - 1 if c else None
-
     def add_col(self, src: int, dst: int) -> None:
         if src == dst:
             raise InputError("column added to itself")
@@ -105,24 +80,6 @@ class F2Matrix:
         for j, c in enumerate(self.cols):
             if c & m_src:
                 self.cols[j] = c ^ m_dst
-
-    def matmul(self, other: "F2Matrix") -> "F2Matrix":
-        if self.n_cols != other.n_rows:
-            raise InputError(
-                f"shape mismatch: {self.n_rows}x{self.n_cols} times "
-                f"{other.n_rows}x{other.n_cols}"
-            )
-        out = F2Matrix.zeros(self.n_rows, other.n_cols)
-        for j, oc in enumerate(other.cols):
-            acc = 0
-            k = 0
-            while oc:
-                if oc & 1:
-                    acc ^= self.cols[k]
-                oc >>= 1
-                k += 1
-            out.cols[j] = acc
-        return out
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "F2Matrix":
         out = F2Matrix.zeros(len(rows), len(cols))
@@ -138,18 +95,12 @@ class F2Matrix:
     def copy(self) -> "F2Matrix":
         return F2Matrix(self.n_rows, self.cols)
 
-    def is_zero(self) -> bool:
-        return not any(self.cols)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, F2Matrix)
             and self.n_rows == other.n_rows
             and self.cols == other.cols
         )
-
-    def __hash__(self):  # mutable container
-        raise TypeError("F2Matrix is not hashable")
 
     def __repr__(self) -> str:
         body = ";".join(format(c, "x") for c in self.cols)

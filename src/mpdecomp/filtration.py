@@ -22,13 +22,13 @@ from typing import Dict, List, Tuple
 from .errors import InputError
 from .f2 import F2Matrix
 from .graded import GradedMatrix
-from .grades import Grade
+from .grades import check_grade, fmt
 
 
 @dataclass(frozen=True)
 class Simplex:
     id: int
-    grade: Grade
+    grade: Tuple[int, ...]
     facets: Tuple[int, ...]  # ids of codimension-1 faces, sorted
     dim: int
 
@@ -44,14 +44,6 @@ class Filtration:
     @property
     def max_dim(self) -> int:
         return max((s.dim for s in self.simplices), default=-1)
-
-    def check_boundaries(self) -> None:
-        """Composite boundary maps must vanish; cheap sanity for tests."""
-        for p in range(2, self.max_dim + 1):
-            a = boundary_matrix(self, p - 1)
-            b = boundary_matrix(self, p)
-            if not a.mat.matmul(b.mat).is_zero():
-                raise InputError(f"boundary of boundary is nonzero at dimension {p}")
 
 
 def _fail(line_no: int, msg: str) -> None:
@@ -103,7 +95,7 @@ def parse_filtration(text: str) -> Filtration:
         except ValueError:
             _fail(line_no, f"non-integer grade in {grade_tokens}")
         try:
-            g = Grade(coords)
+            g = check_grade(coords)
         except InputError as exc:
             _fail(line_no, str(exc))
         try:
@@ -128,11 +120,11 @@ def parse_filtration(text: str) -> Filtration:
                     f"a {dim}-simplex needs {dim + 1} facets, got {len(facets)}",
                 )
             for f in facets:
-                if not all(map(le, filt.simplices[f].grade.coords, coords)):
+                if not all(map(le, filt.simplices[f].grade, g)):
                     _fail(
                         line_no,
-                        f"grade {g} of simplex {next_id} is not above grade "
-                        f"{filt.simplices[f].grade} of its facet {f}",
+                        f"grade {fmt(g)} of simplex {next_id} is not above grade "
+                        f"{fmt(filt.simplices[f].grade)} of its facet {f}",
                     )
             if facets in seen_facet_sets:
                 _fail(
@@ -174,4 +166,5 @@ def boundary_matrix(F: Filtration, p: int) -> GradedMatrix:
         [s.grade for s in cols],
         [str(s.id) for s in rows],
         [str(s.id) for s in cols],
+        d=F.d,
     )

@@ -15,16 +15,24 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .f2 import F2Matrix
-from .grades import Grade, leq, topo_order
+from .grades import check_grade, fmt, leq, topo_order
 
 
 @dataclass
 class GradedMatrix:
+    """A binary matrix with a grade per row and column, all in Z^d.
+
+    Grades are checked with ``check_grade`` and stored as tuples.  ``d``
+    may be left out when there is at least one grade; a matrix without
+    grades keeps the parameter count it is given.
+    """
+
     mat: F2Matrix
-    row_grades: List[Grade]
-    col_grades: List[Grade]
+    row_grades: List[Tuple[int, ...]]
+    col_grades: List[Tuple[int, ...]]
     row_labels: List[str] = field(default_factory=list)
     col_labels: List[str] = field(default_factory=list)
+    d: Optional[int] = None
 
     def __post_init__(self) -> None:
         if len(self.row_grades) != self.mat.n_rows:
@@ -35,10 +43,15 @@ class GradedMatrix:
             raise InputError(
                 f"{self.mat.n_cols} columns but {len(self.col_grades)} column grades"
             )
-        d = self.d
-        for g in self.row_grades + self.col_grades:
-            if g.d != d:
-                raise InputError("mixed grade dimensions in one matrix")
+        self.row_grades = [check_grade(g) for g in self.row_grades]
+        self.col_grades = [check_grade(g) for g in self.col_grades]
+        grades = self.row_grades + self.col_grades
+        if self.d is None:
+            if not grades:
+                raise InputError("a matrix without grades needs its parameter count d")
+            self.d = len(grades[0])
+        if any(len(g) != self.d for g in grades):
+            raise InputError("mixed grade dimensions in one matrix")
         if not self.row_labels:
             self.row_labels = [f"r{i}" for i in range(self.mat.n_rows)]
         if not self.col_labels:
@@ -48,14 +61,6 @@ class GradedMatrix:
         if len(self.col_labels) != self.mat.n_cols:
             raise InputError("column label count does not match columns")
         self.validate_homogeneity()
-
-    @property
-    def d(self) -> int:
-        if self.row_grades:
-            return self.row_grades[0].d
-        if self.col_grades:
-            return self.col_grades[0].d
-        return 1
 
     @property
     def n_rows(self) -> int:
@@ -68,14 +73,12 @@ class GradedMatrix:
     def validate_homogeneity(self) -> None:
         """Every nonzero entry must satisfy row grade <= column grade."""
         # __post_init__ has checked that all grades share one d
-        rows = [g.coords for g in self.row_grades]
-        cols = [g.coords for g in self.col_grades]
+        rows, cols = self.row_grades, self.col_grades
         for i, j in self.mat.entries():
             if not all(map(le, rows[i], cols[j])):
                 raise InputError(
                     f"entry ({i},{j}) is 1 but row grade "
-                    f"{self.row_grades[i]} is not <= column grade "
-                    f"{self.col_grades[j]}"
+                    f"{fmt(rows[i])} is not <= column grade {fmt(cols[j])}"
                 )
 
     # -- grade-checked operations -------------------------------------------
@@ -85,7 +88,7 @@ class GradedMatrix:
         if src == dst or not leq(self.col_grades[src], self.col_grades[dst]):
             raise InputError(
                 f"column addition {src}->{dst} not allowed: "
-                f"{self.col_grades[src]} vs {self.col_grades[dst]}"
+                f"{fmt(self.col_grades[src])} vs {fmt(self.col_grades[dst])}"
             )
         self.mat.add_col(src, dst)
 
@@ -94,7 +97,7 @@ class GradedMatrix:
         if src == dst or not leq(self.row_grades[dst], self.row_grades[src]):
             raise InputError(
                 f"row addition {src}->{dst} not allowed: "
-                f"{self.row_grades[src]} vs {self.row_grades[dst]}"
+                f"{fmt(self.row_grades[src])} vs {fmt(self.row_grades[dst])}"
             )
         self.mat.add_row(src, dst)
 
@@ -124,7 +127,7 @@ class AdmissibleOps:
         return self.row_src[k]
 
 
-def _below_lists(grades: Sequence[Grade]) -> List[List[int]]:
+def _below_lists(grades: Sequence[Tuple[int, ...]]) -> List[List[int]]:
     """For each index, the indices strictly below it, ascending.
 
     Strictly below means lower in the product order, with equal grades
@@ -132,13 +135,12 @@ def _below_lists(grades: Sequence[Grade]) -> List[List[int]]:
     earlier in topo order (lexicographic, ties by index), so each index
     only scans the ones that precede it there.
     """
-    coords = [g.coords for g in grades]
     order = topo_order(grades)
-    below: List[List[int]] = [[] for _ in coords]
+    below: List[List[int]] = [[] for _ in grades]
     for pos, b in enumerate(order):
-        cb = coords[b]
+        gb = grades[b]
         below[b] = sorted(
-            a for a in order[:pos] if all(x <= y for x, y in zip(coords[a], cb))
+            a for a in order[:pos] if all(x <= y for x, y in zip(grades[a], gb))
         )
     return below
 
@@ -184,4 +186,5 @@ def _reindexed(
     out.col_grades = [M.col_grades[j] for j in cols]
     out.row_labels = [M.row_labels[i] for i in rows]
     out.col_labels = [M.col_labels[j] for j in cols]
+    out.d = M.d
     return out

@@ -1,72 +1,53 @@
 """Grades in Z^d and the orders used to schedule matrix operations.
 
-A grade is a point of Z^d attached to a row, column, or simplex.  The
-product partial order ``leq`` decides which matrix operations are legal;
-``topo_order`` extends it to the total order in which the reduction
-consumes rows and columns.  Equal grades are ordered by input index, which
-is exactly the virtual perturbation used when ties are tolerated.
+A grade is a point of Z^d attached to a row, column, or simplex, held as a
+tuple of ints.  ``check_grade`` admits coordinates where they enter the
+program.  The product partial order ``leq`` decides which matrix
+operations are legal; ``topo_order`` extends it to the total order in which
+the reduction consumes rows and columns.  Equal grades are ordered by input
+index, which is exactly the virtual perturbation used when ties are
+tolerated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import InputError
 
 _BOUND = 1 << 63  # coordinates are 64-bit signed integers
 
 
-@dataclass(frozen=True)
-class Grade:
-    coords: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coords:
-            raise InputError("a grade needs at least one coordinate")
-        for x in self.coords:
-            if not -_BOUND <= x < _BOUND:
-                raise InputError(f"grade coordinate {x} outside 64-bit range")
-
-    @property
-    def d(self) -> int:
-        return len(self.coords)
-
-    def leq(self, other: "Grade") -> bool:
-        return leq(self, other)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coords)
-
-    def __getitem__(self, i: int) -> int:
-        return self.coords[i]
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(x) for x in self.coords) + ")"
+def check_grade(coords: Iterable[int]) -> Tuple[int, ...]:
+    """The coordinates as a grade; refuses none or one outside 64 bits."""
+    g = tuple(coords)
+    if not g:
+        raise InputError("a grade needs at least one coordinate")
+    for x in g:
+        if not -_BOUND <= x < _BOUND:
+            raise InputError(f"grade coordinate {x} outside 64-bit range")
+    return g
 
 
-def grade(*coords: int) -> Grade:
-    """Shorthand constructor: grade(1, 2) == Grade((1, 2))."""
-    return Grade(tuple(int(c) for c in coords))
+def fmt(g: Sequence[int]) -> str:
+    """A grade as text: fmt((1, 2)) == "(1,2)"."""
+    return "(" + ",".join(map(str, g)) + ")"
 
 
-def _same_d(a: Grade, b: Grade) -> None:
-    if len(a.coords) != len(b.coords):
+def _same_d(a: Sequence[int], b: Sequence[int]) -> None:
+    if len(a) != len(b):
         raise InputError(
-            f"grade dimension mismatch: {a} has {len(a.coords)} coordinates, "
-            f"{b} has {len(b.coords)}"
+            f"grade dimension mismatch: {fmt(a)} has {len(a)} coordinates, "
+            f"{fmt(b)} has {len(b)}"
         )
 
 
-def leq(a: Grade, b: Grade) -> bool:
+def leq(a: Sequence[int], b: Sequence[int]) -> bool:
     """Componentwise order on Z^d; the only comparison the algebra allows."""
     _same_d(a, b)
-    return all(x <= y for x, y in zip(a.coords, b.coords))
+    return all(x <= y for x, y in zip(a, b))
 
 
-def topo_order(grades: Sequence[Grade]) -> list:
+def topo_order(grades: Sequence[Tuple[int, ...]]) -> list:
     """Permutation sorting grades lexicographically, ties by index.
 
     Lexicographic order extends the product order, so consuming rows and
@@ -76,16 +57,16 @@ def topo_order(grades: Sequence[Grade]) -> list:
     gs = list(grades)
     for g in gs[1:]:
         _same_d(gs[0], g)
-    return sorted(range(len(gs)), key=lambda i: gs[i].coords)  # stable: ties by index
+    return sorted(range(len(gs)), key=gs.__getitem__)  # stable: ties by index
 
 
-def tied_pairs(grades: Sequence[Grade]) -> list:
+def tied_pairs(grades: Sequence[Tuple[int, ...]]) -> list:
     """All (i, j, grade) with i < j and identical grades, for diagnostics."""
     seen: dict = {}
     out = []
     for j, g in enumerate(grades):
-        if g.coords in seen:
-            out.append((seen[g.coords], j, g))
+        if g in seen:
+            out.append((seen[g], j, g))
         else:
-            seen[g.coords] = j
+            seen[g] = j
     return out

@@ -24,12 +24,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, product
 from operator import le
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .diagonalize import IndexBlock
 from .errors import InputError
 from .graded import _reindexed
-from .grades import _BOUND, Grade, leq, topo_order
+from .grades import _BOUND, check_grade, fmt, leq, topo_order
 from .presentation import Presentation, kernel_gens
 
 # Largest box, in grade points, that a dimension function is evaluated on.
@@ -40,45 +40,45 @@ MAX_BOX_POINTS = 1_000_000
 class GradeBox:
     """An axis-aligned box of grades, inclusive on both ends."""
 
-    lo: Grade
-    hi: Grade
+    lo: Tuple[int, ...]
+    hi: Tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "lo", check_grade(self.lo))
+        object.__setattr__(self, "hi", check_grade(self.hi))
         if not leq(self.lo, self.hi):
-            raise InputError(f"empty box: {self.lo} is not <= {self.hi}")
+            raise InputError(f"empty box: {fmt(self.lo)} is not <= {fmt(self.hi)}")
 
     @property
     def shape(self) -> Tuple[int, ...]:
         return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
 
     def grades(self):
-        for point in product(*(range(l, h + 1) for l, h in zip(self.lo, self.hi))):
-            yield Grade(point)
+        return product(*(range(l, h + 1) for l, h in zip(self.lo, self.hi)))
 
     def check_size(self) -> None:
         """Refuse a box of more than MAX_BOX_POINTS points."""
         points = math.prod(self.shape)
         if points > MAX_BOX_POINTS:
             raise InputError(
-                f"box {self.lo}..{self.hi} has {points} grade points, "
+                f"box {fmt(self.lo)}..{fmt(self.hi)} has {points} grade points, "
                 f"more than the limit of {MAX_BOX_POINTS}"
             )
 
 
-def default_box(P: Presentation, d: Optional[int] = None) -> GradeBox:
+def default_box(P: Presentation) -> GradeBox:
     """Componentwise min of all grades up to max plus a margin of one.
 
-    The margin stops at the largest 64-bit coordinate, 2**63 - 1.
+    The margin stops at the largest 64-bit coordinate, 2**63 - 1.  Without
+    grades the box is 0..1 on each of the d axes.
     """
-    grades = list(P.matrix.row_grades) + list(P.matrix.col_grades)
+    grades = P.matrix.row_grades + P.matrix.col_grades
     if not grades:
-        dd = d if d is not None else P.matrix.d
-        return GradeBox(Grade((0,) * dd), Grade((1,) * dd))
-    dd = grades[0].d
-    lo = Grade(tuple(min(g[k] for g in grades) for k in range(dd)))
-    top = _BOUND - 1
-    hi = Grade(tuple(min(max(g[k] for g in grades) + 1, top) for k in range(dd)))
-    return GradeBox(lo, hi)
+        return GradeBox((0,) * P.d, (1,) * P.d)
+    axes = list(zip(*grades))
+    return GradeBox(
+        tuple(map(min, axes)), tuple(min(max(a) + 1, _BOUND - 1) for a in axes)
+    )
 
 
 def dimension_function(P: Presentation, box: GradeBox) -> List[int]:
@@ -105,19 +105,21 @@ def dimension_function(P: Presentation, box: GradeBox) -> List[int]:
     """
     box.check_size()
     M = P.matrix
-    grades = list(M.row_grades) + list(M.col_grades)
+    grades = M.row_grades + M.col_grades
     if not grades:
         return [0] * math.prod(box.shape)
-    axes = [sorted(set(col)) for col in zip(*(g.coords for g in grades))]
+    axes = [sorted(set(col)) for col in zip(*grades)]
     # each axis's min and max against the box; the scan names the culprit
-    if len(axes) != box.lo.d or any(
+    if len(axes) != len(box.lo) or any(
         a[0] < l or a[-1] > h for a, l, h in zip(axes, box.lo, box.hi)
     ):
         g = next(g for g in grades if not (leq(box.lo, g) and leq(g, box.hi)))
-        raise InputError(f"box {box.lo}..{box.hi} does not cover grade {g}")
+        raise InputError(
+            f"box {fmt(box.lo)}..{fmt(box.hi)} does not cover grade {fmt(g)}"
+        )
 
-    def cell(g: Grade) -> Tuple[int, ...]:
-        return tuple(map(bisect_right, axes, g.coords))
+    def cell(g: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(map(bisect_right, axes, g))
 
     shape = [len(axis) + 1 for axis in axes]
     stride = math.prod(shape[1:])  # of the first axis; the rest is a slice
@@ -161,28 +163,19 @@ def dimension_function(P: Presentation, box: GradeBox) -> List[int]:
 class BettiTable:
     """Multiset of (degree, grade) with the degree cap that was computed."""
 
-    entries: Dict[Tuple[int, Grade], int] = field(default_factory=dict)
+    entries: Dict[Tuple[int, Tuple[int, ...]], int] = field(default_factory=dict)
     max_degree_computed: int = 1
 
-    def add(self, degree: int, grade: Grade, count: int = 1) -> None:
+    def add(self, degree: int, grade: Tuple[int, ...], count: int = 1) -> None:
         key = (degree, grade)
         self.entries[key] = self.entries.get(key, 0) + count
 
-    def degree(self, j: int) -> List[Grade]:
-        out: List[Grade] = []
+    def degree(self, j: int) -> List[Tuple[int, ...]]:
+        out: List[Tuple[int, ...]] = []
         for (deg, g), cnt in self.entries.items():
             if deg == j:
                 out.extend([g] * cnt)
-        return sorted(out, key=lambda g: g.coords)
-
-    def merged_with(self, other: "BettiTable") -> "BettiTable":
-        out = BettiTable(
-            dict(self.entries),
-            max_degree_computed=min(self.max_degree_computed, other.max_degree_computed),
-        )
-        for (deg, g), cnt in other.entries.items():
-            out.add(deg, g, cnt)
-        return out
+        return sorted(out)
 
 
 def restrict_presentation(P: Presentation, block: IndexBlock) -> Presentation:
@@ -202,7 +195,7 @@ def betti01(P: Presentation) -> BettiTable:
     return table
 
 
-def betti_higher_2param(P: Presentation) -> List[Grade]:
+def betti_higher_2param(P: Presentation) -> List[Tuple[int, ...]]:
     """Degree 2 for two parameters: grades of a basis of ker(P)."""
     if P.d != 2:
         raise InputError(f"degree-2 Betti numbers computed only for d == 2, have d == {P.d}")
@@ -240,7 +233,7 @@ class Blockcode:
     """Dimension function of one indecomposable over a shared box."""
 
     block: IndexBlock
-    origin: Grade
+    origin: Tuple[int, ...]
     shape: Tuple[int, ...]
     values: List[int]  # flat, in the C order of GradeBox.grades()
 

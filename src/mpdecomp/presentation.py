@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InputError, InternalCheckError
 from .f2 import F2Matrix, col_reduce
 from .graded import GradedMatrix, _reindexed
-from .grades import Grade, leq, topo_order
+from .grades import check_grade, fmt, leq, topo_order
 
 H0 = "H0"
 TWO_PARAM = "TWO_PARAM"
@@ -41,7 +41,7 @@ _CASES = (H0, TWO_PARAM, D_PARAM, RAW)
 class KernelElement:
     """A cycle: grade of birth plus coordinates over the ambient columns."""
 
-    grade: Grade
+    grade: Tuple[int, ...]
     coords: int
 
 
@@ -91,7 +91,7 @@ def kernel_gens(M: GradedMatrix) -> List[KernelElement]:
     """
     order = topo_order(M.col_grades)
     heads = [M.col_grades[j][0] for j in order]
-    tails = [M.col_grades[j].coords[1:] for j in order]
+    tails = [M.col_grades[j][1:] for j in order]
     cols = [M.mat.cols[j] for j in order]
     died: List[List[Tuple[int, ...]]] = [[] for _ in order]
     found: List[Tuple[Tuple[int, ...], int, int]] = []
@@ -119,7 +119,7 @@ def kernel_gens(M: GradedMatrix) -> List[KernelElement]:
                 died[pos].append(s)
                 found.append(((heads[pos],) + s, pos, comb))
     found.sort()
-    return [KernelElement(grade=Grade(z), coords=comb) for z, _, comb in found]
+    return [KernelElement(grade=z, coords=comb) for z, _, comb in found]
 
 
 def rewrite_in_basis(
@@ -138,23 +138,22 @@ def rewrite_in_basis(
     for b in basis:
         if b.coords >> ambient:
             raise InputError("kernel element has coordinates outside the ambient")
-        if b.grade.d != cols.d:
-            raise InputError(f"kernel element grade {b.grade} is not {cols.d}-parameter")
+        if len(b.grade) != cols.d:
+            raise InputError(f"kernel element grade {fmt(b.grade)} is not {cols.d}-parameter")
     labels = (
         list(basis_labels)
         if basis_labels is not None
         else [f"z{i}" for i in range(len(basis))]
     )
-    born = [b.grade.coords for b in basis]
     out_cols: List[int] = []
     for j in range(cols.n_cols):
         u = cols.col_grades[j]
-        sub = [idx for idx, g in enumerate(born) if all(map(le, g, u.coords))]
+        sub = [idx for idx, b in enumerate(basis) if all(map(le, b.grade, u))]
         S = F2Matrix(ambient, [basis[idx].coords for idx in sub])
         coeffs = col_reduce(S, cols.mat.cols[j])
         if coeffs is None:
             raise InternalCheckError(
-                f"column {j} (grade {u}) is not generated by the cycle basis"
+                f"column {j} (grade {fmt(u)}) is not generated by the cycle basis"
             )
         v = 0
         for pos, idx in enumerate(sub):
@@ -167,6 +166,7 @@ def rewrite_in_basis(
         list(cols.col_grades),
         labels,
         list(cols.col_labels),
+        d=cols.d,
     )
 
 
@@ -179,6 +179,7 @@ def _hconcat(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
         list(a.col_grades) + list(b.col_grades),
         list(a.row_labels),
         list(a.col_labels) + list(b.col_labels),
+        d=a.d,
     )
 
 
@@ -226,6 +227,7 @@ def pres_dparam(F, p: int) -> Presentation:
         [g.grade for g in gens],
         list(bp.col_labels),
         labels,
+        d=bp.d,
     )
     syzygies = kernel_gens(gen_matrix)
     syz = GradedMatrix(
@@ -234,6 +236,7 @@ def pres_dparam(F, p: int) -> Presentation:
         [s.grade for s in syzygies],
         labels,
         [f"y{i}" for i in range(len(syzygies))],
+        d=bp.d,
     )
     return Presentation(_hconcat(dbar, syz), case_tag=D_PARAM)
 
@@ -258,13 +261,12 @@ def minimize(P: Presentation) -> Presentation:
     in degrees 0 and 1.  Kept rows and columns stay in input order.
     """
     M = P.matrix
-    row_coords = [g.coords for g in M.row_grades]
-    col_coords = [g.coords for g in M.col_grades]
+    col_grades = M.col_grades
     cols = list(M.mat.cols)
     at_grade: Dict[Tuple[int, ...], int] = {}
-    for i, g in enumerate(row_coords):
+    for i, g in enumerate(M.row_grades):
         at_grade[g] = at_grade.get(g, 0) | (1 << i)
-    unit = [at_grade.get(g, 0) for g in col_coords]  # rows at the column's grade
+    unit = [at_grade.get(g, 0) for g in col_grades]  # rows at the column's grade
     live_rows = set(range(M.n_rows))
     live_cols = list(range(M.n_cols))
     while True:
@@ -272,7 +274,7 @@ def minimize(P: Presentation) -> Presentation:
         for j in live_cols:
             hits = cols[j] & unit[j]
             if hits:
-                key = (col_coords[j], (hits & -hits).bit_length() - 1, j)
+                key = (col_grades[j], (hits & -hits).bit_length() - 1, j)
                 if best is None or key < best:
                     best = key
         if best is None:
@@ -286,8 +288,8 @@ def minimize(P: Presentation) -> Presentation:
         live_rows.discard(i)
         live_cols.remove(j)
 
-    order = sorted(live_cols, key=col_coords.__getitem__)  # stable: ties by index
-    tails = [col_coords[j][1:] for j in order]
+    order = sorted(live_cols, key=col_grades.__getitem__)  # stable: ties by index
+    tails = [col_grades[j][1:] for j in order]
     last = {t: pos for pos, t in enumerate(tails)}  # last position per tail
     redundant = set()
     for s, end in last.items():
@@ -345,24 +347,28 @@ def parse_presentation(text: str) -> Presentation:
     if tokens != ["mppres", "1"]:
         raise InputError(f"line {line_no}: expected header 'mppres 1'")
     line_no, tokens = next_tokens("'params <d>'")
-    if len(tokens) != 2 or tokens[0] != "params" or not tokens[1].lstrip("-").isdigit():
+    if len(tokens) != 2 or tokens[0] != "params" or not tokens[1].removeprefix("-").isdecimal():
         raise InputError(f"line {line_no}: expected 'params <d>'")
     d = int(tokens[1])
     if d < 1:
         raise InputError(f"line {line_no}: parameter count must be positive")
 
-    def parse_grade(line_no: int, toks) -> Grade:
+    def parse_grade(line_no: int, toks) -> Tuple[int, ...]:
         if len(toks) != d:
             raise InputError(
                 f"line {line_no}: expected {d} grade coordinates, got {len(toks)}"
             )
         try:
-            return Grade(tuple(int(t) for t in toks))
+            coords = [int(t) for t in toks]
         except ValueError:
             raise InputError(f"line {line_no}: non-integer grade in {toks}") from None
+        try:
+            return check_grade(coords)
+        except InputError as exc:
+            raise InputError(f"line {line_no}: {exc}") from None
 
     line_no, tokens = next_tokens("'rows <n>'")
-    if len(tokens) != 2 or tokens[0] != "rows" or not tokens[1].isdigit():
+    if len(tokens) != 2 or tokens[0] != "rows" or not tokens[1].isdecimal():
         raise InputError(f"line {line_no}: expected 'rows <n>'")
     n = int(tokens[1])
     row_grades = []
@@ -373,7 +379,7 @@ def parse_presentation(text: str) -> Presentation:
         row_grades.append(parse_grade(line_no, tokens[1:]))
 
     line_no, tokens = next_tokens("'cols <m>'")
-    if len(tokens) != 2 or tokens[0] != "cols" or not tokens[1].isdigit():
+    if len(tokens) != 2 or tokens[0] != "cols" or not tokens[1].isdecimal():
         raise InputError(f"line {line_no}: expected 'cols <m>'")
     m = int(tokens[1])
     col_grades = []
@@ -396,12 +402,12 @@ def parse_presentation(text: str) -> Presentation:
             if not leq(row_grades[i], g):
                 raise InputError(
                     f"line {line_no}: entry at row {i} breaks homogeneity: "
-                    f"row grade {row_grades[i]} is not <= column grade {g}"
+                    f"row grade {fmt(row_grades[i])} is not <= column grade {fmt(g)}"
                 )
             v |= 1 << i
         cols.append(v)
 
-    matrix = GradedMatrix(F2Matrix(n, cols), row_grades, col_grades)
+    matrix = GradedMatrix(F2Matrix(n, cols), row_grades, col_grades, d=d)
     return Presentation(matrix, case_tag=RAW)
 
 

@@ -5,9 +5,34 @@ part of the program needs them.
 """
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List, Sequence
 
 from mpdecomp import BettiTable, F2Matrix, GradeBox, leq
+
+
+def from_dense(rows: Sequence[Sequence[int]]) -> F2Matrix:
+    """The matrix with these 0/1 rows."""
+    n_cols = len(rows[0]) if rows else 0
+    if any(len(r) != n_cols for r in rows):
+        raise ValueError("ragged dense matrix")
+    return F2Matrix(
+        len(rows),
+        [sum((r[j] & 1) << i for i, r in enumerate(rows)) for j in range(n_cols)],
+    )
+
+
+def matmul(A: F2Matrix, B: F2Matrix) -> F2Matrix:
+    """The product AB over F2: column j of AB sums the columns of A in B's column j."""
+    if A.n_cols != B.n_rows:
+        raise ValueError(f"shape mismatch: {A.n_rows}x{A.n_cols} times {B.n_rows}x{B.n_cols}")
+    out = []
+    for b in B.cols:
+        acc = 0
+        for k, a in enumerate(A.cols):
+            if (b >> k) & 1:
+                acc ^= a
+        out.append(acc)
+    return F2Matrix(A.n_rows, out)
 
 
 def rank(M: F2Matrix) -> int:
@@ -22,6 +47,15 @@ def rank(M: F2Matrix) -> int:
                 pivots[lw] = cur
                 break
     return len(pivots)
+
+
+def merge_tables(tables: Iterable[BettiTable]) -> BettiTable:
+    """The entrywise sum of Betti tables."""
+    out = BettiTable({})
+    for table in tables:
+        for (deg, g), cnt in table.entries.items():
+            out.add(deg, g, cnt)
+    return out
 
 
 def betti_euler_function(table: BettiTable, box: GradeBox) -> List[int]:

@@ -300,6 +300,62 @@ def test_grades_at_the_top_of_the_64_bit_range(tmp_path, capsys):
     assert out == f"x1,block_id,dim\n{top},0,1\n"
 
 
+def test_presentation_without_grades_keeps_its_parameter_count(tmp_path, capsys):
+    # a point has no degree-1 homology, so its presentation has no grades
+    point = tmp_path / "point.mpfilt"
+    point.write_text("mpfilt 1\nparams 2\ns 0 0 :\n")
+    code, out, _ = run_cli(capsys, "export-pres", str(point), "--dim", "1")
+    assert code == 0
+    assert out == "mppres 1\nparams 2\nrows 0\ncols 0\n"
+    code, out, _ = run_cli(capsys, "decompose", str(point), "--dim", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["d"] == 2 and payload["box"] == {"lo": [0, 0], "hi": [1, 1]}
+
+
+def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys):
+    empty = tmp_path / "empty.mppres"
+    empty.write_text("mppres 1\nparams 2\nrows 0\ncols 0\n")
+    code, out, err = run_cli(capsys, "decompose", str(empty), "--box", "0,0:1,1")
+    assert code == 0, err
+    assert json.loads(out)["d"] == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("mppres 1\nparams \u00b2\n", "line 2: expected 'params <d>'"),
+        ("mppres 1\nparams --1\n", "line 2: expected 'params <d>'"),
+        ("mppres 1\nparams 1\nrows \u00b2\n", "line 3: expected 'rows <n>'"),
+        ("mppres 1\nparams 1\nrows 0\ncols \u00b3\n", "line 4: expected 'cols <m>'"),
+        ("mppres 1\nparams 1\nrows 1\nr \u00b2\ncols 0\n", "line 4: non-integer grade"),
+        (
+            "mppres 1\nparams 1\nrows 1\nr 9223372036854775808\ncols 0\n",
+            "line 4: grade coordinate 9223372036854775808 outside 64-bit range",
+        ),
+        (
+            "mppres 1\nparams 1\nrows 1\nr 0\ncols 1\nc -9223372036854775809 : \n",
+            "line 6: grade coordinate -9223372036854775809 outside 64-bit range",
+        ),
+    ],
+    ids=[
+        "params-superscript",
+        "params-double-minus",
+        "rows-superscript",
+        "cols-superscript",
+        "grade-superscript",
+        "row-grade-too-high",
+        "column-grade-too-low",
+    ],
+)
+def test_mppres_counts_and_coordinates_fail_with_line_numbers(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.mppres"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(capsys, "decompose", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+
+
 def test_readme_names_exactly_the_cli_flags():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]

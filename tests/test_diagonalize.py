@@ -9,8 +9,8 @@ from mpdecomp import (
     GradedMatrix,
     IndexBlock,
     Op,
+    Presentation,
     block_reduce,
-    grade,
     lin,
     minimize,
     parse_filtration,
@@ -24,14 +24,16 @@ from mpdecomp.errors import InputError, TiedGradesError
 from mpdecomp.graded import admissible_ops
 from mpdecomp.grades import tied_pairs
 from mpdecomp.oracle import brute_force_finest, op_pairs
+from reference import from_dense
 from test_acceptance import merge_chain, random_filtration_text
+from test_presentation import random_graph_boundary
 
 
 def triangle_matrix() -> GradedMatrix:
     return GradedMatrix(
-        F2Matrix.from_dense([[1, 1, 0], [1, 0, 1], [0, 1, 1]]),
-        [grade(0, 1), grade(1, 0), grade(1, 1)],
-        [grade(1, 1), grade(1, 2), grade(2, 1)],
+        from_dense([[1, 1, 0], [1, 0, 1], [0, 1, 1]]),
+        [(0, 1), (1, 0), (1, 1)],
+        [(1, 1), (1, 2), (2, 1)],
         ["b", "r", "g"],
         ["br", "bg", "rg"],
     )
@@ -42,18 +44,18 @@ def random_sorted_graded(rng: random.Random, n_max=4, m_max=5) -> GradedMatrix:
     m = rng.randint(1, m_max)
     pool = [(a, b) for a in range(4) for b in range(4)]
     picks = rng.sample(pool, n + m)
-    rows = [grade(*c) for c in picks[:n]]
-    cols = [grade(*c) for c in picks[n:]]
+    rows = [tuple(c) for c in picks[:n]]
+    cols = [tuple(c) for c in picks[n:]]
     dense = [
         [
             rng.randint(0, 1)
-            if all(x <= y for x, y in zip(rows[i].coords, cols[j].coords))
+            if all(x <= y for x, y in zip(rows[i], cols[j]))
             else 0
             for j in range(m)
         ]
         for i in range(n)
     ]
-    M = GradedMatrix(F2Matrix.from_dense(dense), rows, cols)
+    M = GradedMatrix(from_dense(dense), rows, cols)
     S, _, _ = sort_by_grade(M)
     return S
 
@@ -70,7 +72,7 @@ def lin_inv(v: int, rows, cols) -> F2Matrix:
 
 def test_lin_orders_last_column_first():
     # bit significance: a later column beats any row position
-    mat = F2Matrix.from_dense([[1, 0], [0, 1]])
+    mat = from_dense([[1, 0], [0, 1]])
     v = lin(mat, [0, 1], [0, 1])
     # col 1 occupies the low bits (rows ascending), col 0 the high bits
     assert v == (0b01 << 2) | 0b10
@@ -83,7 +85,7 @@ def test_lin_round_trip_random():
     for _ in range(100):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         dense = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
-        mat = F2Matrix.from_dense(dense)
+        mat = from_dense(dense)
         rows = sorted(rng.sample(range(n), rng.randint(1, n)))
         cols = sorted(rng.sample(range(m), rng.randint(1, m)))
         sub = mat.submatrix(rows, cols)
@@ -107,8 +109,8 @@ def test_worked_example_diagonalization():
 def test_zero_matrix_gives_singletons():
     M = GradedMatrix(
         F2Matrix.zeros(2, 2),
-        [grade(0, 0), grade(0, 1)],
-        [grade(1, 0), grade(1, 1)],
+        [(0, 0), (0, 1)],
+        [(1, 0), (1, 1)],
     )
     diag = tot_diagonalize(M)
     assert diag.blocks == [
@@ -123,9 +125,9 @@ def test_zero_matrix_gives_singletons():
 def test_incomparable_column_cannot_split():
     # single relation involving three incomparable generators stays whole
     M = GradedMatrix(
-        F2Matrix.from_dense([[1], [1], [1]]),
-        [grade(0, 0, 2), grade(0, 2, 0), grade(2, 0, 0)],
-        [grade(2, 2, 2)],
+        from_dense([[1], [1], [1]]),
+        [(0, 0, 2), (0, 2, 0), (2, 0, 0)],
+        [(2, 2, 2)],
     )
     diag = tot_diagonalize(M)
     assert diag.blocks == [IndexBlock((0, 1, 2), (0,))]
@@ -134,8 +136,8 @@ def test_incomparable_column_cannot_split():
 def test_unsorted_input_rejected():
     M = GradedMatrix(
         F2Matrix.zeros(2, 1),
-        [grade(1, 1), grade(0, 0)],
-        [grade(2, 2)],
+        [(1, 1), (0, 0)],
+        [(2, 2)],
     )
     with pytest.raises(InputError):
         tot_diagonalize(M)
@@ -143,13 +145,13 @@ def test_unsorted_input_rejected():
 
 def test_tied_grades_rejected_then_perturbed():
     M = GradedMatrix(
-        F2Matrix.from_dense([[1], [1]]),
-        [grade(0, 0), grade(0, 0)],
-        [grade(1, 1)],
+        from_dense([[1], [1]]),
+        [(0, 0), (0, 0)],
+        [(1, 1)],
     )
     with pytest.raises(TiedGradesError) as info:
         tot_diagonalize(M)
-    assert info.value.pairs == [(0, 1, grade(0, 0))]
+    assert info.value.pairs == [(0, 1, (0, 0))]
     diag = tot_diagonalize(M, perturb_ties=True)
     assert diag.perturbed
     assert len(diag.blocks) == 2
@@ -178,20 +180,34 @@ def test_diagonalization_is_idempotent():
         assert second.matrix.mat == first.matrix.mat
 
 
-def test_earlier_columns_never_regress():
-    # after iteration t finishes, columns <= t stay fixed for the rest
+def test_earlier_columns_never_regress(monkeypatch):
+    # once iteration t starts, columns < t stay fixed for the rest: they
+    # equal the final matrix's before and after every block_reduce at t
+    real = diagonalize.block_reduce
+    seen = []
+
+    def watched(A, ops, T, t, certificate=None):
+        before = A.mat.cols[:t]
+        ok = real(A, ops, T, t, certificate)
+        seen.append((t, before, A.mat.cols[:t]))
+        return ok
+
+    monkeypatch.setattr(diagonalize, "block_reduce", watched)
     rng = random.Random(29)
-    for _ in range(50):
-        M = random_sorted_graded(rng, n_max=4, m_max=4)
-        snapshots = []
-
-        def snap(t, matrix):
-            snapshots.append((t, [matrix.mat.column(j) for j in range(t + 1)]))
-
-        tot_diagonalize(M, iteration_hook=snap)
-        final = tot_diagonalize(M).matrix
-        for t, cols in snapshots:
-            assert cols == [final.mat.column(j) for j in range(t + 1)]
+    cases = [random_sorted_graded(rng, n_max=4, m_max=4) for _ in range(50)]
+    # H0 of random graphs: clearing their blocks also takes column
+    # additions into columns before t, which undo the row additions there
+    for _ in range(30):
+        pres = minimize(Presentation(random_graph_boundary(rng, 10, 20), case_tag="H0"))
+        cases.append(sort_by_grade(pres.matrix)[0])
+    calls = 0
+    for M in cases:
+        seen.clear()
+        final = tot_diagonalize(M, perturb_ties=True).matrix.mat.cols
+        calls += len(seen)
+        for t, before, after in seen:
+            assert before == final[:t] and after == final[:t]
+    assert calls > 500
 
 
 def test_block_reduce_splits_worked_example_block():
@@ -202,7 +218,7 @@ def test_block_reduce_splits_worked_example_block():
     T = IndexBlock((0, 1), (1, 2))
     ok = block_reduce(M, ops, T, 1)
     assert ok
-    assert M.mat.column(1) & 0b011 == 0
+    assert M.mat.cols[1] & 0b011 == 0
 
 
 def test_replay_certificate_rejects_illegal_ops():

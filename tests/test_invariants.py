@@ -21,7 +21,6 @@ from mpdecomp import (
     blockcodes,
     default_box,
     dimension_function,
-    grade,
     leq,
     minimize,
     parse_filtration,
@@ -34,7 +33,7 @@ from mpdecomp import (
 from mpdecomp.errors import InputError
 from mpdecomp.invariants import MAX_BOX_POINTS
 from mpdecomp.oracle import dim_oracle
-from reference import betti_euler_function, rank
+from reference import betti_euler_function, from_dense, merge_tables, rank
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -49,32 +48,32 @@ def triangle_pipeline():
 
 
 def test_grade_box_basics():
-    box = GradeBox(grade(0, 0), grade(2, 1))
+    box = GradeBox((0, 0), (2, 1))
     assert box.shape == (3, 2)
     pts = list(box.grades())
-    assert pts[0] == grade(0, 0) and pts[-1] == grade(2, 1)
+    assert pts[0] == (0, 0) and pts[-1] == (2, 1)
     assert len(pts) == 6
     with pytest.raises(InputError):
-        GradeBox(grade(1, 1), grade(0, 0))
+        GradeBox((1, 1), (0, 0))
 
 
 def test_default_box_covers_all_grades():
     final, _ = triangle_pipeline()
     box = default_box(final)
-    assert box.lo == grade(0, 0)
-    assert box.hi == grade(3, 3)  # componentwise max + 1
+    assert box.lo == (0, 0)
+    assert box.hi == (3, 3)  # componentwise max + 1
     for g in list(final.matrix.row_grades) + list(final.matrix.col_grades):
         assert leq(box.lo, g) and leq(g, box.hi)
     empty = Presentation(
-        GradedMatrix(F2Matrix.zeros(0, 0), [], []), case_tag="RAW"
+        GradedMatrix(F2Matrix.zeros(0, 0), [], [], d=2), case_tag="RAW"
     )
-    fallback = default_box(empty, d=2)
-    assert fallback.lo == grade(0, 0) and fallback.hi == grade(1, 1)
+    fallback = default_box(empty)
+    assert fallback.lo == (0, 0) and fallback.hi == (1, 1)
 
 
 def test_dimension_function_matches_hand_values():
     final, _ = triangle_pipeline()
-    box = GradeBox(grade(0, 0), grade(2, 2))
+    box = GradeBox((0, 0), (2, 2))
     dm = dimension_function(final, box)
     # dims of H0 of the triangle complex on the grid
     expected = [
@@ -96,21 +95,21 @@ def test_dimension_function_agrees_with_oracle_everywhere():
 
 def test_dim_oracle_example_values():
     final, _ = triangle_pipeline()
-    assert dim_oracle(final, grade(1, 1)) == 2
-    assert dim_oracle(final, grade(0, 0)) == 0
-    assert dim_oracle(final, grade(2, 2)) == 1
+    assert dim_oracle(final, (1, 1)) == 2
+    assert dim_oracle(final, (0, 0)) == 0
+    assert dim_oracle(final, (2, 2)) == 1
 
 
 def test_box_must_cover_presentation():
     final, _ = triangle_pipeline()
     with pytest.raises(InputError):
-        dimension_function(final, GradeBox(grade(0, 0), grade(1, 1)))
+        dimension_function(final, GradeBox((0, 0), (1, 1)))
 
 
 def test_box_over_point_cap_rejected():
     final, diag = triangle_pipeline()
     side = int(MAX_BOX_POINTS**0.5) + 1  # just over the cap
-    box = GradeBox(grade(0, 0), grade(side - 1, side - 1))
+    box = GradeBox((0, 0), (side - 1, side - 1))
     for call in (
         lambda: dimension_function(final, box),
         lambda: blockcodes(final, diag.blocks, box),
@@ -134,39 +133,33 @@ def test_persistent_betti_reproduces_reference_table():
     assert len(tables) == 2
     (b1, t1), (b2, t2) = tables
     assert b1.rows == (0, 1) and b2.rows == (2,)
-    assert sorted(g.coords for g in t1.degree(0)) == [(0, 1), (1, 0)]
-    assert [g.coords for g in t1.degree(1)] == [(1, 1)]
+    assert sorted(t1.degree(0)) == [(0, 1), (1, 0)]
+    assert t1.degree(1) == [(1, 1)]
     assert t1.degree(2) == []
-    assert [g.coords for g in t2.degree(0)] == [(1, 1)]
-    assert sorted(g.coords for g in t2.degree(1)) == [(1, 2), (2, 1)]
-    assert [g.coords for g in t2.degree(2)] == [(2, 2)]
+    assert t2.degree(0) == [(1, 1)]
+    assert sorted(t2.degree(1)) == [(1, 2), (2, 1)]
+    assert t2.degree(2) == [(2, 2)]
 
 
 def test_global_betti_is_sum_of_blocks():
     final, diag = triangle_pipeline()
     whole = betti01(final)
-    merged = BettiTable({})
-    for _, table in persistent_betti(final, diag.blocks):
-        merged = merged.merged_with(table)
+    merged = merge_tables(table for _, table in persistent_betti(final, diag.blocks))
     for deg in (0, 1):
-        assert sorted(g.coords for g in merged.degree(deg)) == sorted(
-            g.coords for g in whole.degree(deg)
-        )
+        assert sorted(merged.degree(deg)) == sorted(whole.degree(deg))
     b2_whole = betti_higher_2param(final)
-    assert sorted(g.coords for g in b2_whole) == sorted(
-        g.coords for g in merged.degree(2)
-    )
+    assert sorted(b2_whole) == sorted(merged.degree(2))
 
 
 def test_blockcode_reference_values():
     final, diag = triangle_pipeline()
-    box = GradeBox(grade(0, 0), grade(3, 3))
+    box = GradeBox((0, 0), (3, 3))
     codes = blockcodes(final, diag.blocks, box)
     assert len(codes) == 2
     m1, m2 = codes
     for u, v1, v2 in zip(box.grades(), m1.values, m2.values, strict=True):
-        assert v1 == (1 if (leq(grade(1, 0), u) or leq(grade(0, 1), u)) else 0)
-        assert v2 == (1 if u == grade(1, 1) else 0)
+        assert v1 == (1 if (leq((1, 0), u) or leq((0, 1), u)) else 0)
+        assert v2 == (1 if u == (1, 1) else 0)
 
 
 def test_dimension_function_additive_over_blocks():
@@ -193,9 +186,9 @@ def test_persistent_betti_skips_free_columns_only_blocks():
     # a presentation with a dead relation column: the (), (t) block carries
     # no generators and must not contribute Betti entries
     M = GradedMatrix(
-        F2Matrix.from_dense([[1, 0]]),
-        [grade(0, 0)],
-        [grade(1, 0), grade(1, 1)],
+        from_dense([[1, 0]]),
+        [(0, 0)],
+        [(1, 0), (1, 1)],
     )
     P = Presentation(M, case_tag="RAW", minimized=True)
     diag = tot_diagonalize(M)
@@ -207,11 +200,11 @@ def test_persistent_betti_skips_free_columns_only_blocks():
 
 def test_betti_table_merge_and_counts():
     t = BettiTable({})
-    t.add(0, grade(0, 0))
-    t.add(0, grade(0, 0))
-    t.add(1, grade(1, 1))
-    assert [g.coords for g in t.degree(0)] == [(0, 0), (0, 0)]
-    u = t.merged_with(t)
+    t.add(0, (0, 0))
+    t.add(0, (0, 0))
+    t.add(1, (1, 1))
+    assert t.degree(0) == [(0, 0), (0, 0)]
+    u = merge_tables([t, t])
     assert len(u.degree(0)) == 4
 
 
@@ -221,20 +214,20 @@ def presentation_and_box(draw):
     that reaches below and above its grades."""
     d = draw(st.sampled_from([2, 3]))
     coords = st.lists(st.integers(0, 3), min_size=d, max_size=d).map(
-        lambda c: grade(*c)
+        lambda c: tuple(c)
     )
     rows = draw(st.lists(coords, min_size=1, max_size=4))
     cols = draw(st.lists(coords, max_size=4))
     dense = [
         [draw(st.integers(0, 1)) if leq(r, c) else 0 for c in cols] for r in rows
     ]
-    mat = F2Matrix.from_dense(dense) if cols else F2Matrix.zeros(len(rows), 0)
+    mat = from_dense(dense) if cols else F2Matrix.zeros(len(rows), 0)
     P = Presentation(GradedMatrix(mat, rows, cols), case_tag="RAW")
     grades = rows + cols
     below = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
     above = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
-    lo = grade(*(min(g[k] for g in grades) - below[k] for k in range(d)))
-    hi = grade(*(max(g[k] for g in grades) + above[k] for k in range(d)))
+    lo = tuple(min(g[k] for g in grades) - below[k] for k in range(d))
+    hi = tuple(max(g[k] for g in grades) + above[k] for k in range(d))
     return P, GradeBox(lo, hi)
 
 
@@ -252,7 +245,7 @@ def random_presentation(rng, d, n_rows, n_cols, coords):
     """Random homogeneous presentation; coords(k) draws the k-th coordinates
     of all n_rows + n_cols grades, rows first."""
     axes = [coords(k) for k in range(d)]
-    grades = [grade(*(axis[i] for axis in axes)) for i in range(n_rows + n_cols)]
+    grades = [tuple(axis[i] for axis in axes) for i in range(n_rows + n_cols)]
     rows, cols = grades[:n_rows], grades[n_rows:]
     vecs = [
         sum(1 << i for i, r in enumerate(rows) if leq(r, c) and rng.random() < 0.5)
@@ -270,7 +263,7 @@ def assert_matches_oracle(P, box):
 
 def widened(box):
     return GradeBox(
-        grade(*(x - 1 for x in box.lo)), grade(*(x + 1 for x in box.hi))
+        tuple(x - 1 for x in box.lo), tuple(x + 1 for x in box.hi)
     )
 
 
@@ -296,10 +289,10 @@ def test_dimension_function_matches_oracle_in_one_and_three_parameters(d):
 
 def test_dimension_function_at_the_64_bit_edge():
     top = 2**63 - 1
-    rows = [grade(top - 3, -(2**63)), grade(top - 1, -(2**63) + 1)]
-    cols = [grade(top - 1, -(2**63) + 2)]
+    rows = [(top - 3, -(2**63)), (top - 1, -(2**63) + 1)]
+    cols = [(top - 1, -(2**63) + 2)]
     P = Presentation(GradedMatrix(F2Matrix(2, [0b11]), rows, cols), case_tag="RAW")
-    box = GradeBox(grade(top - 4, -(2**63)), grade(top, -(2**63) + 3))
+    box = GradeBox((top - 4, -(2**63)), (top, -(2**63) + 3))
     assert_matches_oracle(P, box)
 
 
@@ -330,8 +323,8 @@ def rank_betti01(M: GradedMatrix):
     The second is Tor_1 read off 0 -> im M -> F_0 -> coker M -> 0; the unit
     term vanishes when no entry of M has equal row and column grade.
     """
-    rows = [g.coords for g in M.row_grades]
-    cols = [g.coords for g in M.col_grades]
+    rows = M.row_grades
+    cols = M.col_grades
     axes = [sorted({g[k] for g in rows + cols}) for k in range(M.d)]
 
     def col_rank(vecs):
@@ -354,19 +347,19 @@ def test_betti01_of_minimize_matches_rank_counts():
         d = 2 if case % 3 else 3
         span = rng.choice([1, 2])  # coordinates in 0..span: exact ties are common
         n, m = rng.randint(0, 6), rng.randint(0, 8)
-        rows = [grade(*(rng.randint(0, span) for _ in range(d))) for _ in range(n)]
-        cols = [grade(*(rng.randint(0, span) for _ in range(d))) for _ in range(m)]
+        rows = [tuple(rng.randint(0, span) for _ in range(d)) for _ in range(n)]
+        cols = [tuple(rng.randint(0, span) for _ in range(d)) for _ in range(m)]
         vecs = [
             sum(1 << i for i in range(n) if leq(rows[i], c) and rng.random() < 0.6)
             for c in cols
         ]
-        M = GradedMatrix(F2Matrix(n, vecs), rows, cols)
+        M = GradedMatrix(F2Matrix(n, vecs), rows, cols, d=d)
         table = betti01(minimize(Presentation(M, case_tag="RAW")))
         b0, b1 = rank_betti01(M)
         for deg, want in ((0, b0), (1, b1)):
             got = {}
             for g in table.degree(deg):
-                got[g.coords] = got.get(g.coords, 0) + 1
+                got[g] = got.get(g, 0) + 1
             assert got == {u: k for u, k in want.items() if k}, (case, deg)
 
 
@@ -379,5 +372,5 @@ def test_minimize_drops_relation_that_only_closes_a_cycle():
         "s 1 0 : 0 1\ns 1 0 : 1 2\ns 2 0 : 0 2\n"
     )
     table = betti01(minimize(pres_h0(filt)))
-    assert table.degree(0) == [grade(0, 0)] * 3
-    assert table.degree(1) == [grade(1, 0), grade(1, 0)]
+    assert table.degree(0) == [(0, 0)] * 3
+    assert table.degree(1) == [(1, 0), (1, 0)]

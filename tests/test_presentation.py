@@ -9,14 +9,12 @@ import pytest
 
 from mpdecomp import (
     F2Matrix,
-    Grade,
     GradedMatrix,
     KernelElement,
     Presentation,
     betti_higher_2param,
     boundary_matrix,
     format_presentation,
-    grade,
     kernel_gens,
     leq,
     minimize,
@@ -30,6 +28,7 @@ from mpdecomp import (
 )
 from mpdecomp.errors import InputError
 from mpdecomp.oracle import _row_echelon_rank
+from reference import from_dense
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -45,14 +44,14 @@ def test_kernel_basis_of_triangle_boundary():
     d1 = boundary_matrix(load("triangle.mpfilt"), 1)
     basis = kernel_gens(d1)
     assert len(basis) == 1
-    assert basis[0].grade == grade(2, 2)
+    assert basis[0].grade == (2, 2)
     assert basis[0].coords == 0b111  # the full cycle br+bg+rg
 
 
 def test_kernel_genset_registers_multiple_minimal_grades():
     d1 = boundary_matrix(load("k23.mpfilt"), 1)
     gens = kernel_gens(d1)
-    assert [(g.grade.coords, g.coords) for g in gens] == [
+    assert [(g.grade, g.coords) for g in gens] == [
         ((0, 1, 1), 0b001111),
         ((1, 0, 1), 0b110011),
         ((1, 1, 0), 0b111100),
@@ -72,13 +71,13 @@ def test_basis_paths_require_two_parameters():
 def random_graded_cols(rng: random.Random, d: int = 2, m_max: int = 6) -> GradedMatrix:
     n = rng.randint(1, 5)
     m = rng.randint(1, m_max)
-    rows = [grade(*(rng.randint(0, 3) for _ in range(d))) for _ in range(n)]
-    cols = [grade(*(rng.randint(0, 3) for _ in range(d))) for _ in range(m)]
+    rows = [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(n)]
+    cols = [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(m)]
     dense = [
         [rng.randint(0, 1) if leq(rows[i], cols[j]) else 0 for j in range(m)]
         for i in range(n)
     ]
-    return GradedMatrix(F2Matrix.from_dense(dense), rows, cols)
+    return GradedMatrix(from_dense(dense), rows, cols)
 
 
 def gradewise_nullity(M: GradedMatrix, u) -> int:
@@ -106,7 +105,7 @@ def grid_points(M: GradedMatrix):
 
     axes = [sorted({g[k] for g in M.col_grades}) for k in range(M.d)]
     for point in product(*axes):
-        yield grade(*point)
+        yield tuple(point)
 
 
 def assert_kernel_sound_and_complete(M: GradedMatrix):
@@ -123,7 +122,7 @@ def assert_kernel_sound_and_complete(M: GradedMatrix):
         assert kernel_rank_at(M, gens, u) == gradewise_nullity(M, u)
     if M.d == 2:
         # with two parameters the generators are a basis: globally independent
-        top = grade(*(max(g[k] for g in M.col_grades) for k in range(M.d)))
+        top = tuple(max(g[k] for g in M.col_grades) for k in range(M.d))
         assert kernel_rank_at(M, gens, top) == len(gens)
 
 
@@ -153,8 +152,7 @@ def per_point_kernel_gens(M: GradedMatrix, first_only: bool = False):
     axes = [sorted({g[k] for g in M.col_grades}) for k in range(M.d)]
     recorded = {}
     out = []
-    for point in product(*axes):
-        z = Grade(point)
+    for z in product(*axes):
         active = [j for j in order if leq(M.col_grades[j], z)]
         pivots = {}
         for j in active:
@@ -180,7 +178,7 @@ def per_point_kernel_gens(M: GradedMatrix, first_only: bool = False):
 
 
 def gens_key(gens):
-    return [(g.grade.coords, g.coords) for g in gens]
+    return [(g.grade, g.coords) for g in gens]
 
 
 def test_kernel_slice_sweep_equals_per_point_sweep_random():
@@ -190,13 +188,13 @@ def test_kernel_slice_sweep_equals_per_point_sweep_random():
         d = rng.choice((1, 2, 3, 4))
         span = rng.randint(0, 3)  # few distinct coordinates: exact ties are common
         n, m = rng.randint(1, 6), rng.randint(1, 9)
-        rows = [grade(*(rng.randint(0, span) for _ in range(d))) for _ in range(n)]
-        cols = [grade(*(rng.randint(0, span) for _ in range(d))) for _ in range(m)]
+        rows = [tuple(rng.randint(0, span) for _ in range(d)) for _ in range(n)]
+        cols = [tuple(rng.randint(0, span) for _ in range(d)) for _ in range(m)]
         dense = [
             [rng.randint(0, 1) if leq(rows[i], cols[j]) else 0 for j in range(m)]
             for i in range(n)
         ]
-        M = GradedMatrix(F2Matrix.from_dense(dense), rows, cols)
+        M = GradedMatrix(from_dense(dense), rows, cols)
         got = gens_key(kernel_gens(M))
         assert got == gens_key(per_point_kernel_gens(M))
         checked += 1
@@ -213,10 +211,10 @@ def random_graph_boundary(rng: random.Random, nv: int = 30, ne: int = 90) -> Gra
     Shaped like the degree-1 inputs of the benchmark's export family:
     vertices at random grades, edges at the lub of their ends plus a jitter.
     """
-    verts = [grade(rng.randrange(1000), rng.randrange(1000)) for _ in range(nv)]
+    verts = [(rng.randrange(1000), rng.randrange(1000)) for _ in range(nv)]
     pairs = rng.sample([(u, v) for u in range(nv) for v in range(u + 1, nv)], ne)
     edge_grades = [
-        grade(*(max(verts[u][k], verts[v][k]) + rng.randint(0, 2) for k in range(2)))
+        tuple(max(verts[u][k], verts[v][k]) + rng.randint(0, 2) for k in range(2))
         for u, v in pairs
     ]
     return GradedMatrix(
@@ -244,7 +242,7 @@ def test_rewrite_in_basis_triangle_h1():
     d2 = boundary_matrix(filt, 2)  # no triangles: 3x0
     out = rewrite_in_basis(d2, basis)
     assert out.n_rows == 1 and out.n_cols == 0
-    assert out.row_grades == [grade(2, 2)]
+    assert out.row_grades == [(2, 2)]
 
 
 def test_rewrite_respects_column_grades():
@@ -252,15 +250,15 @@ def test_rewrite_respects_column_grades():
     # rewrite must fail loudly rather than produce an inhomogeneous result
     from mpdecomp.errors import InternalCheckError
 
-    cols = GradedMatrix(F2Matrix.from_dense([[1], [0]]),
-                        [grade(0, 0), grade(0, 0)], [grade(1, 0)])
-    late = [KernelElement(grade(0, 5), 0b01), KernelElement(grade(0, 0), 0b10)]
+    cols = GradedMatrix(from_dense([[1], [0]]),
+                        [(0, 0), (0, 0)], [(1, 0)])
+    late = [KernelElement((0, 5), 0b01), KernelElement((0, 0), 0b10)]
     with pytest.raises(InternalCheckError):
         rewrite_in_basis(cols, late)
     with pytest.raises(InputError):
-        rewrite_in_basis(cols, [KernelElement(grade(0, 0, 0), 0b01)])
+        rewrite_in_basis(cols, [KernelElement((0, 0, 0), 0b01)])
     with pytest.raises(InputError):
-        rewrite_in_basis(cols, [KernelElement(grade(0, 0), 0b100)])
+        rewrite_in_basis(cols, [KernelElement((0, 0), 0b100)])
 
 
 # -- presentation constructions ----------------------------------------------
@@ -277,9 +275,9 @@ def test_pres_h0_is_the_boundary_matrix():
 def test_pres_2param_suspension_minimizes_to_known_4x3():
     P = minimize(pres_2param(load("suspension.mpfilt"), 1))
     M = P.matrix
-    assert [g.coords for g in M.row_grades] == [(0, 1), (1, 0), (1, 1), (2, 2)]
-    assert sorted(g.coords for g in M.col_grades) == [(1, 1), (1, 2), (2, 1)]
-    by_grade = {M.col_grades[j].coords: sorted(
+    assert M.row_grades == [(0, 1), (1, 0), (1, 1), (2, 2)]
+    assert sorted(M.col_grades) == [(1, 1), (1, 2), (2, 1)]
+    by_grade = {M.col_grades[j]: sorted(
         i for i in range(4) if M.mat.entry(i, j)) for j in range(3)}
     assert by_grade == {(1, 1): [0, 1], (1, 2): [0, 2], (2, 1): [1, 2]}
 
@@ -288,8 +286,8 @@ def test_pres_dparam_k23_single_syzygy():
     P = pres_dparam(load("k23.mpfilt"), 1)
     assert P.case_tag == "D_PARAM"
     assert P.n_rows == 3 and P.n_cols == 1
-    assert P.matrix.col_grades == [grade(1, 1, 1)]
-    assert P.matrix.mat.column(0) == 0b111
+    assert P.matrix.col_grades == [(1, 1, 1)]
+    assert P.matrix.mat.cols[0] == 0b111
     # already minimal: no generator grade equals the relation grade
     Q = minimize(P)
     assert Q.matrix.mat.to_dense() == P.matrix.mat.to_dense()
@@ -299,12 +297,8 @@ def test_pres_dparam_agrees_with_2param_on_suspension():
     filt = load("suspension.mpfilt")
     a = minimize(pres_2param(filt, 1))
     b = minimize(pres_dparam(filt, 1))
-    assert sorted(g.coords for g in a.matrix.row_grades) == sorted(
-        g.coords for g in b.matrix.row_grades
-    )
-    assert sorted(g.coords for g in a.matrix.col_grades) == sorted(
-        g.coords for g in b.matrix.col_grades
-    )
+    assert sorted(a.matrix.row_grades) == sorted(b.matrix.row_grades)
+    assert sorted(a.matrix.col_grades) == sorted(b.matrix.col_grades)
 
 
 def test_degree_guards():
@@ -323,28 +317,28 @@ def test_degree_guards():
 def test_minimize_removes_unit_pivot():
     # generator at (1,1) cancels against the relation at (1,1)
     M = GradedMatrix(
-        F2Matrix.from_dense([[1, 1], [1, 0]]),
-        [grade(1, 1), grade(0, 0)],
-        [grade(1, 1), grade(2, 2)],
+        from_dense([[1, 1], [1, 0]]),
+        [(1, 1), (0, 0)],
+        [(1, 1), (2, 2)],
     )
     P = minimize(Presentation(M, case_tag="RAW"))
     assert P.minimized
     assert P.n_rows == 1 and P.n_cols == 1
-    assert P.matrix.row_grades == [grade(0, 0)]
-    assert P.matrix.col_grades == [grade(2, 2)]
+    assert P.matrix.row_grades == [(0, 0)]
+    assert P.matrix.col_grades == [(2, 2)]
     # the surviving relation keeps its image in the surviving generator
     assert P.matrix.mat.to_dense() == [[1]]
 
 
 def test_minimize_drops_zero_columns():
     M = GradedMatrix(
-        F2Matrix.from_dense([[0, 1]]),
-        [grade(0, 0)],
-        [grade(1, 0), grade(1, 1)],
+        from_dense([[0, 1]]),
+        [(0, 0)],
+        [(1, 0), (1, 1)],
     )
     P = minimize(Presentation(M, case_tag="RAW"))
     assert P.n_cols == 1
-    assert P.matrix.col_grades == [grade(1, 1)]
+    assert P.matrix.col_grades == [(1, 1)]
 
 
 def test_minimize_preserves_dimension_function():
@@ -355,13 +349,13 @@ def test_minimize_preserves_dimension_function():
         M = random_graded_cols(rng, d=2, m_max=5)
         raw = Presentation(M, case_tag="RAW")
         mini = minimize(raw)
-        box = GradeBox(grade(0, 0), grade(4, 4))
+        box = GradeBox((0, 0), (4, 4))
         assert dimension_function(raw, box) == dimension_function(mini, box)
         # minimality: no unit entry with equal grades remains
         for i, j in mini.matrix.mat.entries():
             assert mini.matrix.row_grades[i] != mini.matrix.col_grades[j]
         for j in range(mini.n_cols):
-            assert mini.matrix.mat.column(j) != 0
+            assert mini.matrix.mat.cols[j] != 0
 
 
 # -- file format --------------------------------------------------------------

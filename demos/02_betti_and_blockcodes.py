@@ -29,7 +29,8 @@ DATA = Path(__file__).resolve().parent.parent / "data" / "suspension.mpfilt"
 
 def main() -> None:
     filt = parse_filtration(DATA.read_text())
-    print(f"complex: {len(filt.simplices)} simplices, max dim {filt.max_dim}")
+    top = max(s.dim for s in filt.simplices)
+    print(f"complex: {len(filt.simplices)} simplices, max dim {top}")
 
     pres = minimize(pres_2param(filt, 1))
     print(f"minimal presentation of H_1: {pres.n_rows} generators, "

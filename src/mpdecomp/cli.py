@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .diagonalize import Diagonalization, Op, tot_diagonalize
 from .errors import InputError, InternalCheckError, TiedGradesError
+from .f2 import bits
 from .filtration import parse_filtration
 from .graded import GradedMatrix, sort_by_grade
 from .grades import check_grade, fmt
@@ -105,10 +106,7 @@ def _matrix_payload(M: GradedMatrix) -> dict:
         "col_grades": _grade_list(M.col_grades),
         "row_labels": list(M.row_labels),
         "col_labels": list(M.col_labels),
-        "columns": [
-            sorted(i for i in range(M.n_rows) if M.mat.entry(i, j))
-            for j in range(M.n_cols)
-        ],
+        "columns": [bits(c) for c in M.mat.cols],
     }
 
 
@@ -252,12 +250,16 @@ def _blockcode_csv(codes: List[Blockcode], box: GradeBox) -> str:
 def _box_from_flag(flag: str) -> GradeBox:
     try:
         lo_part, hi_part = flag.split(":")
-        lo = check_grade(int(x) for x in lo_part.split(","))
-        hi = check_grade(int(x) for x in hi_part.split(","))
-    except (ValueError, InputError):
+        lo = [int(x) for x in lo_part.split(",")]
+        hi = [int(x) for x in hi_part.split(",")]
+    except ValueError:
         raise InputError(
             f"bad --box {flag!r}, expected 'lo1,..,lod:hi1,..,hid'"
         ) from None
+    try:
+        lo, hi = check_grade(lo), check_grade(hi)
+    except InputError as exc:
+        raise InputError(f"--box: {exc}") from None
     if len(lo) != len(hi):
         raise InputError(f"--box has {len(lo)} coordinates below and {len(hi)} above")
     return GradeBox(lo, hi)

@@ -11,6 +11,16 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from .errors import InputError
 
 
+def bits(c: int) -> List[int]:
+    """The set bits of c, lowest first: the rows a column meets."""
+    out = []
+    while c:
+        low = c & -c
+        out.append(low.bit_length() - 1)
+        c ^= low
+    return out
+
+
 class F2Matrix:
     """A binary matrix stored as one int per column."""
 
@@ -54,10 +64,8 @@ class F2Matrix:
 
     def entries(self) -> Iterator[Tuple[int, int]]:
         for j, c in enumerate(self.cols):
-            while c:
-                low = c & -c
-                yield low.bit_length() - 1, j
-                c ^= low
+            for i in bits(c):
+                yield i, j
 
     def to_dense(self) -> List[List[int]]:
         return [

@@ -41,10 +41,6 @@ class Filtration:
     def by_dim(self, p: int) -> List[Simplex]:
         return [s for s in self.simplices if s.dim == p]
 
-    @property
-    def max_dim(self) -> int:
-        return max((s.dim for s in self.simplices), default=-1)
-
 
 def _fail(line_no: int, msg: str) -> None:
     raise InputError(f"line {line_no}: {msg}")

@@ -8,25 +8,26 @@ suffices, with more parameters the generating set need not be free and
 the syzygies among the generators join the boundary columns as extra
 relations.
 
-Cycle generators are found by a sweep over the grid spanned by the column
-grades, one slice (a value of every coordinate but the first) at a time.
-Columns are taken in lexicographic topo order, so the columns active before
-column j at a grid point (x, s) with x >= g_j[0] are the same for every
-such x: the reduction of j does not depend on x.  One left-to-right
-reduction per slice therefore tells where each column dies in that slice,
-and a column that dies yields a generator at the earliest such grade.
-With two parameters each column dies at a unique minimal grade; in general
-it can die along an antichain and every minimal grade is kept.
+Cycle generators are found by ``kernel_gens``, a sweep over the grid
+spanned by the column grades.  A slice fixes every coordinate but the
+first; a row fixes every one but the first and the last, and its slices
+form a chain.  The sweep walks one row at a time, column by column in
+lexicographic topo order, and reduces each column at the slices of the
+chain from its own grade up until it dies, so only the pairs where a column
+is live cost work and only one row's pivots are held at once.  With two
+parameters each column dies at a unique minimal grade; in general it can
+die along an antichain and every minimal grade is kept.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalCheckError
-from .f2 import F2Matrix, col_reduce
+from .f2 import F2Matrix, bits, col_reduce
 from .graded import GradedMatrix, _reindexed
 from .grades import check_grade, fmt, leq, topo_order
 
@@ -71,53 +72,72 @@ class Presentation:
 def kernel_gens(M: GradedMatrix) -> List[KernelElement]:
     """Generators of ker(M), coordinates over the columns of M.
 
-    The grid spanned by the column grades is swept one slice at a time,
-    a slice being a value ``s`` of the coordinates after the first.  Take
-    the columns whose grade tail is ``<= s`` in topo order and reduce each
-    against the ones before it.  Topo order is lexicographic, so at any
-    grid point ``(x, s)`` with ``x >= g_j[0]`` the active columns before
-    ``j`` are exactly these; the reduction of ``j`` does not depend on
-    ``x``.  A column that reduces to zero therefore dies at
-    ``(g_j[0],) + s`` and at every point above it in the slice, with the
-    same combination, and one pass per slice finds every death.
+    The grid spanned by the column grades is cut into slices, a slice being
+    a value ``s`` of the coordinates after the first.  Take the columns
+    whose grade tail is ``<= s`` in topo order and reduce each against the
+    ones before it.  Topo order is lexicographic, so at any grid point
+    ``(x, s)`` with ``x >= g_j[0]`` the active columns before ``j`` are
+    exactly these; the reduction of ``j`` does not depend on ``x``.  A
+    column that reduces to zero therefore dies at ``(g_j[0],) + s`` and at
+    every point above it in the slice, with the same combination, and one
+    reduction per slice finds every death.
 
-    A column that died at some slice ``s' <= s`` is skipped: every column
-    active before it at ``s'`` is active at ``s`` too, so it dies there
-    again, but at a grade above one already recorded.  What is left is one
-    generator per minimal death grade of each column, listed by (grade,
-    topo position).  With two parameters a slice is one coordinate, so the
-    slices are totally ordered, each column gives at most one generator, and
-    the list is a basis of the free kernel.
+    A column that died at a slice ``s' <= s`` dies again at ``s``, above a
+    grade already recorded, and adds no pivot there, so it is left out: the
+    reduction at ``s`` depends only on the columns live there.  The slices
+    are walked one row at a time, a row being a value of every tail
+    coordinate but the last.  Along the last one the row's slices form a
+    chain, each with its own pivots, and every slice ``<= s`` lies in a row
+    no later than that of ``s``.  Each column, in topo order, climbs the
+    chain from its own tail, reduced afresh at every slice, until it dies or
+    meets a slice above one where it died in an earlier row.  So only the
+    (column, slice) pairs where the column is live are visited, and only
+    one row's pivots are held at a time: at most the chain length times
+    the rank of M.
+
+    What is left is one generator per minimal death grade of each column,
+    listed by (grade, topo position).  With two parameters the grid is one
+    row whose slices are totally ordered, each column gives at most one
+    generator, and the list is a basis of the free kernel.  With one
+    parameter the grid is a single slice.
     """
-    order = topo_order(M.col_grades)
-    heads = [M.col_grades[j][0] for j in order]
-    tails = [M.col_grades[j][1:] for j in order]
-    cols = [M.mat.cols[j] for j in order]
-    died: List[List[Tuple[int, ...]]] = [[] for _ in order]
+    d = M.d
+    cols = M.mat.cols
+    # a grade is (head, row, slice on the chain); with one parameter a
+    # constant last coordinate makes the grid a single slice
+    grades = M.col_grades if d > 1 else [g + (0,) for g in M.col_grades]
+    chain = sorted({g[-1] for g in grades})
+    rows = product(*(sorted({g[k] for g in grades}) for k in range(1, max(d, 2) - 1)))
+    died: List[List[Tuple[Tuple[int, ...], int]]] = [[] for _ in grades]  # (row, k)
     found: List[Tuple[Tuple[int, ...], int, int]] = []
-    axes = [sorted({t[k] for t in tails}) for k in range(M.d - 1)]
+    order = topo_order(grades)
 
-    for s in product(*axes):
-        pivots: Dict[int, Tuple[int, int]] = {}
-        for pos, tail in enumerate(tails):
-            if not all(map(le, tail, s)) or any(
-                all(map(le, t, s)) for t in died[pos]
-            ):
+    for row in rows:
+        pivots: List[Dict[int, Tuple[int, int]]] = [{} for _ in chain]  # per slice
+        for pos, j in enumerate(order):
+            g = grades[j]
+            if not all(map(le, g[1:-1], row)):
                 continue
-            cur = cols[pos]
-            comb = 1 << order[pos]
-            while cur:
-                lw = cur.bit_length() - 1
-                if lw in pivots:
-                    pcol, pcomb = pivots[lw]
-                    cur ^= pcol
-                    comb ^= pcomb
-                else:
-                    pivots[lw] = (cur, comb)
+            end = min(
+                (k for r, k in died[j] if all(map(le, r, row))), default=len(chain)
+            )
+            for k in range(bisect_left(chain, g[-1]), end):
+                at = pivots[k]
+                cur = cols[j]
+                comb = 1 << j
+                while cur:
+                    lw = cur.bit_length() - 1
+                    if lw in at:
+                        pcol, pcomb = at[lw]
+                        cur ^= pcol
+                        comb ^= pcomb
+                    else:
+                        at[lw] = (cur, comb)
+                        break
+                if not cur:
+                    died[j].append((row, k))
+                    found.append((((g[0],) + row + (chain[k],))[:d], pos, comb))
                     break
-            if not cur:
-                died[pos].append(s)
-                found.append(((heads[pos],) + s, pos, comb))
     found.sort()
     return [KernelElement(grade=z, coords=comb) for z, _, comb in found]
 
@@ -418,8 +438,7 @@ def format_presentation(P: Presentation) -> str:
     for g in M.row_grades:
         out.append("r " + " ".join(str(x) for x in g))
     out.append(f"cols {M.n_cols}")
-    for j in range(M.n_cols):
-        g = M.col_grades[j]
-        idx = [str(i) for i in range(M.n_rows) if M.mat.entry(i, j)]
-        out.append("c " + " ".join(str(x) for x in g) + " : " + " ".join(idx))
+    for g, c in zip(M.col_grades, M.mat.cols):
+        rows = " ".join(map(str, bits(c)))
+        out.append("c " + " ".join(str(x) for x in g) + " : " + rows)
     return "\n".join(out) + "\n"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import mpdecomp
 from mpdecomp.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -227,6 +229,16 @@ def test_bad_box_flag(capsys):
     code2, _, err2 = run_cli(capsys, "decompose", TRIANGLE, "--box", "0,0,0:1,1,1")
     assert code2 == 2
     assert "coordinates" in err2
+    # a malformed flag and a coordinate outside 64 bits get different messages
+    code3, _, err3 = run_cli(capsys, "decompose", TRIANGLE, "--box", "0,x:1,1")
+    assert code3 == 2
+    assert "expected 'lo1,..,lod:hi1,..,hid'" in err3
+    code4, _, err4 = run_cli(
+        capsys, "decompose", TRIANGLE, "--box", "0,0:9223372036854775808,1"
+    )
+    assert code4 == 2
+    assert "--box" in err4 and "outside 64-bit range" in err4
+    assert "expected" not in err4
 
 
 def test_redundant_relation_leaves_no_trivial_block(tmp_path, capsys):
@@ -371,10 +383,15 @@ def test_readme_names_exactly_the_cli_flags():
 
 
 def test_installed_entry_point_runs():
+    # the child runs the same mpdecomp these tests import
+    env = dict(os.environ)
+    package_root = str(Path(mpdecomp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mpdecomp", "decompose", TRIANGLE, "--dim", "0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["case"] == "H0"

@@ -30,7 +30,8 @@ def test_parse_minimal():
 
 def check_boundaries(filt) -> None:
     """Composite boundary maps vanish."""
-    for p in range(2, filt.max_dim + 1):
+    top = max((s.dim for s in filt.simplices), default=-1)
+    for p in range(2, top + 1):
         product = matmul(boundary_matrix(filt, p - 1).mat, boundary_matrix(filt, p).mat)
         assert not any(product.cols), f"boundary of boundary is nonzero at dimension {p}"
 

@@ -187,7 +187,7 @@ def test_kernel_slice_sweep_equals_per_point_sweep_random():
     for _ in range(1200):
         d = rng.choice((1, 2, 3, 4))
         span = rng.randint(0, 3)  # few distinct coordinates: exact ties are common
-        n, m = rng.randint(1, 6), rng.randint(1, 9)
+        n, m = rng.randint(1, 6), rng.randint(0, 9)  # m = 0: an empty grid
         rows = [tuple(rng.randint(0, span) for _ in range(d)) for _ in range(n)]
         cols = [tuple(rng.randint(0, span) for _ in range(d)) for _ in range(m)]
         dense = [
@@ -205,16 +205,19 @@ def test_kernel_slice_sweep_equals_per_point_sweep_random():
     assert checked > 1200
 
 
-def random_graph_boundary(rng: random.Random, nv: int = 30, ne: int = 90) -> GradedMatrix:
-    """Edge boundary matrix of a random graph with grades in [0,1000)^2.
+def random_graph_boundary(
+    rng: random.Random, nv: int = 30, ne: int = 90, d: int = 2, span: int = 1000
+) -> GradedMatrix:
+    """Edge boundary matrix of a random graph with vertex grades in [0,span)^d.
 
-    Shaped like the degree-1 inputs of the benchmark's export family:
-    vertices at random grades, edges at the lub of their ends plus a jitter.
+    With the defaults it is shaped like the degree-1 inputs of the
+    benchmark's export family: vertices at random grades, edges at the lub
+    of their ends plus a jitter.
     """
-    verts = [(rng.randrange(1000), rng.randrange(1000)) for _ in range(nv)]
+    verts = [tuple(rng.randrange(span) for _ in range(d)) for _ in range(nv)]
     pairs = rng.sample([(u, v) for u in range(nv) for v in range(u + 1, nv)], ne)
     edge_grades = [
-        tuple(max(verts[u][k], verts[v][k]) + rng.randint(0, 2) for k in range(2))
+        tuple(max(verts[u][k], verts[v][k]) + rng.randint(0, 2) for k in range(d))
         for u, v in pairs
     ]
     return GradedMatrix(
@@ -230,6 +233,15 @@ def test_kernel_slice_sweep_equals_per_point_sweep_on_graphs():
         assert len(expected) >= 90 - 30
         assert gens_key(kernel_gens(M)) == expected
         assert gens_key(per_point_kernel_gens(M)) == expected
+    # three parameters over few coordinates: many columns share a row of the
+    # slice grid, and a column can die at several minimal grades
+    on_antichain = 0
+    for _ in range(3):
+        M = random_graph_boundary(rng, nv=20, ne=60, d=3, span=5)
+        got = gens_key(kernel_gens(M))
+        assert got == gens_key(per_point_kernel_gens(M))
+        on_antichain += len(got) > len(per_point_kernel_gens(M, first_only=True))
+    assert on_antichain
 
 
 # -- rewriting ----------------------------------------------------------------

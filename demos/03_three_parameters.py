@@ -21,6 +21,7 @@ from mpdecomp import (
     sort_by_grade,
     tot_diagonalize,
 )
+from mpdecomp.f2 import bits
 from mpdecomp.grades import fmt
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "k23.mpfilt"
@@ -43,7 +44,7 @@ def main() -> None:
     for i, g in enumerate(pres.matrix.row_grades):
         print(f"  generator {pres.matrix.row_labels[i]} at {fmt(g)}")
     for j, g in enumerate(pres.matrix.col_grades):
-        rows = [i for i in range(pres.n_rows) if pres.matrix.mat.entry(i, j)]
+        rows = bits(pres.matrix.mat.cols[j])
         print(f"  relation {pres.matrix.col_labels[j]} at {fmt(g)} over rows {rows}")
     print()
 

@@ -360,13 +360,23 @@ def _cmd_export_pres(args: argparse.Namespace) -> str:
     return text
 
 
+# name: handler, --format choices (the first is the default; none means
+# one output form), the other options the command reads
 _COMMANDS = {
-    "decompose": (_cmd_decompose, ("json", "text", "csv")),
-    "diagonalize": (_cmd_diagonalize, ("json", "text")),
-    "betti": (_cmd_betti, ("json", "text")),
-    "blockcode": (_cmd_blockcode, ("csv", "json")),
-    "check": (_cmd_check, ("text",)),
-    "export-pres": (_cmd_export_pres, ("text",)),
+    "decompose": (_cmd_decompose, ("json", "text", "csv"), ("--perturb", "--box")),
+    "diagonalize": (_cmd_diagonalize, ("json", "text"), ("--perturb", "--box")),
+    "betti": (_cmd_betti, ("json", "text"), ("--perturb",)),
+    "blockcode": (_cmd_blockcode, ("csv", "json"), ("--perturb", "--box")),
+    "check": (_cmd_check, (), ("--perturb",)),
+    "export-pres": (_cmd_export_pres, (), ("--output",)),
+}
+
+_OPTIONS = {
+    "--perturb": dict(action="store_true", help="break exactly tied grades by index order"),
+    "--box": dict(
+        default=None, help="override the evaluation box, 'lo1,..,lod:hi1,..,hid'"
+    ),
+    "--output": dict(type=Path, default=None),
 }
 
 
@@ -382,8 +392,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Decompose multi-parameter persistence presentations "
         "into indecomposable blocks.",
     )
+    parser.set_defaults(box=None)  # commands without --box read no box
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, formats) in _COMMANDS.items():
+    for name, (_, formats, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("input", type=Path, help="mpfilt or mppres file")
         p.add_argument(
@@ -392,19 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="homology degree (filtration input only, default 0)",
         )
-        p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument(
-            "--perturb",
-            action="store_true",
-            help="break exactly tied grades by index order",
-        )
-        p.add_argument(
-            "--box",
-            default=None,
-            help="override the evaluation box, 'lo1,..,lod:hi1,..,hid'",
-        )
-        if name == "export-pres":
-            p.add_argument("--output", type=Path, default=None)
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 

@@ -59,9 +59,6 @@ class F2Matrix:
     def n_cols(self) -> int:
         return len(self.cols)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.cols[j] >> i) & 1
-
     def entries(self) -> Iterator[Tuple[int, int]]:
         for j, c in enumerate(self.cols):
             for i in bits(c):

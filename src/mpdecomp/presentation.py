@@ -190,19 +190,6 @@ def rewrite_in_basis(
     )
 
 
-def _hconcat(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    if a.n_rows != b.n_rows or a.row_grades != b.row_grades:
-        raise InputError("cannot concatenate matrices with different row spaces")
-    return GradedMatrix(
-        F2Matrix(a.n_rows, list(a.mat.cols) + list(b.mat.cols)),
-        list(a.row_grades),
-        list(a.col_grades) + list(b.col_grades),
-        list(a.row_labels),
-        list(a.col_labels) + list(b.col_labels),
-        d=a.d,
-    )
-
-
 def pres_h0(F) -> Presentation:
     """Degree 0: vertices generate, edges relate, nothing to rewrite."""
     from .filtration import boundary_matrix
@@ -210,26 +197,11 @@ def pres_h0(F) -> Presentation:
     return Presentation(boundary_matrix(F, 1), case_tag=H0)
 
 
-def pres_2param(F, p: int) -> Presentation:
-    """Degree p >= 1 presentation for a 2-parameter filtration."""
-    from .filtration import boundary_matrix
+def _cycles(F, p: int) -> Tuple[GradedMatrix, List[KernelElement], GradedMatrix]:
+    """The boundaries of degree p + 1 rewritten over the cycles of degree p.
 
-    if F.d != 2:
-        raise InputError(f"two-parameter construction on a {F.d}-parameter input")
-    if p < 1:
-        raise InputError(f"degree must be >= 1, got {p}; degree 0 has its own path")
-    bp = boundary_matrix(F, p)
-    basis = kernel_gens(bp)
-    labels = [f"z{i}" for i in range(len(basis))]
-    dp1 = boundary_matrix(F, p + 1)
-    return Presentation(rewrite_in_basis(dp1, basis, labels), case_tag=TWO_PARAM)
-
-
-def pres_dparam(F, p: int) -> Presentation:
-    """Degree p >= 1 presentation for any parameter count.
-
-    Cycle generators need not be independent here, so the syzygies among
-    them are appended as relation columns next to the rewritten boundaries.
+    Returns the boundary matrix of degree p, its cycle generators from
+    ``kernel_gens`` (labelled ``z0``, ``z1``, ...) and the rewritten matrix.
     """
     from .filtration import boundary_matrix
 
@@ -238,27 +210,41 @@ def pres_dparam(F, p: int) -> Presentation:
     bp = boundary_matrix(F, p)
     gens = kernel_gens(bp)
     labels = [f"z{i}" for i in range(len(gens))]
-    dp1 = boundary_matrix(F, p + 1)
-    dbar = rewrite_in_basis(dp1, gens, labels)
+    return bp, gens, rewrite_in_basis(boundary_matrix(F, p + 1), gens, labels)
 
+
+def pres_2param(F, p: int) -> Presentation:
+    """Degree p >= 1 presentation for a 2-parameter filtration."""
+    if F.d != 2:
+        raise InputError(f"two-parameter construction on a {F.d}-parameter input")
+    return Presentation(_cycles(F, p)[2], case_tag=TWO_PARAM)
+
+
+def pres_dparam(F, p: int) -> Presentation:
+    """Degree p >= 1 presentation for any parameter count.
+
+    Cycle generators need not be independent here, so the syzygies among
+    them are appended as relation columns next to the rewritten boundaries.
+    """
+    bp, gens, dbar = _cycles(F, p)
     gen_matrix = GradedMatrix(
         F2Matrix(bp.n_cols, [g.coords for g in gens]),
-        list(bp.col_grades),
-        [g.grade for g in gens],
-        list(bp.col_labels),
-        labels,
+        bp.col_grades,
+        dbar.row_grades,
+        bp.col_labels,
+        dbar.row_labels,
         d=bp.d,
     )
     syzygies = kernel_gens(gen_matrix)
-    syz = GradedMatrix(
-        F2Matrix(len(gens), [s.coords for s in syzygies]),
-        [g.grade for g in gens],
-        [s.grade for s in syzygies],
-        labels,
-        [f"y{i}" for i in range(len(syzygies))],
+    out = GradedMatrix(
+        F2Matrix(len(gens), dbar.mat.cols + [s.coords for s in syzygies]),
+        dbar.row_grades,
+        dbar.col_grades + [s.grade for s in syzygies],
+        dbar.row_labels,
+        dbar.col_labels + [f"y{i}" for i in range(len(syzygies))],
         d=bp.d,
     )
-    return Presentation(_hconcat(dbar, syz), case_tag=D_PARAM)
+    return Presentation(out, case_tag=D_PARAM)
 
 
 def minimize(P: Presentation) -> Presentation:
@@ -275,7 +261,10 @@ def minimize(P: Presentation) -> Presentation:
     ``kernel_gens``, topo order is lexicographic, so the columns before j
     with a grade tail <= tail(j) are exactly those with grade <= grade(j):
     one left-to-right reduction per distinct tail s, over the columns whose
-    tail is <= s, tests every column whose tail is s.
+    tail is <= s, tests every column whose tail is s.  ``kernel_gens`` on the
+    sorted columns would find the same ones, but it visits every slice of
+    the grid the tails span, not only the tails that occur: for m relations
+    about m times the work with three parameters and m^2 times with four.
 
     The row and column grades left are the module's graded Betti numbers
     in degrees 0 and 1.  Kept rows and columns stay in input order.

@@ -241,6 +241,23 @@ def test_bad_box_flag(capsys):
     assert "expected" not in err4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export-pres", SUSPENSION, "--dim", "1", "--perturb"],
+        ["export-pres", SUSPENSION, "--format", "text"],
+        ["betti", TRIANGLE, "--box", "0,0:3,3"],
+        ["check", K23, "--box", "0,0,0:1,1,1"],
+        ["check", K23, "--format", "text"],
+    ],
+)
+def test_options_a_command_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_redundant_relation_leaves_no_trivial_block(tmp_path, capsys):
     # three vertices at (0,0), edges at (1,0), (1,0) and (2,0): the last
     # edge only closes a cycle, so the minimal presentation drops it
@@ -380,6 +397,17 @@ def test_readme_names_exactly_the_cli_flags():
         s for p in sub.choices.values() for a in p._actions for s in a.option_strings
     }
     assert named == options - {"-h", "--help"}
+    # the table of options per subcommand, with the --format choices in order
+    table = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, re.M))
+    assert set(table) == set(sub.choices)
+    for name, p in sub.choices.items():
+        options = {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[a-z-]+", table[name])) == options, name
+        fmt = next((a for a in p._actions if "--format" in a.option_strings), None)
+        choices = list(fmt.choices) if fmt else []
+        assert re.findall(r"\(`.*`\)", table[name]) == (
+            ["(" + ", ".join(f"`{c}`" for c in choices) + ")"] if choices else []
+        ), name
 
 
 def test_installed_entry_point_runs():

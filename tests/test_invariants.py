@@ -342,9 +342,11 @@ def rank_betti01(M: GradedMatrix):
 
 
 def test_betti01_of_minimize_matches_rank_counts():
+    # d = 1 gives minimize's span test one empty grade tail; d = 4 gives it
+    # tails of three coordinates, partially ordered
     rng = random.Random(4)
-    for case in range(600):
-        d = 2 if case % 3 else 3
+    for case in range(900):
+        d = (2 if case % 3 else 3) if case < 600 else (1 if case % 2 else 4)
         span = rng.choice([1, 2])  # coordinates in 0..span: exact ties are common
         n, m = rng.randint(0, 6), rng.randint(0, 8)
         rows = [tuple(rng.randint(0, span) for _ in range(d)) for _ in range(n)]

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from mpdecomp import (
     topo_order,
 )
 from mpdecomp.errors import InputError
+from mpdecomp.f2 import bits
 from mpdecomp.oracle import _row_echelon_rank
 from reference import from_dense
 
@@ -101,8 +102,6 @@ def kernel_rank_at(M: GradedMatrix, gens, u) -> int:
 
 
 def grid_points(M: GradedMatrix):
-    from itertools import product
-
     axes = [sorted({g[k] for g in M.col_grades}) for k in range(M.d)]
     for point in product(*axes):
         yield tuple(point)
@@ -289,8 +288,7 @@ def test_pres_2param_suspension_minimizes_to_known_4x3():
     M = P.matrix
     assert M.row_grades == [(0, 1), (1, 0), (1, 1), (2, 2)]
     assert sorted(M.col_grades) == [(1, 1), (1, 2), (2, 1)]
-    by_grade = {M.col_grades[j]: sorted(
-        i for i in range(4) if M.mat.entry(i, j)) for j in range(3)}
+    by_grade = {M.col_grades[j]: bits(M.mat.cols[j]) for j in range(3)}
     assert by_grade == {(1, 1): [0, 1], (1, 2): [0, 2], (2, 1): [1, 2]}
 
 
@@ -305,12 +303,45 @@ def test_pres_dparam_k23_single_syzygy():
     assert Q.matrix.mat.to_dense() == P.matrix.mat.to_dense()
 
 
+def graph_filtration(rng: random.Random, nv: int, ne: int, span: int):
+    """The graph of ``random_graph_boundary`` with a triangle on every 3-cycle.
+
+    A triangle enters at the least upper bound of its edges plus a jitter of
+    0 or 1 per coordinate.
+    """
+    M = random_graph_boundary(rng, nv, ne, span=span)
+    lines = ["mpfilt 1", f"params {M.d}"]
+    lines += ["s " + " ".join(map(str, g)) + " :" for g in M.row_grades]
+    edge_id = {}
+    for g, c in zip(M.col_grades, M.mat.cols):
+        edge_id[tuple(bits(c))] = len(lines) - 2
+        lines.append("s " + " ".join(map(str, g)) + " : " + " ".join(map(str, bits(c))))
+    for a, b, c in combinations(range(nv), 3):
+        ids = [edge_id.get(e) for e in ((a, b), (a, c), (b, c))]
+        if None not in ids:
+            lub = [max(M.col_grades[i - nv][k] for i in ids) for k in range(M.d)]
+            g = [x + rng.randint(0, 1) for x in lub]
+            lines.append("s " + " ".join(map(str, g)) + " : " + " ".join(map(str, ids)))
+    return parse_filtration("\n".join(lines) + "\n")
+
+
 def test_pres_dparam_agrees_with_2param_on_suspension():
     filt = load("suspension.mpfilt")
     a = minimize(pres_2param(filt, 1))
     b = minimize(pres_dparam(filt, 1))
     assert sorted(a.matrix.row_grades) == sorted(b.matrix.row_grades)
     assert sorted(a.matrix.col_grades) == sorted(b.matrix.col_grades)
+    # with two parameters the cycle generators are free, so the general
+    # construction adds no syzygy and gives the same raw matrix
+    rng = random.Random(31)
+    filts = [filt] + [graph_filtration(rng, 10, 25, span=6) for _ in range(4)]
+    for f in filts:
+        for p in (1, 2):
+            a, b = pres_2param(f, p).matrix, pres_dparam(f, p).matrix
+            assert a.mat == b.mat
+            assert (a.row_grades, a.col_grades) == (b.row_grades, b.col_grades)
+            assert (a.row_labels, a.col_labels) == (b.row_labels, b.col_labels)
+    assert all(pres_2param(f, 1).n_cols > 0 for f in filts)
 
 
 def test_degree_guards():
@@ -368,6 +399,31 @@ def test_minimize_preserves_dimension_function():
             assert mini.matrix.row_grades[i] != mini.matrix.col_grades[j]
         for j in range(mini.n_cols):
             assert mini.matrix.mat.cols[j] != 0
+
+
+def test_minimize_work_is_bounded_by_tails_times_relations(monkeypatch):
+    # the span test reduces once per grade tail that occurs, not once per
+    # slice of the grid the tails span: with d = 4 and distinct coordinates
+    # that grid has m^2 rows, and a sweep over it costs about m^2 times more
+    import mpdecomp.presentation as presentation
+
+    calls = 0
+
+    def counting_le(a, b):
+        nonlocal calls
+        calls += 1
+        return a <= b
+
+    monkeypatch.setattr(presentation, "le", counting_le)
+    rng = random.Random(109)
+    m, n = 40, 20
+    axes = [rng.sample(range(1, 1000), m) for _ in range(4)]
+    cols = [tuple(axis[j] for axis in axes) for j in range(m)]
+    vecs = [(1 << rng.randrange(n)) | (1 << rng.randrange(n)) for _ in range(m)]
+    M = GradedMatrix(F2Matrix(n, vecs), [(0, 0, 0, 0)] * n, cols)
+    P = minimize(Presentation(M, case_tag="RAW"))
+    assert P.n_cols < m  # some relation was redundant
+    assert calls <= 3 * m * m  # d - 1 tail comparisons per (tail, relation)
 
 
 # -- file format --------------------------------------------------------------

@@ -6,7 +6,7 @@ Storage is column-major; a row addition walks every column.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 
@@ -35,23 +35,6 @@ class F2Matrix:
         for j, c in enumerate(self.cols):
             if c < 0 or c >= bound:
                 raise InputError(f"column {j} has bits outside {n_rows} rows")
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "F2Matrix":
-        return cls(n_rows, [0] * n_cols)
-
-    @classmethod
-    def from_entries(
-        cls, n_rows: int, n_cols: int, entries: Iterable[Tuple[int, int]]
-    ) -> "F2Matrix":
-        m = cls.zeros(n_rows, n_cols)
-        for i, j in entries:
-            if not (0 <= i < n_rows and 0 <= j < n_cols):
-                raise InputError(f"entry ({i},{j}) outside {n_rows}x{n_cols}")
-            m.cols[j] ^= 1 << i
-        return m
 
     # -- shape and access --------------------------------------------------
 
@@ -87,15 +70,26 @@ class F2Matrix:
                 self.cols[j] = c ^ m_dst
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "F2Matrix":
-        out = F2Matrix.zeros(len(rows), len(cols))
-        for jj, j in enumerate(cols):
-            c = self.cols[j]
+        """Rows and columns picked by index, in the given order.
+
+        Each picked column is walked along its set bits, so the cost is
+        one map over the rows plus one step per entry.  A row can be
+        picked once only.
+        """
+        new_row = [0] * self.n_rows  # old row -> 1 << its new position, 0 if dropped
+        for ii, i in enumerate(rows):
+            if not 0 <= i < self.n_rows:
+                raise InputError(f"row index {i} outside {self.n_rows} rows")
+            if new_row[i]:
+                raise InputError(f"row {i} picked twice")
+            new_row[i] = 1 << ii
+        out = []
+        for j in cols:
             v = 0
-            for ii, i in enumerate(rows):
-                if (c >> i) & 1:
-                    v |= 1 << ii
-            out.cols[jj] = v
-        return out
+            for i in bits(self.cols[j]):
+                v |= new_row[i]
+            out.append(v)
+        return F2Matrix(len(rows), out)
 
     def copy(self) -> "F2Matrix":
         return F2Matrix(self.n_rows, self.cols)

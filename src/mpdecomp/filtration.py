@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 from .errors import InputError
 from .f2 import F2Matrix
-from .graded import GradedMatrix
+from .graded import GradedMatrix, _trusted
 from .grades import check_grade, fmt
 
 
@@ -35,6 +35,14 @@ class Simplex:
 
 @dataclass
 class Filtration:
+    """Simplices in declaration order, as ``parse_filtration`` builds them.
+
+    The parser establishes what the format above asks (facets declared
+    first, grades monotone along faces) and that every grade has ``d``
+    coordinates that ``check_grade`` accepts.  ``boundary_matrix`` trusts
+    this and checks nothing again, so build a filtration through the parser.
+    """
+
     d: int
     simplices: List[Simplex] = field(default_factory=list)
 
@@ -150,17 +158,20 @@ def boundary_matrix(F: Filtration, p: int) -> GradedMatrix:
         raise InputError(f"boundary matrix needs p >= 1, got {p}")
     rows = F.by_dim(p - 1)
     cols = F.by_dim(p)
-    row_pos = {s.id: i for i, s in enumerate(rows)}
-    entries = []
-    for j, s in enumerate(cols):
+    bit = {s.id: 1 << i for i, s in enumerate(rows)}
+    vecs = []
+    for s in cols:
+        v = 0
         for f in s.facets:
-            entries.append((row_pos[f], j))
-    mat = F2Matrix.from_entries(len(rows), len(cols), entries)
-    return GradedMatrix(
-        mat,
+            v ^= bit[f]
+        vecs.append(v)
+    # parse_filtration has checked the grades and that each simplex lies
+    # above its facets, so the matrix is homogeneous
+    return _trusted(
+        F2Matrix(len(rows), vecs),
         [s.grade for s in rows],
         [s.grade for s in cols],
         [str(s.id) for s in rows],
         [str(s.id) for s in cols],
-        d=F.d,
+        F.d,
     )

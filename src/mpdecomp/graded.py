@@ -2,10 +2,18 @@
 
 A graded matrix couples an F2Matrix with one grade per row and column.
 Homogeneity (every 1 sits where row grade <= column grade) is the data
-invariant everything else relies on; construction rejects violations, and
-the two addition operations only accept grade-compatible pairs, so the
-invariant is preserved by use.  Copies and re-indexings of a matrix that
-has passed those checks go through ``_reindexed``, which skips them.
+invariant everything else relies on.  It is checked where data enters the
+program: the two file parsers check grades and entries line by line,
+``--box`` is checked by the CLI, and ``GradedMatrix(...)`` called by a
+library user checks shapes, grades, labels and homogeneity.  The two
+addition operations only accept grade-compatible pairs, so the invariant
+is preserved by use.
+
+Matrices that are valid by construction skip the checks through
+``_trusted``: the boundary matrices of a parsed filtration, the rewritten
+boundaries and syzygies of a presentation, and the copies and
+re-indexings of a checked matrix (``_reindexed``).  The tests assert the
+invariant on every such builder's output.
 """
 from __future__ import annotations
 
@@ -180,11 +188,36 @@ def _reindexed(
     homogeneous because M is, and the checks of ``__post_init__`` would
     only repeat what M passed.
     """
+    return _trusted(
+        M.mat.submatrix(rows, cols) if mat is None else mat,
+        [M.row_grades[i] for i in rows],
+        [M.col_grades[j] for j in cols],
+        [M.row_labels[i] for i in rows],
+        [M.col_labels[j] for j in cols],
+        M.d,
+    )
+
+
+def _trusted(
+    mat: F2Matrix,
+    row_grades: List[Tuple[int, ...]],
+    col_grades: List[Tuple[int, ...]],
+    row_labels: List[str],
+    col_labels: List[str],
+    d: int,
+) -> GradedMatrix:
+    """A graded matrix its builder knows to be valid, without the checks.
+
+    The caller vouches for everything ``__post_init__`` would check: one
+    grade and one label per row and column, grades that ``check_grade``
+    accepts and that all have ``d`` coordinates, and homogeneity.  The
+    lists are stored as given, not copied.
+    """
     out = object.__new__(GradedMatrix)
-    out.mat = M.mat.submatrix(rows, cols) if mat is None else mat
-    out.row_grades = [M.row_grades[i] for i in rows]
-    out.col_grades = [M.col_grades[j] for j in cols]
-    out.row_labels = [M.row_labels[i] for i in rows]
-    out.col_labels = [M.col_labels[j] for j in cols]
-    out.d = M.d
+    out.mat = mat
+    out.row_grades = row_grades
+    out.col_grades = col_grades
+    out.row_labels = row_labels
+    out.col_labels = col_labels
+    out.d = d
     return out

@@ -27,8 +27,8 @@ from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalCheckError
-from .f2 import F2Matrix, bits, col_reduce
-from .graded import GradedMatrix, _reindexed
+from .f2 import F2Matrix, bits
+from .graded import GradedMatrix, _reindexed, _trusted
 from .grades import check_grade, fmt, leq, topo_order
 
 H0 = "H0"
@@ -149,44 +149,82 @@ def rewrite_in_basis(
 ) -> GradedMatrix:
     """Express every column of `cols` over the given cycle generators.
 
-    Each column is matched only against generators born at or below its
-    grade, so the result is homogeneous by construction.  A column that
-    cannot be expressed means the basis does not generate the image, which
-    is an internal error, not bad input.
+    Contract: ``basis`` is ``kernel_gens`` of the matrix whose columns are
+    the rows of ``cols`` (the boundary matrix one degree down), and every
+    column of ``cols`` is a cycle of it.  Each generator's grade and
+    coordinates and the label count are checked; that ``basis`` is such
+    output is not.
+
+    A generator's coordinates are its dying column plus columns before it
+    in the topo order of the row grades, so it leads with that column.  A
+    column at grade u is rewritten by back-substitution: while it is not
+    zero, its last column in topo order is cleared with the first
+    generator that leads with it and is born at or below u, which exists
+    because that column dies at a slice no higher than u's tail.  So a
+    column costs one step per generator it uses, and the result is
+    homogeneous by construction.  With two parameters the generators born
+    at or below u are independent and the expression is unique; with more
+    it is one of several.  A column that cannot be expressed means the
+    basis does not generate the image: an internal error, not bad input.
     """
     ambient = cols.n_rows
+    grades = []
     for b in basis:
-        if b.coords >> ambient:
+        g = check_grade(b.grade)
+        if len(g) != cols.d:
+            raise InputError(f"kernel element grade {fmt(g)} is not {cols.d}-parameter")
+        if b.coords < 0 or b.coords >> ambient:
             raise InputError("kernel element has coordinates outside the ambient")
-        if len(b.grade) != cols.d:
-            raise InputError(f"kernel element grade {fmt(b.grade)} is not {cols.d}-parameter")
+        grades.append(g)
     labels = (
         list(basis_labels)
         if basis_labels is not None
         else [f"z{i}" for i in range(len(basis))]
     )
-    out_cols: List[int] = []
-    for j in range(cols.n_cols):
-        u = cols.col_grades[j]
-        sub = [idx for idx, b in enumerate(basis) if all(map(le, b.grade, u))]
-        S = F2Matrix(ambient, [basis[idx].coords for idx in sub])
-        coeffs = col_reduce(S, cols.mat.cols[j])
-        if coeffs is None:
-            raise InternalCheckError(
-                f"column {j} (grade {fmt(u)}) is not generated by the cycle basis"
-            )
+    if len(labels) != len(basis):
+        raise InputError(f"{len(labels)} labels for {len(basis)} kernel elements")
+    # columns of the ambient as bits in topo order, so a vector's last
+    # column is its highest bit
+    at = [0] * ambient
+    for pos, i in enumerate(topo_order(cols.row_grades)):
+        at[i] = 1 << pos
+
+    def in_topo(c: int) -> int:
         v = 0
-        for pos, idx in enumerate(sub):
-            if (coeffs >> pos) & 1:
-                v |= 1 << idx
+        while c:
+            low = c & -c
+            v |= at[low.bit_length() - 1]
+            c ^= low
+        return v
+
+    led_by: Dict[int, List[Tuple[int, Tuple[int, ...], int]]] = {}
+    for idx, (g, b) in enumerate(zip(grades, basis)):
+        z = in_topo(b.coords)
+        if z:
+            led_by.setdefault(z.bit_length() - 1, []).append((idx, g, z))
+    out_cols: List[int] = []
+    for j, c in enumerate(cols.mat.cols):
+        u = cols.col_grades[j]
+        cur = in_topo(c)
+        v = 0
+        while cur:
+            for idx, g, z in led_by.get(cur.bit_length() - 1, ()):
+                if all(map(le, g, u)):
+                    cur ^= z
+                    v |= 1 << idx
+                    break
+            else:
+                raise InternalCheckError(
+                    f"column {j} (grade {fmt(u)}) is not generated by the cycle basis"
+                )
         out_cols.append(v)
-    return GradedMatrix(
+    return _trusted(
         F2Matrix(len(basis), out_cols),
-        [b.grade for b in basis],
+        grades,
         list(cols.col_grades),
         labels,
         list(cols.col_labels),
-        d=cols.d,
+        cols.d,
     )
 
 
@@ -227,22 +265,24 @@ def pres_dparam(F, p: int) -> Presentation:
     them are appended as relation columns next to the rewritten boundaries.
     """
     bp, gens, dbar = _cycles(F, p)
-    gen_matrix = GradedMatrix(
+    # a generator is a cycle born at its grade, so its coordinates sit at or
+    # below it; a syzygy is a kernel element of these, born at its grade too
+    gen_matrix = _trusted(
         F2Matrix(bp.n_cols, [g.coords for g in gens]),
         bp.col_grades,
         dbar.row_grades,
         bp.col_labels,
         dbar.row_labels,
-        d=bp.d,
+        bp.d,
     )
     syzygies = kernel_gens(gen_matrix)
-    out = GradedMatrix(
+    out = _trusted(
         F2Matrix(len(gens), dbar.mat.cols + [s.coords for s in syzygies]),
         dbar.row_grades,
         dbar.col_grades + [s.grade for s in syzygies],
         dbar.row_labels,
         dbar.col_labels + [f"y{i}" for i in range(len(syzygies))],
-        d=bp.d,
+        bp.d,
     )
     return Presentation(out, case_tag=D_PARAM)
 

@@ -5,9 +5,9 @@ part of the program needs them.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from mpdecomp import BettiTable, F2Matrix, GradeBox, leq
+from mpdecomp import BettiTable, F2Matrix, GradeBox, GradedMatrix, KernelElement, col_reduce, leq
 
 
 def from_dense(rows: Sequence[Sequence[int]]) -> F2Matrix:
@@ -47,6 +47,27 @@ def rank(M: F2Matrix) -> int:
                 pivots[lw] = cur
                 break
     return len(pivots)
+
+
+def rewrite_by_elimination(
+    cols: GradedMatrix, basis: Sequence[KernelElement]
+) -> List[Optional[int]]:
+    """Each column of cols over the generators born at or below its grade.
+
+    One fresh elimination per column over the generators whose grade is <=
+    the column's: the coefficients as a bitmask over ``basis``, or None for
+    a column those generators do not generate.
+    """
+    out: List[Optional[int]] = []
+    for u, c in zip(cols.col_grades, cols.mat.cols):
+        sub = [idx for idx, b in enumerate(basis) if leq(b.grade, u)]
+        coeffs = col_reduce(F2Matrix(cols.n_rows, [basis[idx].coords for idx in sub]), c)
+        out.append(
+            None
+            if coeffs is None
+            else sum(1 << idx for pos, idx in enumerate(sub) if (coeffs >> pos) & 1)
+        )
+    return out
 
 
 def merge_tables(tables: Iterable[BettiTable]) -> BettiTable:

@@ -108,7 +108,7 @@ def test_worked_example_diagonalization():
 
 def test_zero_matrix_gives_singletons():
     M = GradedMatrix(
-        F2Matrix.zeros(2, 2),
+        F2Matrix(2, [0, 0]),
         [(0, 0), (0, 1)],
         [(1, 0), (1, 1)],
     )
@@ -135,7 +135,7 @@ def test_incomparable_column_cannot_split():
 
 def test_unsorted_input_rejected():
     M = GradedMatrix(
-        F2Matrix.zeros(2, 1),
+        F2Matrix(2, [0]),
         [(1, 1), (0, 0)],
         [(2, 2)],
     )

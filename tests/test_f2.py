@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mpdecomp import F2Matrix, col_reduce
+from mpdecomp.errors import InputError
 from mpdecomp.oracle import _row_echelon_rank
 from reference import from_dense, matmul, rank
 
@@ -26,7 +27,7 @@ def test_construction_round_trip():
     M = from_dense(dense)
     assert M.to_dense() == dense
     assert M.n_rows == 2 and M.n_cols == 3
-    assert F2Matrix.from_entries(2, 3, list(M.entries())) == M
+    assert list(M.entries()) == [(0, 0), (1, 1), (0, 2), (1, 2)]
 
 
 def test_entry_column_row_low():
@@ -35,7 +36,7 @@ def test_entry_column_row_low():
     assert M.cols[0] == 0b011
     assert M.to_dense()[1] == [1, 1]
     assert M.cols[0].bit_length() - 1 == 1  # the lowest 1 of column 0 is in row 1
-    assert F2Matrix.zeros(3, 1).cols[0] == 0  # a zero column has no low
+    assert F2Matrix(3, [0]).cols[0] == 0  # a zero column has no low
 
 
 def test_add_col_and_add_row():
@@ -56,7 +57,7 @@ def test_transpose_and_matmul():
     # over F2: [[1+1, 1],[1, 1]] = [[0,1],[1,1]]
     assert matmul(A, B).to_dense() == [[0, 1], [1, 1]]
     with pytest.raises(ValueError):
-        matmul(A, F2Matrix.zeros(3, 1))
+        matmul(A, F2Matrix(3, [0]))
 
 
 def test_submatrix():
@@ -65,9 +66,42 @@ def test_submatrix():
     assert S.to_dense() == [[0, 1], [1, 0]]
 
 
+def test_submatrix_matches_dense_picks():
+    rng = random.Random(7)
+    cases = 0
+    for _ in range(300):
+        n, m = rng.randint(0, 7), rng.randint(0, 7)
+        dense = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
+        M = F2Matrix(n, [sum(dense[i][j] << i for i in range(n)) for j in range(m)])
+        if m and rng.random() < 0.3:
+            M.cols[rng.randrange(m)] = 0  # a zero column
+            dense = [[(M.cols[j] >> i) & 1 for j in range(m)] for i in range(n)]
+        for rows in (list(range(n)), rng.sample(range(n), n), rng.sample(range(n), rng.randint(0, n)), []):
+            # columns may repeat; rows may not
+            cols = [rng.randrange(m) for _ in range(rng.randint(0, 6))] if m else []
+            for picked_cols in (cols, rng.sample(range(m), m), []):
+                S = M.submatrix(rows, picked_cols)
+                assert (S.n_rows, S.n_cols) == (len(rows), len(picked_cols))
+                assert S.cols == [
+                    sum(dense[i][j] << ii for ii, i in enumerate(rows)) for j in picked_cols
+                ]
+                cases += 1
+    assert cases == 300 * 4 * 3
+
+
+def test_submatrix_refuses_repeated_or_missing_rows():
+    M = from_dense([[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(InputError, match="row 1 picked twice"):
+        M.submatrix([1, 0, 1], [0, 1])
+    with pytest.raises(InputError):
+        M.submatrix([0, 3], [0])
+    with pytest.raises(InputError):
+        M.submatrix([-1], [0])
+
+
 def test_identity_and_rank():
     assert rank(F2Matrix(3, [0b001, 0b010, 0b100])) == 3
-    assert rank(F2Matrix.zeros(2, 5)) == 0
+    assert rank(F2Matrix(2, [0] * 5)) == 0
     assert rank(from_dense([[1, 1], [1, 1]])) == 1
 
 

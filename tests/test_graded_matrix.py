@@ -56,17 +56,17 @@ def test_homogeneity_enforced_on_construction():
 
 
 def test_label_defaults_and_count_checks():
-    M = GradedMatrix(F2Matrix.zeros(2, 1), [(0, 0)] * 2, [(1, 1)])
+    M = GradedMatrix(F2Matrix(2, [0]), [(0, 0)] * 2, [(1, 1)])
     assert M.row_labels == ["r0", "r1"]
     assert M.col_labels == ["c0"]
     with pytest.raises(InputError):
-        GradedMatrix(F2Matrix.zeros(2, 1), [(0, 0)], [(1, 1)])
+        GradedMatrix(F2Matrix(2, [0]), [(0, 0)], [(1, 1)])
     with pytest.raises(InputError):
-        GradedMatrix(F2Matrix.zeros(1, 1), [(0, 0)], [(1, 1, 1)])
+        GradedMatrix(F2Matrix(1, [0]), [(0, 0)], [(1, 1, 1)])
     # without grades the parameter count has to be given
     with pytest.raises(InputError, match="parameter count"):
-        GradedMatrix(F2Matrix.zeros(0, 0), [], [])
-    assert GradedMatrix(F2Matrix.zeros(0, 0), [], [], d=3).d == 3
+        GradedMatrix(F2Matrix(0), [], [])
+    assert GradedMatrix(F2Matrix(0), [], [], d=3).d == 3
 
 
 def test_graded_additions_check_grades():
@@ -106,7 +106,7 @@ def test_admissible_ops_worked_example():
 
 def test_admissible_ops_break_exact_ties_by_index():
     M = GradedMatrix(
-        F2Matrix.zeros(2, 2),
+        F2Matrix(2, [0, 0]),
         [(0, 0), (0, 0)],
         [(1, 1), (1, 1)],
     )

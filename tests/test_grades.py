@@ -35,7 +35,7 @@ def test_out_of_range_coordinate_rejected():
     assert check_grade([-(1 << 63), (1 << 63) - 1]) == (-(1 << 63), (1 << 63) - 1)
     # library callers are refused where the grades enter a matrix or a box
     with pytest.raises(InputError, match="outside 64-bit range"):
-        GradedMatrix(F2Matrix.zeros(1, 0), [(0, 1 << 63)], [])
+        GradedMatrix(F2Matrix(1), [(0, 1 << 63)], [])
     with pytest.raises(InputError, match="outside 64-bit range"):
         GradeBox((0,), (1 << 63,))
 

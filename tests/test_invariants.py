@@ -65,7 +65,7 @@ def test_default_box_covers_all_grades():
     for g in list(final.matrix.row_grades) + list(final.matrix.col_grades):
         assert leq(box.lo, g) and leq(g, box.hi)
     empty = Presentation(
-        GradedMatrix(F2Matrix.zeros(0, 0), [], [], d=2), case_tag="RAW"
+        GradedMatrix(F2Matrix(0), [], [], d=2), case_tag="RAW"
     )
     fallback = default_box(empty)
     assert fallback.lo == (0, 0) and fallback.hi == (1, 1)
@@ -221,7 +221,7 @@ def presentation_and_box(draw):
     dense = [
         [draw(st.integers(0, 1)) if leq(r, c) else 0 for c in cols] for r in rows
     ]
-    mat = from_dense(dense) if cols else F2Matrix.zeros(len(rows), 0)
+    mat = from_dense(dense) if cols else F2Matrix(len(rows))
     P = Presentation(GradedMatrix(mat, rows, cols), case_tag="RAW")
     grades = rows + cols
     below = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))

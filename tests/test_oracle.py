@@ -83,7 +83,7 @@ def test_budget_is_enforced():
     n = 6
     rows = [(i, 0) for i in range(n)]
     cols = [(n, j + 1) for j in range(n)]
-    M = GradedMatrix(F2Matrix.zeros(n, n), rows, cols)
+    M = GradedMatrix(F2Matrix(n, [0] * n), rows, cols)
     with pytest.raises(InputError):
         brute_force_finest(M, budget=10)
 

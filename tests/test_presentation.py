@@ -26,10 +26,12 @@ from mpdecomp import (
     rewrite_in_basis,
     topo_order,
 )
-from mpdecomp.errors import InputError
+from mpdecomp.errors import InputError, InternalCheckError
 from mpdecomp.f2 import bits
+from mpdecomp.grades import check_grade
 from mpdecomp.oracle import _row_echelon_rank
-from reference import from_dense
+from mpdecomp.presentation import _cycles
+from reference import from_dense, rewrite_by_elimination
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -259,8 +261,6 @@ def test_rewrite_in_basis_triangle_h1():
 def test_rewrite_respects_column_grades():
     # basis element born too late for the column -> not usable, so the
     # rewrite must fail loudly rather than produce an inhomogeneous result
-    from mpdecomp.errors import InternalCheckError
-
     cols = GradedMatrix(from_dense([[1], [0]]),
                         [(0, 0), (0, 0)], [(1, 0)])
     late = [KernelElement((0, 5), 0b01), KernelElement((0, 0), 0b10)]
@@ -270,6 +270,100 @@ def test_rewrite_respects_column_grades():
         rewrite_in_basis(cols, [KernelElement((0, 0, 0), 0b01)])
     with pytest.raises(InputError):
         rewrite_in_basis(cols, [KernelElement((0, 0), 0b100)])
+    with pytest.raises(InputError):
+        rewrite_in_basis(cols, [KernelElement((0, 1 << 63), 0b01)])
+    with pytest.raises(InputError):
+        rewrite_in_basis(cols, late, ["z0"])
+
+
+def cycle_columns(rng: random.Random, M: GradedMatrix, m: int) -> GradedMatrix:
+    """m random cycles of M, each a sum of up to three of its kernel
+    generators at the least upper bound of their grades plus a jitter."""
+    gens = kernel_gens(M)
+    grades, vecs = [], []
+    for _ in range(m):
+        picked = rng.sample(gens, min(len(gens), rng.randint(1, 3)))
+        lub = [max(z.grade[k] for z in picked) for k in range(M.d)]
+        grades.append(tuple(x + rng.randint(0, 2) for x in lub))
+        v = 0
+        for z in picked:
+            v ^= z.coords
+        vecs.append(v)
+    return GradedMatrix(F2Matrix(M.n_cols, vecs), M.col_grades, grades, d=M.d)
+
+
+def test_rewrite_matches_elimination_with_two_parameters():
+    # with two parameters the generators born at or below a grade are
+    # independent, so back-substitution finds the one expression there is
+    rng = random.Random(223)
+    compared = 0
+    for _ in range(80):
+        nv = rng.randint(3, 8)
+        F = graph_filtration(
+            rng, nv, rng.randint(nv - 1, nv * (nv - 1) // 2), span=rng.choice([3, 1000]), tets=True
+        )
+        for p in (1, 2):
+            gens = kernel_gens(boundary_matrix(F, p))
+            cols = boundary_matrix(F, p + 1)
+            assert rewrite_in_basis(cols, gens).mat.cols == rewrite_by_elimination(cols, gens)
+            compared += cols.n_cols
+    for _ in range(3):
+        M = random_graph_boundary(rng)
+        gens = kernel_gens(M)
+        cols = cycle_columns(rng, M, 40)
+        assert rewrite_in_basis(cols, gens).mat.cols == rewrite_by_elimination(cols, gens)
+        compared += cols.n_cols
+    assert compared > 500
+
+
+def test_rewrite_expresses_columns_with_more_parameters():
+    # with more parameters the generating set may be dependent and the
+    # expression need not be the elimination's; it must still sum to the
+    # column, from generators born at or below its grade
+    rng = random.Random(227)
+    checked = 0
+    for k in range(60):
+        d = 3 + k % 2
+        nv = rng.randint(3, 7)
+        F = graph_filtration(
+            rng, nv, rng.randint(nv - 1, nv * (nv - 1) // 2), span=rng.choice([2, 5, 1000]),
+            d=d, tets=True,
+        )
+        for p in (1, 2):
+            gens = kernel_gens(boundary_matrix(F, p))
+            cols = boundary_matrix(F, p + 1)
+            out = rewrite_in_basis(cols, gens)
+            for u, c, v in zip(cols.col_grades, cols.mat.cols, out.mat.cols):
+                acc = 0
+                for i in bits(v):
+                    assert leq(gens[i].grade, u)
+                    acc ^= gens[i].coords
+                assert acc == c
+            checked += cols.n_cols
+    assert checked > 300
+
+
+def test_rewrite_work_is_bounded_by_generators_used(monkeypatch):
+    # each generator added in costs one grade comparison; an elimination per
+    # column would compare the column's grade with every generator's
+    import mpdecomp.presentation as presentation
+
+    rng = random.Random(229)
+    M = random_graph_boundary(rng)
+    gens = kernel_gens(M)
+    cols = cycle_columns(rng, M, 40)
+    calls = 0
+
+    def counting_le(a, b):
+        nonlocal calls
+        calls += 1
+        return a <= b
+
+    monkeypatch.setattr(presentation, "le", counting_le)
+    out = rewrite_in_basis(cols, gens)
+    used = sum(len(bits(v)) for v in out.mat.cols)
+    assert used < 5 * cols.n_cols < len(gens) * cols.n_cols // 10
+    assert calls <= 2 * used  # d coordinates per generator used
 
 
 # -- presentation constructions ----------------------------------------------
@@ -303,26 +397,72 @@ def test_pres_dparam_k23_single_syzygy():
     assert Q.matrix.mat.to_dense() == P.matrix.mat.to_dense()
 
 
-def graph_filtration(rng: random.Random, nv: int, ne: int, span: int):
+def graph_filtration(
+    rng: random.Random, nv: int, ne: int, span: int, d: int = 2, tets: bool = False
+):
     """The graph of ``random_graph_boundary`` with a triangle on every 3-cycle.
 
     A triangle enters at the least upper bound of its edges plus a jitter of
-    0 or 1 per coordinate.
+    0 or 1 per coordinate.  With ``tets`` each 4-clique of triangles is
+    filled by a tetrahedron with probability one half, entering the same way.
     """
-    M = random_graph_boundary(rng, nv, ne, span=span)
+    M = random_graph_boundary(rng, nv, ne, d=d, span=span)
     lines = ["mpfilt 1", f"params {M.d}"]
     lines += ["s " + " ".join(map(str, g)) + " :" for g in M.row_grades]
-    edge_id = {}
+    grades = list(M.row_grades)
+    face_id = {}
+
+    def add(face, facets):
+        lub = [max(grades[i][k] for i in facets) for k in range(M.d)]
+        g = [x + rng.randint(0, 1) for x in lub]
+        face_id[face] = len(grades)
+        grades.append(g)
+        lines.append("s " + " ".join(map(str, g)) + " : " + " ".join(map(str, facets)))
+
     for g, c in zip(M.col_grades, M.mat.cols):
-        edge_id[tuple(bits(c))] = len(lines) - 2
+        face_id[tuple(bits(c))] = len(grades)
+        grades.append(g)
         lines.append("s " + " ".join(map(str, g)) + " : " + " ".join(map(str, bits(c))))
-    for a, b, c in combinations(range(nv), 3):
-        ids = [edge_id.get(e) for e in ((a, b), (a, c), (b, c))]
+    for t in combinations(range(nv), 3):
+        ids = [face_id.get(e) for e in combinations(t, 2)]
         if None not in ids:
-            lub = [max(M.col_grades[i - nv][k] for i in ids) for k in range(M.d)]
-            g = [x + rng.randint(0, 1) for x in lub]
-            lines.append("s " + " ".join(map(str, g)) + " : " + " ".join(map(str, ids)))
+            add(t, ids)
+    if tets:
+        for q in combinations(range(nv), 4):
+            ids = [face_id.get(t) for t in combinations(q, 3)]
+            if None not in ids and rng.random() < 0.5:
+                add(q, ids)
     return parse_filtration("\n".join(lines) + "\n")
+
+
+def assert_valid_graded(M: GradedMatrix, d: int) -> None:
+    """M passes every check the public constructor makes."""
+    assert M.d == d
+    assert len(M.row_grades) == len(M.row_labels) == M.n_rows
+    assert len(M.col_grades) == len(M.col_labels) == M.n_cols
+    for g in M.row_grades + M.col_grades:
+        assert type(g) is tuple and check_grade(g) == g and len(g) == d
+    M.validate_homogeneity()
+
+
+def test_internal_builders_emit_valid_matrices():
+    # boundary matrices, rewritten cycles and both constructions skip the
+    # constructor's checks, so their output is checked here instead
+    rng = random.Random(211)
+    for k in range(320):
+        d = 1 + k % 4
+        nv = rng.randint(3, 7)
+        ne = rng.randint(nv - 1, nv * (nv - 1) // 2)
+        F = graph_filtration(rng, nv, ne, span=rng.choice([2, 6, 1000]), d=d, tets=True)
+        for p in (1, 2, 3):
+            assert_valid_graded(boundary_matrix(F, p), d)
+        for p in (1, 2):
+            bp, gens, dbar = _cycles(F, p)
+            assert_valid_graded(dbar, d)
+            assert dbar.n_rows == len(gens) and dbar.n_cols == len(F.by_dim(p + 1))
+            assert_valid_graded(pres_dparam(F, p).matrix, d)
+            if d == 2:
+                assert_valid_graded(pres_2param(F, p).matrix, d)
 
 
 def test_pres_dparam_agrees_with_2param_on_suspension():

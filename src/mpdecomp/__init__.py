@@ -13,7 +13,6 @@ from .diagonalize import (
     IndexBlock,
     Op,
     block_reduce,
-    lin,
     replay_certificate,
     tot_diagonalize,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "format_presentation",
     "kernel_gens",
     "leq",
-    "lin",
     "minimize",
     "parse_filtration",
     "parse_presentation",

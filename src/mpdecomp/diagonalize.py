@@ -4,12 +4,15 @@ The outer loop introduces columns one at a time and keeps a set of blocks
 (paired row/column index sets) that are already mutually decoupled: on the
 columns seen so far, each block's rows are zero outside its own columns.
 At column t a block whose rows are zero in column t therefore stays as it
-is.  For any other block B the question is whether B's rows can be
-cleared on the columns up to t outside B, as in the per-column BlockReduce
-of Dey and Xin.  The answer is found by linearizing that region into one
-bit vector and reducing it against one vector per admissible operation
-that feeds it.  Blocks that fail merge with column t and nothing is
-applied to them.
+is, and the loop only visits the blocks that own a row column t meets.
+For any such block B the question is whether B's rows can be cleared on
+the columns up to t outside B, as in the per-column BlockReduce of Dey and
+Xin.  The answer is found by linearizing that region into one bit vector
+and reducing it against one vector per admissible operation that feeds
+it.  Building the region and the vectors costs about one step per set
+bit of the columns up to t: admissibility is read from bitmasks, and an
+Op is made only for an operation that is applied.  Blocks that fail merge
+with column t and nothing is applied to them.
 
 The operations realized for a block that passes change only its rows.
 The region starts clear on the columns before t and ends clear on all of
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, TiedGradesError
-from .f2 import F2Matrix, col_reduce
+from .f2 import F2Matrix, bits, col_reduce
 from .graded import AdmissibleOps, GradedMatrix, admissible_ops
 from .grades import tied_pairs, topo_order
 
@@ -60,25 +63,11 @@ def _block_key(b: IndexBlock):
     return (0, b.rows[0]) if b.rows else (1, b.cols[0])
 
 
-def _gather(col: int, rows: Sequence[int]) -> int:
-    # bit rpos of the result is bit rows[rpos] of col
+def _compact(on_t: int, slot_bit: Dict[int, int]) -> int:
+    """A column's bits on T's rows, bit rpos for row rows_t[rpos]."""
     v = 0
-    for rpos, i in enumerate(rows):
-        if (col >> i) & 1:
-            v |= 1 << rpos
-    return v
-
-
-def lin(mat: F2Matrix, rows: Sequence[int], cols: Sequence[int]) -> int:
-    """Flatten the (rows x cols) region, last column first, rows ascending.
-
-    Bit k of the result corresponds to position k of that walk, so the
-    highest set bit (the pivot under reduction) lies in the earliest
-    column of the region.
-    """
-    v = 0
-    for j in cols:
-        v = (v << len(rows)) | _gather(mat.cols[j], rows)
+    for i in bits(on_t):
+        v |= slot_bit[i]
     return v
 
 
@@ -92,14 +81,21 @@ def block_reduce(
     """Try to clear A on T's rows over T's columns up to column t.
 
     T pairs the rows of one block B, built from columns before t, with
-    columns outside B; only those at or before t are read.  One source
-    vector is built per admissible operation that feeds that region:
-    column additions out of B into a column of T, and row additions from
-    outside T's rows into them.  When the region lies in the span of the
-    sources, the realized operations are applied to A (row additions act on
-    whole rows, so columns after t pick up their side effects), appended to
-    the certificate, and True is returned.  Otherwise A is left unchanged
-    and False is returned.
+    columns outside B; only those at or before t are read.  The region is
+    flattened last column first, rows ascending, so each column of T has a
+    slot of len(T.rows) bits and the pivot under reduction lies in the
+    earliest column.  One source vector is built per admissible operation
+    that feeds the region: column additions out of B into a column of T,
+    and row additions from outside T's rows into them.  One pass over T's
+    columns, walking set bits, builds the region and the trace of every row
+    that may feed one of T's rows; the admissibility masks then name the
+    columns of B to read and, intersected with the nonzero columns and
+    traces, the sources.  Sources are kept as plain tuples.  When the region
+    lies in the span of the sources, the operations of the combination
+    found are applied to A (row additions act on whole rows, so columns
+    after t pick up their side effects) and appended to the certificate as
+    Ops, and True is returned.  Otherwise A is left unchanged and False is
+    returned.
     """
     rows_t = T.rows
     if not rows_t:
@@ -107,52 +103,83 @@ def block_reduce(
     cols_t = T.cols[: bisect_right(T.cols, t)]
     n_rt = len(rows_t)
     n_ct = len(cols_t)
-    c = lin(A.mat, rows_t, cols_t)
-    rows_t_set = set(rows_t)
-    # B's columns on B's rows, the nonzero ones only
-    outside = set(cols_t)
-    b_cols = {}
-    for i in range(t):
-        if i not in outside:
-            v = _gather(A.mat.cols[i], rows_t)
-            if v:
-                b_cols[i] = v
+    mask = 0  # T's rows
+    slot_bit: Dict[int, int] = {}  # row of T -> its bit within a slot
+    row_feeders = 0  # the rows outside T that may be added into one of T's
+    for rpos, i in enumerate(rows_t):
+        mask |= 1 << i
+        slot_bit[i] = 1 << rpos
+        row_feeders |= ops.row_mask[i]
+    row_feeders &= ~mask
+    cols = A.mat.cols
 
-    sources: List[Op] = []
+    # T's columns: the region, and the traces of the rows that may feed it
+    c = 0
+    traces: Dict[int, int] = {}  # row -> its trace on the region, row position 0
+    trace_mask = 0
+    t_mask = 0
+    col_feeders = 0  # the columns that may be added into one of T's
+    for cpos, j in enumerate(cols_t):
+        slot = (n_ct - 1 - cpos) * n_rt
+        col = cols[j]
+        if col & mask:
+            c |= _compact(col & mask, slot_bit) << slot
+        rest = col & row_feeders
+        if rest:
+            trace_mask |= rest
+            bit = 1 << slot
+            for l in bits(rest):
+                traces[l] = traces.get(l, 0) | bit
+        t_mask |= 1 << j
+        col_feeders |= ops.col_mask[j]
+    # B's columns (the others before t) that may feed one of T's, on T's rows
+    b_vecs: Dict[int, int] = {}
+    b_mask = 0
+    for i in bits(col_feeders & ~t_mask & ((1 << t) - 1)):
+        if cols[i] & mask:
+            b_vecs[i] = _compact(cols[i] & mask, slot_bit)
+            b_mask |= 1 << i
+
+    # (is_col, source, target) per vector; an Op only for those applied
+    sources: List[Tuple[bool, int, int]] = []
     vecs: List[int] = []
     for cpos, j in enumerate(cols_t):
-        base = (n_ct - 1 - cpos) * n_rt
-        for i in ops.col_sources(j):
-            if i in b_cols:
-                sources.append(Op("col", i, j))
-                vecs.append(b_cols[i] << base)
-    # a row's trace on the region, placed at row position 0
-    row_traces: Dict[int, int] = {}
+        feeds = ops.col_mask[j] & b_mask
+        if feeds:
+            base = (n_ct - 1 - cpos) * n_rt
+            for i in bits(feeds):
+                sources.append((True, i, j))
+                vecs.append(b_vecs[i] << base)
     for kpos, k in enumerate(rows_t):
-        for l in ops.row_sources(k):
-            if l in rows_t_set:
-                continue
-            if l not in row_traces:
-                trace = 0
-                for j in cols_t:
-                    trace = (trace << n_rt) | ((A.mat.cols[j] >> l) & 1)
-                row_traces[l] = trace
-            if row_traces[l]:
-                sources.append(Op("row", l, k))
-                vecs.append(row_traces[l] << kpos)
+        feeds = ops.row_mask[k] & trace_mask
+        if feeds:
+            for l in bits(feeds):
+                sources.append((False, l, k))
+                vecs.append(traces[l] << kpos)
 
     combo = col_reduce(F2Matrix(n_rt * n_ct, vecs), c)
     if combo is None:
         return False
-    for idx, op in enumerate(sources):
-        if (combo >> idx) & 1:
-            if op.kind == "col":
-                A.mat.add_col(op.source, op.target)
-            else:
-                A.mat.add_row(op.source, op.target)
-            if certificate is not None:
-                certificate.append(op)
+    for idx in bits(combo):
+        is_col, src, dst = sources[idx]
+        if is_col:
+            A.mat.add_col(src, dst)
+        else:
+            A.mat.add_row(src, dst)
+        if certificate is not None:
+            certificate.append(Op("col" if is_col else "row", src, dst))
     return True
+
+
+def _complement(cols: Sequence[int], t: int) -> Tuple[int, ...]:
+    """The columns up to t that are not in cols (ascending, all below t)."""
+    out: List[int] = []
+    start = 0
+    for j in cols:
+        out.extend(range(start, j))
+        start = j + 1
+    out.extend(range(start, t + 1))
+    return tuple(out)
 
 
 def tot_diagonalize(A: GradedMatrix, *, perturb_ties: bool = False) -> Diagonalization:
@@ -180,31 +207,29 @@ def tot_diagonalize(A: GradedMatrix, *, perturb_ties: bool = False) -> Diagonali
 
     work = A.copy()
     ops = admissible_ops(work)
-    blocks = [IndexBlock((i,), ()) for i in range(work.n_rows)]
+    owner = [IndexBlock((i,), ()) for i in range(work.n_rows)]  # row -> its block
+    col_only: List[IndexBlock] = []  # blocks without rows
     certificate: List[Op] = []
 
     for t in range(work.n_cols):
-        col_t = work.mat.cols[t]
+        # earlier columns outside a block are already clear on its rows, so
+        # only the blocks whose rows column t meets need work
+        met = {owner[i].rows[0]: owner[i] for i in bits(work.mat.cols[t])}
         merged_rows: List[int] = []
         merged_cols: List[int] = [t]
-        survivors: List[IndexBlock] = []
-        for B in sorted(blocks, key=_block_key):
-            # earlier columns outside B are already clear on B's rows, so
-            # B only needs work when column t meets its rows
-            if not any((col_t >> i) & 1 for i in B.rows):
-                survivors.append(B)
-                continue
-            col_set = set(B.cols)
-            T = IndexBlock(B.rows, tuple(j for j in range(t + 1) if j not in col_set))
-            if block_reduce(work, ops, T, t, certificate):
-                survivors.append(B)
-            else:
+        for B in sorted(met.values(), key=_block_key):
+            T = IndexBlock(B.rows, _complement(B.cols, t))
+            if not block_reduce(work, ops, T, t, certificate):
                 merged_rows.extend(B.rows)
                 merged_cols.extend(B.cols)
-        blocks = survivors + [
-            IndexBlock(tuple(sorted(merged_rows)), tuple(sorted(merged_cols)))
-        ]
+        merged = IndexBlock(tuple(sorted(merged_rows)), tuple(sorted(merged_cols)))
+        if merged.rows:
+            for i in merged.rows:
+                owner[i] = merged
+        else:
+            col_only.append(merged)
 
+    blocks = list({B.rows[0]: B for B in owner}.values()) + col_only
     return Diagonalization(
         matrix=work,
         blocks=sorted(blocks, key=_block_key),

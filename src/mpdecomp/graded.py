@@ -22,7 +22,7 @@ from operator import le
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .f2 import F2Matrix
+from .f2 import F2Matrix, bits
 from .grades import check_grade, fmt, leq, topo_order
 
 
@@ -115,28 +115,31 @@ class GradedMatrix:
 
 @dataclass(frozen=True)
 class AdmissibleOps:
-    """The strictly-ordered operation menu of one graded matrix.
+    """The strictly-ordered operation menu of one graded matrix, as bitmasks.
 
-    col_src[j] lists, ascending, the columns i that may be added into
-    column j, which needs grade(c_i) <= grade(c_j).  row_src[k] lists the
-    rows l that may be added into row k, which needs grade(r_k) <=
-    grade(r_l); the source row carries the larger grade.  Equal grades are
-    ordered by index (the virtual perturbation), so both relations are
-    irreflexive, transitively closed and acyclic.
+    Bit i of col_mask[j] is set when column i may be added into column j,
+    which needs grade(c_i) <= grade(c_j).  Bit l of row_mask[k] is set when
+    row l may be added into row k, which needs grade(r_k) <= grade(r_l);
+    the source row carries the larger grade.  Equal grades are ordered by
+    index (the virtual perturbation), so both relations are irreflexive,
+    transitively closed and acyclic.  A caller intersects a mask with the
+    indices it can use and walks the set bits of the result.
     """
 
-    col_src: Tuple[Tuple[int, ...], ...]
-    row_src: Tuple[Tuple[int, ...], ...]
+    col_mask: Tuple[int, ...]
+    row_mask: Tuple[int, ...]
 
     def col_sources(self, j: int) -> Tuple[int, ...]:
-        return self.col_src[j]
+        """The columns that may be added into column j, ascending."""
+        return tuple(bits(self.col_mask[j]))
 
     def row_sources(self, k: int) -> Tuple[int, ...]:
-        return self.row_src[k]
+        """The rows that may be added into row k, ascending."""
+        return tuple(bits(self.row_mask[k]))
 
 
-def _below_lists(grades: Sequence[Tuple[int, ...]]) -> List[List[int]]:
-    """For each index, the indices strictly below it, ascending.
+def _below_masks(grades: Sequence[Tuple[int, ...]]) -> List[int]:
+    """For each index, the indices strictly below it, as a bitmask.
 
     Strictly below means lower in the product order, with equal grades
     broken by index (the earlier one acts as smaller).  That implies
@@ -144,23 +147,25 @@ def _below_lists(grades: Sequence[Tuple[int, ...]]) -> List[List[int]]:
     only scans the ones that precede it there.
     """
     order = topo_order(grades)
-    below: List[List[int]] = [[] for _ in grades]
+    below = [0] * len(order)
     for pos, b in enumerate(order):
         gb = grades[b]
-        below[b] = sorted(
-            a for a in order[:pos] if all(x <= y for x, y in zip(grades[a], gb))
-        )
+        m = 0
+        for a in order[:pos]:
+            if all(map(le, grades[a], gb)):
+                m |= 1 << a
+        below[b] = m
     return below
 
 
 def admissible_ops(M: GradedMatrix) -> AdmissibleOps:
-    col_src = tuple(tuple(s) for s in _below_lists(M.col_grades))
     # row l feeds row k when row k lies strictly below row l
-    row_src: List[List[int]] = [[] for _ in range(M.n_rows)]
-    for l, below in enumerate(_below_lists(M.row_grades)):
-        for k in below:
-            row_src[k].append(l)
-    return AdmissibleOps(col_src=col_src, row_src=tuple(tuple(s) for s in row_src))
+    row_mask = [0] * M.n_rows
+    for l, below in enumerate(_below_masks(M.row_grades)):
+        for k in bits(below):
+            row_mask[k] |= 1 << l
+    col_mask = _below_masks(M.col_grades)
+    return AdmissibleOps(col_mask=tuple(col_mask), row_mask=tuple(row_mask))
 
 
 def sort_by_grade(M: GradedMatrix) -> Tuple[GradedMatrix, List[int], List[int]]:

@@ -55,8 +55,9 @@ def topo_order(grades: Sequence[Tuple[int, ...]]) -> list:
     allow it.  The permutation maps position -> original index.
     """
     gs = list(grades)
-    for g in gs[1:]:
-        _same_d(gs[0], g)
+    if len({len(g) for g in gs}) > 1:
+        for g in gs[1:]:
+            _same_d(gs[0], g)  # raises at the first mismatch
     return sorted(range(len(gs)), key=gs.__getitem__)  # stable: ties by index
 
 

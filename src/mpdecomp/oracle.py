@@ -13,7 +13,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .diagonalize import IndexBlock
 from .errors import InputError, InternalCheckError
-from .f2 import F2Matrix
+from .f2 import F2Matrix, bits
 from .graded import AdmissibleOps, GradedMatrix, admissible_ops
 from .grades import leq
 from .presentation import Presentation
@@ -70,8 +70,8 @@ def op_pairs(ops: AdmissibleOps) -> Tuple[FrozenSet, FrozenSet]:
     colop holds (i, j) when column i may be added into column j, rowop
     holds (l, k) when row l may be added into row k.
     """
-    colop = frozenset((i, j) for j, src in enumerate(ops.col_src) for i in src)
-    rowop = frozenset((l, k) for k, src in enumerate(ops.row_src) for l in src)
+    colop = frozenset((i, j) for j, m in enumerate(ops.col_mask) for i in bits(m))
+    rowop = frozenset((l, k) for k, m in enumerate(ops.row_mask) for l in bits(m))
     return colop, rowop
 
 

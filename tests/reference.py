@@ -5,9 +5,21 @@ part of the program needs them.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from bisect import bisect_right
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from mpdecomp import BettiTable, F2Matrix, GradeBox, GradedMatrix, KernelElement, col_reduce, leq
+from mpdecomp import (
+    AdmissibleOps,
+    BettiTable,
+    F2Matrix,
+    GradeBox,
+    GradedMatrix,
+    IndexBlock,
+    KernelElement,
+    Op,
+    col_reduce,
+    leq,
+)
 
 
 def from_dense(rows: Sequence[Sequence[int]]) -> F2Matrix:
@@ -94,3 +106,94 @@ def betti_euler_function(table: BettiTable, box: GradeBox) -> List[int]:
         )
         for u in box.grades()
     ]
+
+
+def _gather(col: int, rows: Sequence[int]) -> int:
+    # bit rpos of the result is bit rows[rpos] of col
+    v = 0
+    for rpos, i in enumerate(rows):
+        if (col >> i) & 1:
+            v |= 1 << rpos
+    return v
+
+
+def lin(mat: F2Matrix, rows: Sequence[int], cols: Sequence[int]) -> int:
+    """Flatten the (rows x cols) region, last column first, rows ascending.
+
+    Bit k of the result corresponds to position k of that walk, so the
+    highest set bit (the pivot under reduction) lies in the earliest
+    column of the region.
+    """
+    v = 0
+    for j in cols:
+        v = (v << len(rows)) | _gather(mat.cols[j], rows)
+    return v
+
+
+def block_reduce_lin(
+    A: GradedMatrix,
+    ops: AdmissibleOps,
+    T: IndexBlock,
+    t: int,
+    certificate: Optional[List[Op]] = None,
+) -> bool:
+    """``diagonalize.block_reduce`` restated row by row and source by source.
+
+    The region is built with ``lin``, B's columns and the row traces by
+    testing every row of every column, and one Op is made per candidate
+    source, listed by ``col_sources``/``row_sources``.  The sources come in
+    the same order as in the library, so ``col_reduce`` picks the same
+    combination.
+    """
+    rows_t = T.rows
+    if not rows_t:
+        return True
+    cols_t = T.cols[: bisect_right(T.cols, t)]
+    n_rt = len(rows_t)
+    n_ct = len(cols_t)
+    c = lin(A.mat, rows_t, cols_t)
+    rows_t_set = set(rows_t)
+    # B's columns on B's rows, the nonzero ones only
+    outside = set(cols_t)
+    b_cols = {}
+    for i in range(t):
+        if i not in outside:
+            v = _gather(A.mat.cols[i], rows_t)
+            if v:
+                b_cols[i] = v
+
+    sources: List[Op] = []
+    vecs: List[int] = []
+    for cpos, j in enumerate(cols_t):
+        base = (n_ct - 1 - cpos) * n_rt
+        for i in ops.col_sources(j):
+            if i in b_cols:
+                sources.append(Op("col", i, j))
+                vecs.append(b_cols[i] << base)
+    # a row's trace on the region, placed at row position 0
+    row_traces: Dict[int, int] = {}
+    for kpos, k in enumerate(rows_t):
+        for l in ops.row_sources(k):
+            if l in rows_t_set:
+                continue
+            if l not in row_traces:
+                trace = 0
+                for j in cols_t:
+                    trace = (trace << n_rt) | ((A.mat.cols[j] >> l) & 1)
+                row_traces[l] = trace
+            if row_traces[l]:
+                sources.append(Op("row", l, k))
+                vecs.append(row_traces[l] << kpos)
+
+    combo = col_reduce(F2Matrix(n_rt * n_ct, vecs), c)
+    if combo is None:
+        return False
+    for idx, op in enumerate(sources):
+        if (combo >> idx) & 1:
+            if op.kind == "col":
+                A.mat.add_col(op.source, op.target)
+            else:
+                A.mat.add_row(op.source, op.target)
+            if certificate is not None:
+                certificate.append(op)
+    return True

@@ -11,9 +11,10 @@ from mpdecomp import (
     Op,
     Presentation,
     block_reduce,
-    lin,
     minimize,
     parse_filtration,
+    pres_2param,
+    pres_dparam,
     pres_h0,
     replay_certificate,
     sort_by_grade,
@@ -24,9 +25,10 @@ from mpdecomp.errors import InputError, TiedGradesError
 from mpdecomp.graded import admissible_ops
 from mpdecomp.grades import tied_pairs
 from mpdecomp.oracle import brute_force_finest, op_pairs
-from reference import from_dense
+from reference import block_reduce_lin, from_dense, lin
 from test_acceptance import merge_chain, random_filtration_text
-from test_presentation import random_graph_boundary
+from test_graded_matrix import random_graded
+from test_presentation import graph_filtration, random_graph_boundary
 
 
 def triangle_matrix() -> GradedMatrix:
@@ -295,3 +297,76 @@ def test_col_reduce_sees_only_columns_up_to_t(monkeypatch):
     diag = tot_diagonalize(merge_chain(24))
     assert len([b for b in diag.blocks if b.rows]) == 24
     assert len(sizes) > 100
+
+
+def equivalence_cases():
+    """Sorted inputs of every kind the library diagonalizes, ties included."""
+    rng = random.Random(61)
+    for _ in range(80):
+        yield random_sorted_graded(rng, n_max=6, m_max=7)
+    for _ in range(80):  # few coordinates: exact ties between rows and columns
+        yield sort_by_grade(random_graded(rng, n_max=6, m_max=6, coord_max=2))[0]
+    for _ in range(30):
+        M = random_graph_boundary(rng, 10, 24, span=12)
+        yield sort_by_grade(M)[0]
+        yield sort_by_grade(minimize(Presentation(M, case_tag="H0")).matrix)[0]
+    for _ in range(20):
+        P = pres_2param(graph_filtration(rng, 7, 14, span=8), 1)
+        yield sort_by_grade(P.matrix)[0]
+        yield sort_by_grade(minimize(P).matrix)[0]
+    for _ in range(15):  # d = 3
+        F = graph_filtration(rng, 6, 12, span=4, d=3, tets=True)
+        for P in (pres_h0(F), pres_dparam(F, 1)):
+            yield sort_by_grade(P.matrix)[0]
+            yield sort_by_grade(minimize(P).matrix)[0]
+
+
+def test_block_reduce_matches_lin_reference(monkeypatch):
+    # every call also runs the row-by-row, source-by-source restatement on
+    # a copy: same answer, same matrix, same certificate entries
+    real = diagonalize.block_reduce
+    calls = 0
+
+    def checked(A, ops, T, t, certificate=None):
+        nonlocal calls
+        ref = A.copy()
+        ref_cert = []
+        expected = block_reduce_lin(ref, ops, T, t, ref_cert)
+        start = len(certificate)
+        ok = real(A, ops, T, t, certificate)
+        assert ok == expected
+        assert A.mat.cols == ref.mat.cols
+        assert certificate[start:] == ref_cert
+        calls += 1
+        return ok
+
+    monkeypatch.setattr(diagonalize, "block_reduce", checked)
+    n_inputs = 0
+    for M in equivalence_cases():
+        diag = tot_diagonalize(M, perturb_ties=True)
+        assert replay_certificate(M, diag.certificate).mat == diag.matrix.mat
+        n_inputs += 1
+    assert n_inputs >= 300
+    assert calls > 2000
+
+
+def test_ops_built_only_for_applied_operations(monkeypatch):
+    built = 0
+
+    class CountingOp(Op):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            nonlocal built
+            built += 1
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(diagonalize, "Op", CountingOp)
+    rng = random.Random(67)
+    applied = 0
+    for _ in range(30):
+        pres = minimize(Presentation(random_graph_boundary(rng, 10, 20), case_tag="H0"))
+        diag = tot_diagonalize(sort_by_grade(pres.matrix)[0], perturb_ties=True)
+        applied += len(diag.certificate)
+    assert applied > 100
+    assert built == applied

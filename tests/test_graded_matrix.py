@@ -169,10 +169,22 @@ def test_admissible_ops_match_pairwise_definition_with_ties():
                 for i in range(M.n_cols)
                 if i != j and _strictly_below(M.col_grades[i], i, M.col_grades[j], j)
             )
+            # bit i of column j's mask is set iff column i may be added into j
+            assert ops.col_mask[j] >> M.n_cols == 0
+            for i in range(M.n_cols):
+                assert bool((ops.col_mask[j] >> i) & 1) == (
+                    i != j and _strictly_below(M.col_grades[i], i, M.col_grades[j], j)
+                )
         for k in range(M.n_rows):
             assert ops.row_sources(k) == tuple(
                 l
                 for l in range(M.n_rows)
                 if l != k and _strictly_below(M.row_grades[k], k, M.row_grades[l], l)
             )
+            # bit l of row k's mask is set iff row l may be added into k
+            assert ops.row_mask[k] >> M.n_rows == 0
+            for l in range(M.n_rows):
+                assert bool((ops.row_mask[k] >> l) & 1) == (
+                    l != k and _strictly_below(M.row_grades[k], k, M.row_grades[l], l)
+                )
     assert ties > 50

@@ -29,14 +29,14 @@ DATA = Path(__file__).resolve().parent.parent / "data" / "suspension.mpfilt"
 
 def main() -> None:
     filt = parse_filtration(DATA.read_text())
-    top = max(s.dim for s in filt.simplices)
-    print(f"complex: {len(filt.simplices)} simplices, max dim {top}")
+    top = len(filt.grades) - 1  # grades[p] lists the p-simplices' grades
+    print(f"complex: {sum(map(len, filt.grades))} simplices, max dim {top}")
 
     pres = minimize(pres_2param(filt, 1))
     print(f"minimal presentation of H_1: {pres.n_rows} generators, "
           f"{pres.n_cols} relations")
 
-    sorted_matrix, _, _ = sort_by_grade(pres.matrix)
+    sorted_matrix = sort_by_grade(pres.matrix)
     diag = tot_diagonalize(sorted_matrix)
     final = Presentation(diag.matrix, case_tag=pres.case_tag, minimized=True)
     print(f"{len(diag.blocks)} indecomposable summands\n")

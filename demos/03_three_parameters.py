@@ -48,7 +48,7 @@ def main() -> None:
         print(f"  relation {pres.matrix.col_labels[j]} at {fmt(g)} over rows {rows}")
     print()
 
-    sorted_matrix, _, _ = sort_by_grade(pres.matrix)
+    sorted_matrix = sort_by_grade(pres.matrix)
     diag = tot_diagonalize(sorted_matrix)
     print(f"the presentation is a single indecomposable block: {diag.blocks}")
 

@@ -18,7 +18,7 @@ from .diagonalize import (
 )
 from .errors import InputError, InternalCheckError, TiedGradesError
 from .f2 import F2Matrix, col_reduce
-from .filtration import Filtration, Simplex, boundary_matrix, parse_filtration
+from .filtration import Filtration, boundary_matrix, parse_filtration
 from .graded import AdmissibleOps, GradedMatrix, admissible_ops, sort_by_grade
 from .grades import leq, tied_pairs, topo_order
 from .invariants import (
@@ -63,7 +63,6 @@ __all__ = [
     "KernelElement",
     "Op",
     "Presentation",
-    "Simplex",
     "TiedGradesError",
     "admissible_ops",
     "betti01",

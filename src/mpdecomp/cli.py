@@ -17,12 +17,12 @@ from operator import add, sub
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .diagonalize import Diagonalization, Op, tot_diagonalize
+from .diagonalize import Diagonalization, Op, replay_certificate, tot_diagonalize
 from .errors import InputError, InternalCheckError, TiedGradesError
 from .f2 import bits
 from .filtration import parse_filtration
 from .graded import GradedMatrix, sort_by_grade
-from .grades import check_grade, fmt
+from .grades import check_grade, fmt, read_lines
 from .invariants import (
     Blockcode,
     GradeBox,
@@ -46,10 +46,7 @@ def _read_input(path: Path):
         text = path.read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, line in read_lines(text):
         kind = line.split()[0]
         if kind == "mpfilt":
             return parse_filtration(text)
@@ -80,15 +77,15 @@ def _load(args: argparse.Namespace) -> Presentation:
 
 def _pipeline(
     args: argparse.Namespace, minimal: bool = True
-) -> Tuple[Presentation, Diagonalization]:
-    """Shared path: parse, build, minimize if minimal, sort, diagonalize."""
+) -> Tuple[Presentation, Diagonalization, GradedMatrix]:
+    """Parse, build, minimize if minimal, sort, diagonalize; keep the sorted input."""
     pres = _load(args)
     if minimal:
         pres = minimize(pres)
-    sorted_matrix, _, _ = sort_by_grade(pres.matrix)
+    sorted_matrix = sort_by_grade(pres.matrix)
     diag = tot_diagonalize(sorted_matrix, perturb_ties=args.perturb)
     final = Presentation(diag.matrix, case_tag=pres.case_tag, minimized=pres.minimized)
-    return final, diag
+    return final, diag, sorted_matrix
 
 
 # -- serialization -----------------------------------------------------------
@@ -269,7 +266,7 @@ def _box_from_flag(flag: str) -> GradeBox:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> str:
-    final, diag = _pipeline(args)
+    final, diag, _ = _pipeline(args)
     if args.format == "text":
         return _decompose_text(final, diag)
     box = args.box or default_box(final)
@@ -280,7 +277,7 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
 
 
 def _cmd_diagonalize(args: argparse.Namespace) -> str:
-    final, diag = _pipeline(args, minimal=False)
+    final, diag, _ = _pipeline(args, minimal=False)
     if args.format == "text":
         return _decompose_text(final, diag)
     box = args.box or default_box(final)
@@ -288,7 +285,7 @@ def _cmd_diagonalize(args: argparse.Namespace) -> str:
 
 
 def _cmd_betti(args: argparse.Namespace) -> str:
-    final, diag = _pipeline(args)
+    final, diag, _ = _pipeline(args)
     if args.format == "text":
         return _betti_text(final, diag)
     payload = {
@@ -310,7 +307,7 @@ def _cmd_betti(args: argparse.Namespace) -> str:
 
 
 def _cmd_blockcode(args: argparse.Namespace) -> str:
-    final, diag = _pipeline(args)
+    final, diag, _ = _pipeline(args)
     box = args.box or default_box(final)
     codes = blockcodes(final, diag.blocks, box)
     if args.format == "json":
@@ -334,7 +331,15 @@ def _cmd_blockcode(args: argparse.Namespace) -> str:
 def _cmd_check(args: argparse.Namespace) -> str:
     from .oracle import brute_force_finest  # here, so no other command loads it
 
-    final, diag = _pipeline(args)
+    final, diag, sorted_matrix = _pipeline(args)
+    try:
+        replayed = replay_certificate(sorted_matrix, diag.certificate).mat
+    except InputError as exc:  # an inadmissible op in our own certificate
+        raise InternalCheckError(f"certificate does not replay: {exc}") from None
+    if replayed != diag.matrix.mat:
+        raise InternalCheckError(
+            "replaying the certificate does not reproduce the diagonalized matrix"
+        )
     reference = brute_force_finest(final.matrix)
     mine = sorted((b.rows, b.cols) for b in diag.blocks)
     theirs = sorted((b.rows, b.cols) for b in reference)
@@ -350,9 +355,8 @@ def _cmd_check(args: argparse.Namespace) -> str:
 
 def _cmd_export_pres(args: argparse.Namespace) -> str:
     pres = minimize(_load(args))
-    sorted_matrix, _, _ = sort_by_grade(pres.matrix)
     text = format_presentation(
-        Presentation(sorted_matrix, case_tag=pres.case_tag, minimized=True)
+        Presentation(sort_by_grade(pres.matrix), case_tag=pres.case_tag, minimized=True)
     )
     if args.output is not None:
         args.output.write_text(text)

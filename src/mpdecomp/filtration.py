@@ -22,20 +22,18 @@ from typing import Dict, List, Tuple
 from .errors import InputError
 from .f2 import F2Matrix
 from .graded import GradedMatrix, _trusted
-from .grades import check_grade, fmt
-
-
-@dataclass(frozen=True)
-class Simplex:
-    id: int
-    grade: Tuple[int, ...]
-    facets: Tuple[int, ...]  # ids of codimension-1 faces, sorted
-    dim: int
+from .grades import fmt, read_grade, read_lines
 
 
 @dataclass
 class Filtration:
-    """Simplices in declaration order, as ``parse_filtration`` builds them.
+    """A filtration with ``d`` parameters, as ``parse_filtration`` builds it.
+
+    ``grades[p]``, ``labels[p]`` and ``boundaries[p]`` list the
+    p-simplices in declaration order: their grades, their ids in the file
+    (as strings), and their boundaries as bitmasks, bit k standing for the
+    k-th (p-1)-simplex.  Vertices have boundary 0.  The lists run up to the
+    top dimension.
 
     The parser establishes what the format above asks (facets declared
     first, grades monotone along faces) and that every grade has ``d``
@@ -44,10 +42,9 @@ class Filtration:
     """
 
     d: int
-    simplices: List[Simplex] = field(default_factory=list)
-
-    def by_dim(self, p: int) -> List[Simplex]:
-        return [s for s in self.simplices if s.dim == p]
+    grades: List[List[Tuple[int, ...]]] = field(default_factory=list)
+    labels: List[List[str]] = field(default_factory=list)
+    boundaries: List[List[int]] = field(default_factory=list)
 
 
 def _fail(line_no: int, msg: str) -> None:
@@ -56,52 +53,38 @@ def _fail(line_no: int, msg: str) -> None:
 
 def parse_filtration(text: str) -> Filtration:
     """Parse the mpfilt format; diagnostics carry 1-based line numbers."""
-    lines = text.splitlines()
-    header_seen = False
-    d = None
-    filt = None
+    lines = read_lines(text)
+    line_no, line = next(lines, (0, ""))
+    if not line:
+        raise InputError("empty input: missing 'mpfilt 1' header")
+    if line.split() != ["mpfilt", "1"]:
+        _fail(line_no, f"expected header 'mpfilt 1', got {line!r}")
+    line_no, line = next(lines, (0, ""))
+    if not line:
+        raise InputError("missing 'params <d>' line")
+    tokens = line.split()
+    if len(tokens) != 2 or tokens[0] != "params":
+        _fail(line_no, f"expected 'params <d>', got {line!r}")
+    try:
+        d = int(tokens[1])
+    except ValueError:
+        _fail(line_no, f"parameter count {tokens[1]!r} is not an integer")
+    if d < 1:
+        _fail(line_no, f"parameter count must be positive, got {d}")
+
+    F = Filtration(d=d)
+    where: List[Tuple[int, int]] = []  # id -> (dimension, position in it)
     seen_facet_sets: Dict[Tuple[int, ...], int] = {}
-    next_id = 0
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in lines:
         tokens = line.split()
-        if not header_seen:
-            if tokens != ["mpfilt", "1"]:
-                _fail(line_no, f"expected header 'mpfilt 1', got {line!r}")
-            header_seen = True
-            continue
-        if d is None:
-            if len(tokens) != 2 or tokens[0] != "params":
-                _fail(line_no, f"expected 'params <d>', got {line!r}")
-            try:
-                d = int(tokens[1])
-            except ValueError:
-                _fail(line_no, f"parameter count {tokens[1]!r} is not an integer")
-            if d < 1:
-                _fail(line_no, f"parameter count must be positive, got {d}")
-            filt = Filtration(d=d)
-            continue
-
+        next_id = len(where)
         if tokens[0] != "s":
             _fail(line_no, f"expected a simplex line starting with 's', got {line!r}")
         if ":" not in tokens:
             _fail(line_no, "missing ':' between grade and facet list")
         sep = tokens.index(":")
-        grade_tokens = tokens[1:sep]
+        g = read_grade(line_no, tokens[1:sep], d)
         facet_tokens = tokens[sep + 1 :]
-        if len(grade_tokens) != d:
-            _fail(line_no, f"expected {d} grade coordinates, got {len(grade_tokens)}")
-        try:
-            coords = tuple(int(tok) for tok in grade_tokens)
-        except ValueError:
-            _fail(line_no, f"non-integer grade in {grade_tokens}")
-        try:
-            g = check_grade(coords)
-        except InputError as exc:
-            _fail(line_no, str(exc))
         try:
             facets = tuple(sorted(int(tok) for tok in facet_tokens))
         except ValueError:
@@ -113,8 +96,9 @@ def parse_filtration(text: str) -> Filtration:
             if not 0 <= f < next_id:
                 _fail(line_no, f"facet {f} not declared before simplex {next_id}")
 
+        boundary = 0
         if facets:
-            dims = {filt.simplices[f].dim for f in facets}
+            dims = {where[f][0] for f in facets}
             if len(dims) != 1:
                 _fail(line_no, "facets of one simplex must share a dimension")
             dim = dims.pop() + 1
@@ -123,13 +107,16 @@ def parse_filtration(text: str) -> Filtration:
                     line_no,
                     f"a {dim}-simplex needs {dim + 1} facets, got {len(facets)}",
                 )
+            below = F.grades[dim - 1]
             for f in facets:
-                if not all(map(le, filt.simplices[f].grade, g)):
+                pos = where[f][1]
+                if not all(map(le, below[pos], g)):
                     _fail(
                         line_no,
                         f"grade {fmt(g)} of simplex {next_id} is not above grade "
-                        f"{fmt(filt.simplices[f].grade)} of its facet {f}",
+                        f"{fmt(below[pos])} of its facet {f}",
                     )
+                boundary |= 1 << pos
             if facets in seen_facet_sets:
                 _fail(
                     line_no,
@@ -142,36 +129,34 @@ def parse_filtration(text: str) -> Filtration:
         else:
             dim = 0
 
-        filt.simplices.append(Simplex(id=next_id, grade=g, facets=facets, dim=dim))
-        next_id += 1
-
-    if not header_seen:
-        raise InputError("empty input: missing 'mpfilt 1' header")
-    if d is None:
-        raise InputError("missing 'params <d>' line")
-    return filt
+        if dim == len(F.grades):
+            F.grades.append([])
+            F.labels.append([])
+            F.boundaries.append([])
+        where.append((dim, len(F.grades[dim])))
+        F.grades[dim].append(g)
+        F.labels[dim].append(str(next_id))
+        F.boundaries[dim].append(boundary)
+    return F
 
 
 def boundary_matrix(F: Filtration, p: int) -> GradedMatrix:
     """[boundary_p]: rows are (p-1)-simplices, columns are p-simplices."""
     if p < 1:
         raise InputError(f"boundary matrix needs p >= 1, got {p}")
-    rows = F.by_dim(p - 1)
-    cols = F.by_dim(p)
-    bit = {s.id: 1 << i for i, s in enumerate(rows)}
-    vecs = []
-    for s in cols:
-        v = 0
-        for f in s.facets:
-            v ^= bit[f]
-        vecs.append(v)
+
+    def of_dim(lists: list, q: int) -> list:
+        # a copy, since _trusted stores its lists as given; none above the top
+        return list(lists[q]) if q < len(lists) else []
+
     # parse_filtration has checked the grades and that each simplex lies
     # above its facets, so the matrix is homogeneous
+    row_grades = of_dim(F.grades, p - 1)
     return _trusted(
-        F2Matrix(len(rows), vecs),
-        [s.grade for s in rows],
-        [s.grade for s in cols],
-        [str(s.id) for s in rows],
-        [str(s.id) for s in cols],
+        F2Matrix(len(row_grades), of_dim(F.boundaries, p)),
+        row_grades,
+        of_dim(F.grades, p),
+        of_dim(F.labels, p - 1),
+        of_dim(F.labels, p),
         F.d,
     )

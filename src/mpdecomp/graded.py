@@ -10,10 +10,10 @@ addition operations only accept grade-compatible pairs, so the invariant
 is preserved by use.
 
 Matrices that are valid by construction skip the checks through
-``_trusted``: the boundary matrices of a parsed filtration, the rewritten
-boundaries and syzygies of a presentation, and the copies and
-re-indexings of a checked matrix (``_reindexed``).  The tests assert the
-invariant on every such builder's output.
+``_trusted``: a parsed presentation, the boundary matrices of a parsed
+filtration, the rewritten boundaries and syzygies of a presentation, and
+the copies and re-indexings of a checked matrix (``_reindexed``).  The
+tests assert the invariant on every such builder's output.
 """
 from __future__ import annotations
 
@@ -168,15 +168,13 @@ def admissible_ops(M: GradedMatrix) -> AdmissibleOps:
     return AdmissibleOps(col_mask=tuple(col_mask), row_mask=tuple(row_mask))
 
 
-def sort_by_grade(M: GradedMatrix) -> Tuple[GradedMatrix, List[int], List[int]]:
-    """Permute rows and columns into topo order.
+def sort_by_grade(M: GradedMatrix) -> GradedMatrix:
+    """M with rows and columns permuted into topo order.
 
-    Returns the sorted matrix plus the two permutations, each mapping new
-    position -> original index.
+    Row i of the result is row ``topo_order(M.row_grades)[i]`` of M, and
+    likewise for columns.
     """
-    row_perm = topo_order(M.row_grades)
-    col_perm = topo_order(M.col_grades)
-    return _reindexed(M, row_perm, col_perm), row_perm, col_perm
+    return _reindexed(M, topo_order(M.row_grades), topo_order(M.col_grades))
 
 
 def _reindexed(

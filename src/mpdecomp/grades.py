@@ -2,15 +2,15 @@
 
 A grade is a point of Z^d attached to a row, column, or simplex, held as a
 tuple of ints.  ``check_grade`` admits coordinates where they enter the
-program.  The product partial order ``leq`` decides which matrix
-operations are legal; ``topo_order`` extends it to the total order in which
-the reduction consumes rows and columns.  Equal grades are ordered by input
-index, which is exactly the virtual perturbation used when ties are
-tolerated.
+program; both file formats enter through ``read_lines`` and ``read_grade``.
+The product partial order ``leq`` decides which matrix operations are
+legal; ``topo_order`` extends it to the total order in which the reduction
+consumes rows and columns.  Equal grades are ordered by input index, which
+is exactly the virtual perturbation used when ties are tolerated.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from .errors import InputError
 
@@ -26,6 +26,30 @@ def check_grade(coords: Iterable[int]) -> Tuple[int, ...]:
         if not -_BOUND <= x < _BOUND:
             raise InputError(f"grade coordinate {x} outside 64-bit range")
     return g
+
+
+def read_lines(text: str) -> Iterator[Tuple[int, str]]:
+    """(number from 1, stripped text) of each line holding more than a # comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
+def read_grade(line_no: int, tokens: Sequence[str], d: int) -> Tuple[int, ...]:
+    """The grade one input line's tokens spell; refusals name the line."""
+    if len(tokens) != d:
+        raise InputError(
+            f"line {line_no}: expected {d} grade coordinates, got {len(tokens)}"
+        )
+    try:
+        coords = [int(t) for t in tokens]
+    except ValueError:
+        raise InputError(f"line {line_no}: non-integer grade in {tokens}") from None
+    try:
+        return check_grade(coords)
+    except InputError as exc:
+        raise InputError(f"line {line_no}: {exc}") from None
 
 
 def fmt(g: Sequence[int]) -> str:

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InputError, InternalCheckError
 from .f2 import F2Matrix, bits
 from .graded import GradedMatrix, _reindexed, _trusted
-from .grades import check_grade, fmt, leq, topo_order
+from .grades import check_grade, fmt, read_grade, read_lines, topo_order
 
 H0 = "H0"
 TWO_PARAM = "TWO_PARAM"
@@ -380,16 +380,11 @@ def parse_presentation(text: str) -> Presentation:
         cols <m>
         c <g1> ... <gd> : <row_index> ...   (m times)
     """
-    lines = text.splitlines()
-    pos = 0
+    lines = read_lines(text)
 
     def next_tokens(expect: str):
-        nonlocal pos
-        while pos < len(lines):
-            pos += 1
-            line = lines[pos - 1].split("#", 1)[0].strip()
-            if line:
-                return pos, line.split()
+        for line_no, line in lines:
+            return line_no, line.split()
         raise InputError(f"unexpected end of input, expected {expect}")
 
     line_no, tokens = next_tokens("'mppres 1' header")
@@ -402,20 +397,6 @@ def parse_presentation(text: str) -> Presentation:
     if d < 1:
         raise InputError(f"line {line_no}: parameter count must be positive")
 
-    def parse_grade(line_no: int, toks) -> Tuple[int, ...]:
-        if len(toks) != d:
-            raise InputError(
-                f"line {line_no}: expected {d} grade coordinates, got {len(toks)}"
-            )
-        try:
-            coords = [int(t) for t in toks]
-        except ValueError:
-            raise InputError(f"line {line_no}: non-integer grade in {toks}") from None
-        try:
-            return check_grade(coords)
-        except InputError as exc:
-            raise InputError(f"line {line_no}: {exc}") from None
-
     line_no, tokens = next_tokens("'rows <n>'")
     if len(tokens) != 2 or tokens[0] != "rows" or not tokens[1].isdecimal():
         raise InputError(f"line {line_no}: expected 'rows <n>'")
@@ -423,9 +404,9 @@ def parse_presentation(text: str) -> Presentation:
     row_grades = []
     for _ in range(n):
         line_no, tokens = next_tokens("a row grade line")
-        if not tokens or tokens[0] != "r":
+        if tokens[0] != "r":
             raise InputError(f"line {line_no}: expected 'r <grade>'")
-        row_grades.append(parse_grade(line_no, tokens[1:]))
+        row_grades.append(read_grade(line_no, tokens[1:], d))
 
     line_no, tokens = next_tokens("'cols <m>'")
     if len(tokens) != 2 or tokens[0] != "cols" or not tokens[1].isdecimal():
@@ -435,10 +416,10 @@ def parse_presentation(text: str) -> Presentation:
     cols = []
     for _ in range(m):
         line_no, tokens = next_tokens("a column line")
-        if not tokens or tokens[0] != "c" or ":" not in tokens:
+        if tokens[0] != "c" or ":" not in tokens:
             raise InputError(f"line {line_no}: expected 'c <grade> : <rows>'")
         sep = tokens.index(":")
-        g = parse_grade(line_no, tokens[1:sep])
+        g = read_grade(line_no, tokens[1:sep], d)
         col_grades.append(g)
         v = 0
         for tok in tokens[sep + 1 :]:
@@ -448,7 +429,7 @@ def parse_presentation(text: str) -> Presentation:
                 raise InputError(f"line {line_no}: non-integer row index {tok!r}") from None
             if not 0 <= i < n:
                 raise InputError(f"line {line_no}: row index {i} outside 0..{n - 1}")
-            if not leq(row_grades[i], g):
+            if not all(map(le, row_grades[i], g)):
                 raise InputError(
                     f"line {line_no}: entry at row {i} breaks homogeneity: "
                     f"row grade {fmt(row_grades[i])} is not <= column grade {fmt(g)}"
@@ -456,7 +437,9 @@ def parse_presentation(text: str) -> Presentation:
             v |= 1 << i
         cols.append(v)
 
-    matrix = GradedMatrix(F2Matrix(n, cols), row_grades, col_grades, d=d)
+    # every grade and entry is checked above, all that the constructor checks
+    labels = [f"r{i}" for i in range(n)], [f"c{j}" for j in range(m)]
+    matrix = _trusted(F2Matrix(n, cols), row_grades, col_grades, *labels, d)
     return Presentation(matrix, case_tag=RAW)
 
 

@@ -64,7 +64,7 @@ def verdict(num: int, what: str):
 def h0_pipeline(name: str):
     filt = parse_filtration((DATA / name).read_text())
     pres = minimize(pres_h0(filt))
-    M, _, _ = sort_by_grade(pres.matrix)
+    M = sort_by_grade(pres.matrix)
     diag = tot_diagonalize(M)
     final = Presentation(diag.matrix, pres.case_tag, minimized=True)
     return final, diag
@@ -145,7 +145,7 @@ def test_4_suspension_degree_one():
     with verdict(4, "suspension H1 gives the known 4x3 and three summands"):
         filt = parse_filtration((DATA / "suspension.mpfilt").read_text())
         pres = minimize(pres_2param(filt, 1))
-        M, _, _ = sort_by_grade(pres.matrix)
+        M = sort_by_grade(pres.matrix)
         assert M.row_grades == [(0, 1), (1, 0), (1, 1), (2, 2)]
         assert M.col_grades == [(1, 1), (1, 2), (2, 1)]
         assert M.mat.to_dense() == [
@@ -177,7 +177,7 @@ def test_5_three_parameter_single_block():
             (1, 1, 0),
         ]
         assert M.mat.cols == [0b111]
-        sortedM, _, _ = sort_by_grade(minimize(pres).matrix)
+        sortedM = sort_by_grade(minimize(pres).matrix)
         diag = tot_diagonalize(sortedM)
         assert len(diag.blocks) == 1
         assert diag.blocks[0].rows == (0, 1, 2)
@@ -204,7 +204,7 @@ def test_6_oracle_agreement_200():
         t0 = time.perf_counter()
         rng = random.Random(20260816)
         for case in range(200):
-            M, _, _ = sort_by_grade(random_distinct_graded(rng))
+            M = sort_by_grade(random_distinct_graded(rng))
             mine = {(b.rows, b.cols) for b in tot_diagonalize(M).blocks}
             ref = {(b.rows, b.cols) for b in brute_force_finest(M)}
             assert mine == ref, f"disagreement on case {case}"
@@ -260,7 +260,7 @@ def random_filtration_text(rng: random.Random) -> str:
 def random_pipeline(rng: random.Random):
     filt = parse_filtration(random_filtration_text(rng))
     pres = minimize(pres_h0(filt))
-    M, _, _ = sort_by_grade(pres.matrix)
+    M = sort_by_grade(pres.matrix)
     diag = tot_diagonalize(M, perturb_ties=True)
     return Presentation(diag.matrix, pres.case_tag, minimized=True), diag
 
@@ -327,7 +327,7 @@ def test_7_property_suites():
         # replaying the certificate reproduces the diagonalized matrix
         rng = random.Random(72)
         for _ in range(500):
-            M, _, _ = sort_by_grade(random_distinct_graded(rng))
+            M = sort_by_grade(random_distinct_graded(rng))
             diag = tot_diagonalize(M)
             assert replay_certificate(M, diag.certificate).mat.cols == diag.matrix.mat.cols
 
@@ -394,7 +394,7 @@ def merge_chain(n: int) -> GradedMatrix:
 def test_8_doubling_runtime_envelope():
     with verdict(8, "doubling a chain stays inside the x64 runtime envelope"):
         def timed(n: int) -> float:
-            M, _, _ = sort_by_grade(merge_chain(n))
+            M = sort_by_grade(merge_chain(n))
             best = float("inf")
             for _ in range(3):
                 t0 = time.perf_counter()

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mpdecomp
+from mpdecomp import cli
 from mpdecomp.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,6 +109,37 @@ def test_check_reports_agreement(capsys):
     code, out, _ = run_cli(capsys, "check", K23, "--dim", "1")
     assert code == 0
     assert "agree" in out
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        # the blocks still agree with brute force; only the replay differs
+        (
+            lambda cert: cert.pop(),
+            "replaying the certificate does not reproduce the diagonalized matrix",
+        ),
+        (
+            lambda cert: cert.append(mpdecomp.Op("col", 1, 0)),
+            "certificate does not replay: column addition 1->0 not allowed: (1,2) vs (1,1)",
+        ),
+    ],
+    ids=["last-op-dropped", "inadmissible-op-added"],
+)
+def test_check_replays_the_certificate(monkeypatch, capsys, tamper, message):
+    code, out, _ = run_cli(capsys, "check", TRIANGLE, "--dim", "0")
+    assert (code, out) == (0, "ok: 2 blocks agree with brute force, 2 ops applied\n")
+    real = cli.tot_diagonalize
+
+    def tampered(*args, **kwargs):
+        diag = real(*args, **kwargs)
+        tamper(diag.certificate)
+        return diag
+
+    monkeypatch.setattr(cli, "tot_diagonalize", tampered)
+    code, out, err = run_cli(capsys, "check", TRIANGLE, "--dim", "0")
+    assert (code, out) == (4, "")
+    assert err == f"internal error: {message}\n"
 
 
 def test_diagonalize_raw_presentation(capsys):
@@ -357,7 +389,10 @@ def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys)
         ("mppres 1\nparams --1\n", "line 2: expected 'params <d>'"),
         ("mppres 1\nparams 1\nrows \u00b2\n", "line 3: expected 'rows <n>'"),
         ("mppres 1\nparams 1\nrows 0\ncols \u00b3\n", "line 4: expected 'cols <m>'"),
-        ("mppres 1\nparams 1\nrows 1\nr \u00b2\ncols 0\n", "line 4: non-integer grade"),
+        (
+            "mppres 1\nparams 1\nrows 1\nr \u00b2\ncols 0\n",
+            "line 4: non-integer grade in ['\u00b2']",
+        ),
         (
             "mppres 1\nparams 1\nrows 1\nr 9223372036854775808\ncols 0\n",
             "line 4: grade coordinate 9223372036854775808 outside 64-bit range",
@@ -365,6 +400,47 @@ def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys)
         (
             "mppres 1\nparams 1\nrows 1\nr 0\ncols 1\nc -9223372036854775809 : \n",
             "line 6: grade coordinate -9223372036854775809 outside 64-bit range",
+        ),
+        ("mppres 2\n", "line 1: expected header 'mppres 1'"),
+        ("mppres 1\n", "unexpected end of input, expected 'params <d>'"),
+        ("mppres 1\nparams x\n", "line 2: expected 'params <d>'"),
+        ("mppres 1\nparams 0\n", "line 2: parameter count must be positive"),
+        ("mppres 1\nparams 1\n", "unexpected end of input, expected 'rows <n>'"),
+        ("mppres 1\nparams 1\nrows -1\n", "line 3: expected 'rows <n>'"),
+        (
+            "mppres 1\nparams 1\nrows 2\nr 0\n",
+            "unexpected end of input, expected a row grade line",
+        ),
+        ("mppres 1\nparams 1\nrows 1\nc 0\n", "line 4: expected 'r <grade>'"),
+        (
+            "mppres 1\nparams 2\nrows 1\nr 0\ncols 0\n",
+            "line 4: expected 2 grade coordinates, got 1",
+        ),
+        ("mppres 1\nparams 1\nrows 1\nr 0\n", "unexpected end of input, expected 'cols <m>'"),
+        (
+            "mppres 1\nparams 1\nrows 0\ncols 1\n",
+            "unexpected end of input, expected a column line",
+        ),
+        (
+            "mppres 1\nparams 1\nrows 0\ncols 1\nc 0 0\n",
+            "line 5: expected 'c <grade> : <rows>'",
+        ),
+        (
+            "mppres 1\nparams 1\nrows 0\ncols 1\nc q : \n",
+            "line 5: non-integer grade in ['q']",
+        ),
+        (
+            "mppres 1\nparams 1\nrows 1\nr 0\ncols 1\nc 1 : w\n",
+            "line 6: non-integer row index 'w'",
+        ),
+        (
+            "mppres 1\nparams 1\nrows 1\nr 0\ncols 1\nc 1 : 3\n",
+            "line 6: row index 3 outside 0..0",
+        ),
+        (
+            "mppres 1\nparams 1\nrows 1\nr 2\ncols 1\nc 1 : 0  # comment\n",
+            "line 6: entry at row 0 breaks homogeneity: "
+            "row grade (2) is not <= column grade (1)",
         ),
     ],
     ids=[
@@ -375,14 +451,117 @@ def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys)
         "grade-superscript",
         "row-grade-too-high",
         "column-grade-too-low",
+        "header",
+        "end-before-params",
+        "params-not-integer",
+        "params-not-positive",
+        "end-before-rows",
+        "rows-negative",
+        "end-before-row",
+        "not-a-row-line",
+        "row-grade-count",
+        "end-before-cols",
+        "end-before-column",
+        "not-a-column-line",
+        "column-grade-not-integer",
+        "row-index-not-integer",
+        "row-index-outside",
+        "inhomogeneous",
     ],
 )
 def test_mppres_counts_and_coordinates_fail_with_line_numbers(tmp_path, capsys, text, message):
     path = tmp_path / "bad.mppres"
     path.write_text(text, encoding="utf-8")
-    code, _, err = run_cli(capsys, "decompose", str(path))
-    assert code == 2
-    assert err.startswith(f"error: {message}")
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("mpfilt 2\n", "line 1: expected header 'mpfilt 1', got 'mpfilt 2'"),
+        ("mpfilt 1  # header only\n", "missing 'params <d>' line"),
+        ("mpfilt 1\nparams\n", "line 2: expected 'params <d>', got 'params'"),
+        ("mpfilt 1\nparams x\n", "line 2: parameter count 'x' is not an integer"),
+        ("mpfilt 1\nparams 0\n", "line 2: parameter count must be positive, got 0"),
+        (
+            "mpfilt 1\nparams 2\nx 0 0 :  # comment\n",
+            "line 3: expected a simplex line starting with 's', got 'x 0 0 :'",
+        ),
+        ("mpfilt 1\nparams 2\ns 0 0\n", "line 3: missing ':' between grade and facet list"),
+        ("mpfilt 1\nparams 2\ns 0 :\n", "line 3: expected 2 grade coordinates, got 1"),
+        ("mpfilt 1\nparams 2\ns 0 y :\n", "line 3: non-integer grade in ['0', 'y']"),
+        (
+            "mpfilt 1\nparams 2\ns 0 9223372036854775808 :\n",
+            "line 3: grade coordinate 9223372036854775808 outside 64-bit range",
+        ),
+        ("mpfilt 1\nparams 1\ns 0 :\ns 1 : 0 z\n", "line 4: non-integer facet id in ['0', 'z']"),
+        ("mpfilt 1\nparams 1\ns 0 :\ns 1 : 0 0\n", "line 4: facet listed twice"),
+        ("mpfilt 1\nparams 2\ns 0 0 : 5\n", "line 3: facet 5 not declared before simplex 0"),
+        (
+            "mpfilt 1\nparams 2\ns 0 0 :\ns 0 0 :\ns 0 0 : 0 1\ns 1 1 : 0 2\n",
+            "line 6: facets of one simplex must share a dimension",
+        ),
+        (
+            "mpfilt 1\nparams 2\ns 0 0 :\ns 0 0 :\ns 0 0 :\ns 1 1 : 0 1 2\n",
+            "line 6: a 1-simplex needs 2 facets, got 3",
+        ),
+        (
+            "mpfilt 1\nparams 2\ns 0 1 :\ns 1 0 :\n\ns 2 0 : 0 1\n",
+            "line 6: grade (2,0) of simplex 2 is not above grade (0,1) of its facet 0",
+        ),
+        (
+            "mpfilt 1\nparams 2\ns 0 0 :\ns 0 0 :\ns 0 1 : 0 1\ns 1 0 : 0 1\n",
+            "line 6: simplex with facets [0, 1] already declared as id 2; multi-critical "
+            "input is not supported, convert to a one-critical filtration first "
+            "(e.g. by a mapping telescope)",
+        ),
+    ],
+    ids=[
+        "header",
+        "missing-params",
+        "params-shape",
+        "params-not-integer",
+        "params-not-positive",
+        "not-a-simplex-line",
+        "missing-colon",
+        "grade-count",
+        "grade-not-integer",
+        "grade-out-of-range",
+        "facet-not-integer",
+        "facet-listed-twice",
+        "facet-not-declared",
+        "facet-dimensions-differ",
+        "facet-count",
+        "grade-not-above-facet",
+        "multi-critical",
+    ],
+)
+def test_mpfilt_refusals_name_the_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.mpfilt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+        ("# a comment\nmpdata 1\n", "{path}: unknown header 'mpdata', expected mpfilt or mppres"),
+        ("\n  # only a comment\n\n", "{path}: empty input"),
+    ],
+    ids=["unreadable", "unknown-header", "empty"],
+)
+def test_input_file_refusals(tmp_path, capsys, text, message):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: " + message.format(path=path) + "\n"
 
 
 def test_readme_names_exactly_the_cli_flags():
@@ -408,6 +587,16 @@ def test_readme_names_exactly_the_cli_flags():
         assert re.findall(r"\(`.*`\)", table[name]) == (
             ["(" + ", ".join(f"`{c}`" for c in choices) + ")"] if choices else []
         ), name
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(ROOT)  # the example reads data/ by a relative path
+    exec(compile(example, "<README Library example>", "exec"), {"__name__": "readme_example"})
+    # the triangle's H0 splits into two summands, one line each
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_installed_entry_point_runs():

@@ -58,7 +58,7 @@ def random_sorted_graded(rng: random.Random, n_max=4, m_max=5) -> GradedMatrix:
         for i in range(n)
     ]
     M = GradedMatrix(from_dense(dense), rows, cols)
-    S, _, _ = sort_by_grade(M)
+    S = sort_by_grade(M)
     return S
 
 
@@ -201,7 +201,7 @@ def test_earlier_columns_never_regress(monkeypatch):
     # additions into columns before t, which undo the row additions there
     for _ in range(30):
         pres = minimize(Presentation(random_graph_boundary(rng, 10, 20), case_tag="H0"))
-        cases.append(sort_by_grade(pres.matrix)[0])
+        cases.append(sort_by_grade(pres.matrix))
     calls = 0
     for M in cases:
         seen.clear()
@@ -239,7 +239,7 @@ def cost_cases():
     n_random = 0
     while n_random < 60:
         pres = minimize(pres_h0(parse_filtration(random_filtration_text(rng))))
-        M = sort_by_grade(pres.matrix)[0]
+        M = sort_by_grade(pres.matrix)
         if tied_pairs(M.row_grades) or tied_pairs(M.col_grades):
             continue
         colop, rowop = op_pairs(admissible_ops(M))
@@ -305,20 +305,20 @@ def equivalence_cases():
     for _ in range(80):
         yield random_sorted_graded(rng, n_max=6, m_max=7)
     for _ in range(80):  # few coordinates: exact ties between rows and columns
-        yield sort_by_grade(random_graded(rng, n_max=6, m_max=6, coord_max=2))[0]
+        yield sort_by_grade(random_graded(rng, n_max=6, m_max=6, coord_max=2))
     for _ in range(30):
         M = random_graph_boundary(rng, 10, 24, span=12)
-        yield sort_by_grade(M)[0]
-        yield sort_by_grade(minimize(Presentation(M, case_tag="H0")).matrix)[0]
+        yield sort_by_grade(M)
+        yield sort_by_grade(minimize(Presentation(M, case_tag="H0")).matrix)
     for _ in range(20):
         P = pres_2param(graph_filtration(rng, 7, 14, span=8), 1)
-        yield sort_by_grade(P.matrix)[0]
-        yield sort_by_grade(minimize(P).matrix)[0]
+        yield sort_by_grade(P.matrix)
+        yield sort_by_grade(minimize(P).matrix)
     for _ in range(15):  # d = 3
         F = graph_filtration(rng, 6, 12, span=4, d=3, tets=True)
         for P in (pres_h0(F), pres_dparam(F, 1)):
-            yield sort_by_grade(P.matrix)[0]
-            yield sort_by_grade(minimize(P).matrix)[0]
+            yield sort_by_grade(P.matrix)
+            yield sort_by_grade(minimize(P).matrix)
 
 
 def test_block_reduce_matches_lin_reference(monkeypatch):
@@ -366,7 +366,7 @@ def test_ops_built_only_for_applied_operations(monkeypatch):
     applied = 0
     for _ in range(30):
         pres = minimize(Presentation(random_graph_boundary(rng, 10, 20), case_tag="H0"))
-        diag = tot_diagonalize(sort_by_grade(pres.matrix)[0], perturb_ties=True)
+        diag = tot_diagonalize(sort_by_grade(pres.matrix), perturb_ties=True)
         applied += len(diag.certificate)
     assert applied > 100
     assert built == applied

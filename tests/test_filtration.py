@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mpdecomp import boundary_matrix, parse_filtration
+from mpdecomp import boundary_matrix, parse_filtration, parse_presentation
 from mpdecomp.errors import InputError
 from reference import matmul
 
@@ -23,14 +23,15 @@ s 1 1 : 0 1
 def test_parse_minimal():
     filt = parse_filtration(GOOD)
     assert filt.d == 2
-    assert [s.dim for s in filt.simplices] == [0, 0, 1]
-    assert filt.simplices[2].facets == (0, 1)
-    assert filt.simplices[2].grade == (1, 1)
+    # two vertices and an edge, whose boundary holds both vertices
+    assert filt.labels == [["0", "1"], ["2"]]
+    assert filt.boundaries == [[0, 0], [0b11]]
+    assert filt.grades == [[(0, 1), (1, 0)], [(1, 1)]]
 
 
 def check_boundaries(filt) -> None:
     """Composite boundary maps vanish."""
-    top = max((s.dim for s in filt.simplices), default=-1)
+    top = len(filt.grades) - 1
     for p in range(2, top + 1):
         product = matmul(boundary_matrix(filt, p - 1).mat, boundary_matrix(filt, p).mat)
         assert not any(product.cols), f"boundary of boundary is nonzero at dimension {p}"
@@ -148,3 +149,47 @@ def test_boundary_of_boundary_vanishes_on_random_complexes():
     for _ in range(200):
         filt = parse_filtration(random_filtration(rng))
         check_boundaries(filt)
+
+
+def snapshot(M) -> tuple:
+    return (M.n_rows, list(M.mat.cols), list(M.row_grades), list(M.col_grades),
+            list(M.row_labels), list(M.col_labels), M.d)
+
+
+def test_boundary_matrices_are_independent_of_the_filtration():
+    rng = random.Random(43)
+    names = ("triangle.mpfilt", "suspension.mpfilt", "k23.mpfilt")
+    texts = [(DATA / name).read_text() for name in names]
+    texts += [random_filtration(rng) for _ in range(50)]
+    for text in texts:
+        filt = parse_filtration(text)
+        top = len(filt.grades) - 1
+        for p in range(1, top + 1):
+            M = boundary_matrix(filt, p)
+            before = snapshot(M)
+            if M.n_cols >= 2:
+                M.mat.add_col(0, 1)
+            M.row_grades.append((0,) * filt.d)
+            M.col_grades.append((0,) * filt.d)
+            M.row_labels.append("x")
+            M.col_labels.append("y")
+            assert snapshot(boundary_matrix(filt, p)) == before
+        # above the top dimension: the top simplices with no cofaces, then nothing
+        M = boundary_matrix(filt, top + 1)
+        assert (M.n_rows, M.n_cols) == (len(filt.grades[top]), 0)
+        assert M.row_grades == filt.grades[top] and M.row_labels == filt.labels[top]
+        assert M.col_grades == [] and M.col_labels == [] and M.d == filt.d
+        M = boundary_matrix(filt, top + 2)
+        assert (M.n_rows, M.n_cols, M.d) == (0, 0, filt.d)
+        assert M.row_grades == M.col_grades == M.row_labels == M.col_labels == []
+
+
+def test_empty_text_is_refused_by_both_parsers():
+    # the CLI refuses an input without content before either parser sees it
+    for parse, message in (
+        (parse_filtration, "empty input: missing 'mpfilt 1' header"),
+        (parse_presentation, "unexpected end of input, expected 'mppres 1' header"),
+    ):
+        with pytest.raises(InputError) as info:
+            parse("  # nothing\n")
+        assert str(info.value) == message

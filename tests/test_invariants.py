@@ -41,7 +41,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 def triangle_pipeline():
     filt = parse_filtration((DATA / "triangle.mpfilt").read_text())
     pres = minimize(pres_h0(filt))
-    sorted_matrix, _, _ = sort_by_grade(pres.matrix)
+    sorted_matrix = sort_by_grade(pres.matrix)
     diag = tot_diagonalize(sorted_matrix)
     final = Presentation(diag.matrix, case_tag=pres.case_tag, minimized=True)
     return final, diag

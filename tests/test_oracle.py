@@ -104,5 +104,5 @@ def test_agreement_on_random_instances():
             ]
             for i in range(n)
         ]
-        M, _, _ = sort_by_grade(GradedMatrix(from_dense(dense), rows, cols))
+        M = sort_by_grade(GradedMatrix(from_dense(dense), rows, cols))
         assert brute_force_finest(M) == tot_diagonalize(M).blocks

@@ -459,7 +459,8 @@ def test_internal_builders_emit_valid_matrices():
         for p in (1, 2):
             bp, gens, dbar = _cycles(F, p)
             assert_valid_graded(dbar, d)
-            assert dbar.n_rows == len(gens) and dbar.n_cols == len(F.by_dim(p + 1))
+            n_up = len(F.grades[p + 1]) if p + 1 < len(F.grades) else 0  # (p+1)-simplices
+            assert dbar.n_rows == len(gens) and dbar.n_cols == n_up
             assert_valid_graded(pres_dparam(F, p).matrix, d)
             if d == 2:
                 assert_valid_graded(pres_2param(F, p).matrix, d)

@@ -20,7 +20,6 @@ from mpdecomp import (
     pres_2param,
     sort_by_grade,
     tot_diagonalize,
-    Presentation,
 )
 from mpdecomp.grades import fmt
 
@@ -36,13 +35,13 @@ def main() -> None:
     print(f"minimal presentation of H_1: {pres.n_rows} generators, "
           f"{pres.n_cols} relations")
 
-    sorted_matrix = sort_by_grade(pres.matrix)
-    diag = tot_diagonalize(sorted_matrix)
-    final = Presentation(diag.matrix, case_tag=pres.case_tag, minimized=True)
+    # the invariants read the minimal presentation, diagonalized
+    diag = tot_diagonalize(sort_by_grade(pres))
+    final = diag.matrix
     print(f"{len(diag.blocks)} indecomposable summands\n")
 
     for block, table in persistent_betti(final, diag.blocks):
-        gens = [final.matrix.row_labels[i] for i in block.rows]
+        gens = [final.row_labels[i] for i in block.rows]
         print(f"summand generated by {gens}:")
         for deg in range(table.max_degree_computed + 1):
             print(f"  beta_{deg} supported at {[fmt(g) for g in table.degree(deg)]}")

@@ -41,14 +41,14 @@ def main() -> None:
 
     pres = minimize(pres_dparam(filt, 1))
     print("minimal presentation of H_1:")
-    for i, g in enumerate(pres.matrix.row_grades):
-        print(f"  generator {pres.matrix.row_labels[i]} at {fmt(g)}")
-    for j, g in enumerate(pres.matrix.col_grades):
-        rows = bits(pres.matrix.mat.cols[j])
-        print(f"  relation {pres.matrix.col_labels[j]} at {fmt(g)} over rows {rows}")
+    for i, g in enumerate(pres.row_grades):
+        print(f"  generator {pres.row_labels[i]} at {fmt(g)}")
+    for j, g in enumerate(pres.col_grades):
+        rows = bits(pres.mat.cols[j])
+        print(f"  relation {pres.col_labels[j]} at {fmt(g)} over rows {rows}")
     print()
 
-    sorted_matrix = sort_by_grade(pres.matrix)
+    sorted_matrix = sort_by_grade(pres)
     diag = tot_diagonalize(sorted_matrix)
     print(f"the presentation is a single indecomposable block: {diag.blocks}")
 

@@ -31,11 +31,9 @@ from .invariants import (
     default_box,
     dimension_function,
     persistent_betti,
-    restrict_presentation,
 )
 from .presentation import (
     KernelElement,
-    Presentation,
     format_presentation,
     kernel_gens,
     minimize,
@@ -62,7 +60,6 @@ __all__ = [
     "InternalCheckError",
     "KernelElement",
     "Op",
-    "Presentation",
     "TiedGradesError",
     "admissible_ops",
     "betti01",
@@ -84,7 +81,6 @@ __all__ = [
     "pres_dparam",
     "pres_h0",
     "replay_certificate",
-    "restrict_presentation",
     "rewrite_in_basis",
     "sort_by_grade",
     "tied_pairs",

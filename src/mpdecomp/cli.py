@@ -24,6 +24,7 @@ from .filtration import parse_filtration
 from .graded import GradedMatrix, sort_by_grade
 from .grades import check_grade, fmt, read_lines
 from .invariants import (
+    BettiTable,
     Blockcode,
     GradeBox,
     blockcodes,
@@ -31,7 +32,6 @@ from .invariants import (
     persistent_betti,
 )
 from .presentation import (
-    Presentation,
     format_presentation,
     minimize,
     parse_presentation,
@@ -56,36 +56,40 @@ def _read_input(path: Path):
     raise InputError(f"{path}: empty input")
 
 
-def _load(args: argparse.Namespace) -> Presentation:
-    """Read the input, check --box against its d, build the presentation."""
+def _load(args: argparse.Namespace) -> Tuple[GradedMatrix, str]:
+    """Read the input, check --box against its d, build the presentation.
+
+    Returns it with its case: RAW for an mppres file, else H0, TWO_PARAM or
+    D_PARAM after the builder called.
+    """
     obj = _read_input(args.input)
     if args.box is not None and len(args.box.lo) != obj.d:
         raise InputError(
             f"--box has {len(args.box.lo)} coordinates but the input has {obj.d}"
         )
-    if isinstance(obj, Presentation):
+    if isinstance(obj, GradedMatrix):
         if args.dim is not None:
             raise InputError("--dim applies to filtration input only")
-        return obj
+        return obj, "RAW"
     p = args.dim if args.dim is not None else 0
     if p < 0:
         raise InputError(f"--dim must be >= 0, got {p}")
     if p == 0:
-        return pres_h0(obj)
-    return pres_2param(obj, p) if obj.d == 2 else pres_dparam(obj, p)
+        return pres_h0(obj), "H0"
+    if obj.d == 2:
+        return pres_2param(obj, p), "TWO_PARAM"
+    return pres_dparam(obj, p), "D_PARAM"
 
 
 def _pipeline(
     args: argparse.Namespace, minimal: bool = True
-) -> Tuple[Presentation, Diagonalization, GradedMatrix]:
+) -> Tuple[str, Diagonalization, GradedMatrix]:
     """Parse, build, minimize if minimal, sort, diagonalize; keep the sorted input."""
-    pres = _load(args)
+    M, case = _load(args)
     if minimal:
-        pres = minimize(pres)
-    sorted_matrix = sort_by_grade(pres.matrix)
-    diag = tot_diagonalize(sorted_matrix, perturb_ties=args.perturb)
-    final = Presentation(diag.matrix, case_tag=pres.case_tag, minimized=pres.minimized)
-    return final, diag, sorted_matrix
+        M = minimize(M)
+    sorted_matrix = sort_by_grade(M)
+    return case, tot_diagonalize(sorted_matrix, perturb_ties=args.perturb), sorted_matrix
 
 
 # -- serialization -----------------------------------------------------------
@@ -107,13 +111,20 @@ def _matrix_payload(M: GradedMatrix) -> dict:
     }
 
 
+def _betti_payload(table: BettiTable) -> dict:
+    return {
+        str(deg): _grade_list(table.degree(deg))
+        for deg in range(table.max_degree_computed + 1)
+    }
+
+
 def _decompose_payload(
-    final: Presentation, diag: Diagonalization, box: GradeBox, with_invariants: bool
+    case: str, diag: Diagonalization, box: GradeBox, with_invariants: bool
 ) -> dict:
-    M = final.matrix
-    tables = dict(persistent_betti(final, diag.blocks)) if with_invariants else {}
+    M = diag.matrix
+    tables = dict(persistent_betti(M, diag.blocks)) if with_invariants else {}
     codes = (
-        {c.block: c for c in blockcodes(final, diag.blocks, box)}
+        {c.block: c for c in blockcodes(M, diag.blocks, box)}
         if with_invariants
         else {}
     )
@@ -129,11 +140,7 @@ def _decompose_payload(
             "trivial": not b.rows,
         }
         if b in tables:
-            table = tables[b]
-            entry["betti"] = {
-                str(deg): _grade_list(table.degree(deg))
-                for deg in range(table.max_degree_computed + 1)
-            }
+            entry["betti"] = _betti_payload(tables[b])
         if b in codes:
             code = codes[b]
             entry["dim_function"] = {
@@ -143,7 +150,7 @@ def _decompose_payload(
             }
         blocks_payload.append(entry)
     return {
-        "case": final.case_tag,
+        "case": case,
         "d": M.d,
         "perturbed": diag.perturbed,
         "num_ops_applied": len(diag.certificate),
@@ -194,10 +201,10 @@ def _basis_expressions(
     return out
 
 
-def _decompose_text(final: Presentation, diag: Diagonalization) -> str:
-    M = final.matrix
+def _decompose_text(case: str, diag: Diagonalization) -> str:
+    M = diag.matrix
     lines = [
-        f"case {final.case_tag}, {M.d} parameters, perturbed: "
+        f"case {case}, {M.d} parameters, perturbed: "
         + ("yes" if diag.perturbed else "no"),
         f"matrix {M.n_rows}x{M.n_cols}, ops applied: {len(diag.certificate)}",
     ]
@@ -221,10 +228,11 @@ def _decompose_text(final: Presentation, diag: Diagonalization) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _betti_text(final: Presentation, diag: Diagonalization) -> str:
+def _betti_text(diag: Diagonalization) -> str:
+    M = diag.matrix
     lines = []
-    for pos, (block, table) in enumerate(persistent_betti(final, diag.blocks)):
-        labels = ",".join(final.matrix.row_labels[i] for i in block.rows)
+    for pos, (block, table) in enumerate(persistent_betti(M, diag.blocks)):
+        labels = ",".join(M.row_labels[i] for i in block.rows)
         lines.append(f"block {pos} (generators {labels}):")
         for deg in range(table.max_degree_computed + 1):
             grades = " ".join(map(fmt, table.degree(deg)))
@@ -266,50 +274,48 @@ def _box_from_flag(flag: str) -> GradeBox:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> str:
-    final, diag, _ = _pipeline(args)
+    case, diag, _ = _pipeline(args)
     if args.format == "text":
-        return _decompose_text(final, diag)
-    box = args.box or default_box(final)
+        return _decompose_text(case, diag)
+    box = args.box or default_box(diag.matrix)
     if args.format == "csv":
-        codes = blockcodes(final, diag.blocks, box)
+        codes = blockcodes(diag.matrix, diag.blocks, box)
         return _blockcode_csv(codes, box)
-    return _dump_json(_decompose_payload(final, diag, box, with_invariants=True))
+    return _dump_json(_decompose_payload(case, diag, box, with_invariants=True))
 
 
 def _cmd_diagonalize(args: argparse.Namespace) -> str:
-    final, diag, _ = _pipeline(args, minimal=False)
+    case, diag, _ = _pipeline(args, minimal=False)
     if args.format == "text":
-        return _decompose_text(final, diag)
-    box = args.box or default_box(final)
-    return _dump_json(_decompose_payload(final, diag, box, with_invariants=False))
+        return _decompose_text(case, diag)
+    box = args.box or default_box(diag.matrix)
+    return _dump_json(_decompose_payload(case, diag, box, with_invariants=False))
 
 
 def _cmd_betti(args: argparse.Namespace) -> str:
-    final, diag, _ = _pipeline(args)
+    case, diag, _ = _pipeline(args)
     if args.format == "text":
-        return _betti_text(final, diag)
+        return _betti_text(diag)
+    M = diag.matrix
     payload = {
-        "case": final.case_tag,
+        "case": case,
         "perturbed": diag.perturbed,
         "blocks": [
             {
                 "rows": list(block.rows),
-                "row_labels": [final.matrix.row_labels[i] for i in block.rows],
-                "betti": {
-                    str(deg): _grade_list(table.degree(deg))
-                    for deg in range(table.max_degree_computed + 1)
-                },
+                "row_labels": [M.row_labels[i] for i in block.rows],
+                "betti": _betti_payload(table),
             }
-            for block, table in persistent_betti(final, diag.blocks)
+            for block, table in persistent_betti(M, diag.blocks)
         ],
     }
     return _dump_json(payload)
 
 
 def _cmd_blockcode(args: argparse.Namespace) -> str:
-    final, diag, _ = _pipeline(args)
-    box = args.box or default_box(final)
-    codes = blockcodes(final, diag.blocks, box)
+    _, diag, _ = _pipeline(args)
+    box = args.box or default_box(diag.matrix)
+    codes = blockcodes(diag.matrix, diag.blocks, box)
     if args.format == "json":
         payload = {
             "box": {"lo": list(box.lo), "hi": list(box.hi)},
@@ -331,7 +337,7 @@ def _cmd_blockcode(args: argparse.Namespace) -> str:
 def _cmd_check(args: argparse.Namespace) -> str:
     from .oracle import brute_force_finest  # here, so no other command loads it
 
-    final, diag, sorted_matrix = _pipeline(args)
+    _, diag, sorted_matrix = _pipeline(args)
     try:
         replayed = replay_certificate(sorted_matrix, diag.certificate).mat
     except InputError as exc:  # an inadmissible op in our own certificate
@@ -340,7 +346,7 @@ def _cmd_check(args: argparse.Namespace) -> str:
         raise InternalCheckError(
             "replaying the certificate does not reproduce the diagonalized matrix"
         )
-    reference = brute_force_finest(final.matrix)
+    reference = brute_force_finest(diag.matrix)
     mine = sorted((b.rows, b.cols) for b in diag.blocks)
     theirs = sorted((b.rows, b.cols) for b in reference)
     if mine != theirs:
@@ -354,10 +360,7 @@ def _cmd_check(args: argparse.Namespace) -> str:
 
 
 def _cmd_export_pres(args: argparse.Namespace) -> str:
-    pres = minimize(_load(args))
-    text = format_presentation(
-        Presentation(sort_by_grade(pres.matrix), case_tag=pres.case_tag, minimized=True)
-    )
+    text = format_presentation(sort_by_grade(minimize(_load(args)[0])))
     if args.output is not None:
         args.output.write_text(text)
         return f"wrote {args.output}\n"

@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 from .errors import InputError
 from .f2 import F2Matrix
 from .graded import GradedMatrix, _trusted
-from .grades import fmt, read_grade, read_lines
+from .grades import fmt, read_grade, read_lines, read_params
 
 
 @dataclass
@@ -62,15 +62,7 @@ def parse_filtration(text: str) -> Filtration:
     line_no, line = next(lines, (0, ""))
     if not line:
         raise InputError("missing 'params <d>' line")
-    tokens = line.split()
-    if len(tokens) != 2 or tokens[0] != "params":
-        _fail(line_no, f"expected 'params <d>', got {line!r}")
-    try:
-        d = int(tokens[1])
-    except ValueError:
-        _fail(line_no, f"parameter count {tokens[1]!r} is not an integer")
-    if d < 1:
-        _fail(line_no, f"parameter count must be positive, got {d}")
+    d = read_params(line_no, line.split())
 
     F = Filtration(d=d)
     where: List[Tuple[int, int]] = []  # id -> (dimension, position in it)

@@ -2,7 +2,8 @@
 
 A grade is a point of Z^d attached to a row, column, or simplex, held as a
 tuple of ints.  ``check_grade`` admits coordinates where they enter the
-program; both file formats enter through ``read_lines`` and ``read_grade``.
+program; both file formats enter through ``read_lines``, ``read_params``
+and ``read_grade``.
 The product partial order ``leq`` decides which matrix operations are
 legal; ``topo_order`` extends it to the total order in which the reduction
 consumes rows and columns.  Equal grades are ordered by input index, which
@@ -50,6 +51,18 @@ def read_grade(line_no: int, tokens: Sequence[str], d: int) -> Tuple[int, ...]:
         return check_grade(coords)
     except InputError as exc:
         raise InputError(f"line {line_no}: {exc}") from None
+
+
+def read_params(line_no: int, tokens: Sequence[str]) -> int:
+    """The parameter count a 'params <d>' line's tokens give, in decimal digits."""
+    if len(tokens) != 2 or tokens[0] != "params":
+        raise InputError(f"line {line_no}: expected 'params <d>', got {' '.join(tokens)!r}")
+    if not tokens[1].removeprefix("-").isdecimal():
+        raise InputError(f"line {line_no}: parameter count {tokens[1]!r} is not an integer")
+    d = int(tokens[1])
+    if d < 1:
+        raise InputError(f"line {line_no}: parameter count must be positive, got {d}")
+    return d
 
 
 def fmt(g: Sequence[int]) -> str:

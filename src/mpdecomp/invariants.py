@@ -28,9 +28,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .diagonalize import IndexBlock
 from .errors import InputError
-from .graded import _reindexed
+from .graded import GradedMatrix, _reindexed
 from .grades import _BOUND, check_grade, fmt, leq, topo_order
-from .presentation import Presentation, kernel_gens
+from .presentation import kernel_gens
 
 # Largest box, in grade points, that a dimension function is evaluated on.
 MAX_BOX_POINTS = 1_000_000
@@ -66,23 +66,23 @@ class GradeBox:
             )
 
 
-def default_box(P: Presentation) -> GradeBox:
+def default_box(M: GradedMatrix) -> GradeBox:
     """Componentwise min of all grades up to max plus a margin of one.
 
     The margin stops at the largest 64-bit coordinate, 2**63 - 1.  Without
     grades the box is 0..1 on each of the d axes.
     """
-    grades = P.matrix.row_grades + P.matrix.col_grades
+    grades = M.row_grades + M.col_grades
     if not grades:
-        return GradeBox((0,) * P.d, (1,) * P.d)
+        return GradeBox((0,) * M.d, (1,) * M.d)
     axes = list(zip(*grades))
     return GradeBox(
         tuple(map(min, axes)), tuple(min(max(a) + 1, _BOUND - 1) for a in axes)
     )
 
 
-def dimension_function(P: Presentation, box: GradeBox) -> List[int]:
-    """Pointwise dimension of coker(P) over the box, flat in C order.
+def dimension_function(M: GradedMatrix, box: GradeBox) -> List[int]:
+    """Pointwise dimension of coker(M) over the box, flat in C order.
 
     Which grades lie below a point u depends, on each axis k, only on how
     many of the presentation's distinct k-th coordinates are <= u_k.  So
@@ -104,7 +104,6 @@ def dimension_function(P: Presentation, box: GradeBox) -> List[int]:
     slice instead of one rank per cell.
     """
     box.check_size()
-    M = P.matrix
     grades = M.row_grades + M.col_grades
     if not grades:
         return [0] * math.prod(box.shape)
@@ -178,49 +177,40 @@ class BettiTable:
         return sorted(out)
 
 
-def restrict_presentation(P: Presentation, block: IndexBlock) -> Presentation:
-    sub = _reindexed(P.matrix, block.rows, block.cols)
-    return Presentation(sub, case_tag=P.case_tag, minimized=P.minimized)
-
-
-def betti01(P: Presentation) -> BettiTable:
-    """Degrees 0 and 1 from a minimized presentation's own grades."""
-    if not P.minimized:
-        raise InputError("Betti numbers need a minimized presentation")
+def betti01(M: GradedMatrix) -> BettiTable:
+    """Degrees 0 and 1 from the grades of M, which must be ``minimize``'s output."""
     table = BettiTable(max_degree_computed=1)
-    for g in P.matrix.row_grades:
+    for g in M.row_grades:
         table.add(0, g)
-    for g in P.matrix.col_grades:
+    for g in M.col_grades:
         table.add(1, g)
     return table
 
 
-def betti_higher_2param(P: Presentation) -> List[Tuple[int, ...]]:
-    """Degree 2 for two parameters: grades of a basis of ker(P)."""
-    if P.d != 2:
-        raise InputError(f"degree-2 Betti numbers computed only for d == 2, have d == {P.d}")
-    if not P.minimized:
-        raise InputError("Betti numbers need a minimized presentation")
-    return [k.grade for k in kernel_gens(P.matrix)]
+def betti_higher_2param(M: GradedMatrix) -> List[Tuple[int, ...]]:
+    """Degree 2 for two parameters: grades of a basis of ker(M), M minimal."""
+    if M.d != 2:
+        raise InputError(f"degree-2 Betti numbers computed only for d == 2, have d == {M.d}")
+    return [k.grade for k in kernel_gens(M)]
 
 
 def persistent_betti(
-    P: Presentation, blocks: Sequence[IndexBlock]
+    M: GradedMatrix, blocks: Sequence[IndexBlock]
 ) -> List[Tuple[IndexBlock, BettiTable]]:
     """One Betti table per generator-carrying block of a decomposition.
 
-    Blocks without rows present the zero module and are skipped (a
-    minimal presentation has none); every kept block has a nonempty
-    degree 0.  With two parameters degree 2 is included and the tables
-    are complete.
+    M is ``minimize``'s output, diagonalized.  Blocks without rows
+    present the zero module and are skipped (a minimal presentation has
+    none); every kept block has a nonempty degree 0.  With two parameters
+    degree 2 is included and the tables are complete.
     """
     out = []
     for block in blocks:
         if not block.rows:
             continue
-        sub = restrict_presentation(P, block)
+        sub = _reindexed(M, block.rows, block.cols)
         table = betti01(sub)
-        if P.d == 2:
+        if M.d == 2:
             for g in betti_higher_2param(sub):
                 table.add(2, g)
             table.max_degree_computed = 2
@@ -239,7 +229,7 @@ class Blockcode:
 
 
 def blockcodes(
-    P: Presentation, blocks: Sequence[IndexBlock], box: GradeBox
+    M: GradedMatrix, blocks: Sequence[IndexBlock], box: GradeBox
 ) -> List[Blockcode]:
     """One dimension function per block with rows; checks the box first."""
     box.check_size()
@@ -247,7 +237,6 @@ def blockcodes(
     for block in blocks:
         if not block.rows:
             continue
-        sub = restrict_presentation(P, block)
-        values = dimension_function(sub, box)
+        values = dimension_function(_reindexed(M, block.rows, block.cols), box)
         out.append(Blockcode(block, box.lo, box.shape, values))
     return out

@@ -16,7 +16,6 @@ from .errors import InputError, InternalCheckError
 from .f2 import F2Matrix, bits
 from .graded import AdmissibleOps, GradedMatrix, admissible_ops
 from .grades import leq
-from .presentation import Presentation
 
 Partition = FrozenSet[Tuple[Tuple[int, ...], Tuple[int, ...]]]
 
@@ -158,9 +157,8 @@ def _row_echelon_rank(a) -> int:
     return rank
 
 
-def dim_oracle(P: Presentation, u) -> int:
-    """Dimension of coker(P) at u, via the independent echelon rank."""
-    M = P.matrix
+def dim_oracle(M: GradedMatrix, u) -> int:
+    """Dimension of coker(M) at u, via the independent echelon rank."""
     n_gen = sum(1 for g in M.row_grades if leq(g, u))
     cols = [j for j, g in enumerate(M.col_grades) if leq(g, u)]
     if not cols or M.n_rows == 0:

@@ -29,13 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InputError, InternalCheckError
 from .f2 import F2Matrix, bits
 from .graded import GradedMatrix, _reindexed, _trusted
-from .grades import check_grade, fmt, read_grade, read_lines, topo_order
-
-H0 = "H0"
-TWO_PARAM = "TWO_PARAM"
-D_PARAM = "D_PARAM"
-RAW = "RAW"
-_CASES = (H0, TWO_PARAM, D_PARAM, RAW)
+from .grades import check_grade, fmt, read_grade, read_lines, read_params, topo_order
 
 
 @dataclass(frozen=True)
@@ -44,29 +38,6 @@ class KernelElement:
 
     grade: Tuple[int, ...]
     coords: int
-
-
-@dataclass
-class Presentation:
-    matrix: GradedMatrix
-    case_tag: str
-    minimized: bool = False
-
-    def __post_init__(self) -> None:
-        if self.case_tag not in _CASES:
-            raise InputError(f"unknown case tag {self.case_tag!r}")
-
-    @property
-    def d(self) -> int:
-        return self.matrix.d
-
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.n_rows
-
-    @property
-    def n_cols(self) -> int:
-        return self.matrix.n_cols
 
 
 def kernel_gens(M: GradedMatrix) -> List[KernelElement]:
@@ -228,11 +199,11 @@ def rewrite_in_basis(
     )
 
 
-def pres_h0(F) -> Presentation:
+def pres_h0(F) -> GradedMatrix:
     """Degree 0: vertices generate, edges relate, nothing to rewrite."""
     from .filtration import boundary_matrix
 
-    return Presentation(boundary_matrix(F, 1), case_tag=H0)
+    return boundary_matrix(F, 1)
 
 
 def _cycles(F, p: int) -> Tuple[GradedMatrix, List[KernelElement], GradedMatrix]:
@@ -251,14 +222,14 @@ def _cycles(F, p: int) -> Tuple[GradedMatrix, List[KernelElement], GradedMatrix]
     return bp, gens, rewrite_in_basis(boundary_matrix(F, p + 1), gens, labels)
 
 
-def pres_2param(F, p: int) -> Presentation:
+def pres_2param(F, p: int) -> GradedMatrix:
     """Degree p >= 1 presentation for a 2-parameter filtration."""
     if F.d != 2:
         raise InputError(f"two-parameter construction on a {F.d}-parameter input")
-    return Presentation(_cycles(F, p)[2], case_tag=TWO_PARAM)
+    return _cycles(F, p)[2]
 
 
-def pres_dparam(F, p: int) -> Presentation:
+def pres_dparam(F, p: int) -> GradedMatrix:
     """Degree p >= 1 presentation for any parameter count.
 
     Cycle generators need not be independent here, so the syzygies among
@@ -276,7 +247,7 @@ def pres_dparam(F, p: int) -> Presentation:
         bp.d,
     )
     syzygies = kernel_gens(gen_matrix)
-    out = _trusted(
+    return _trusted(
         F2Matrix(len(gens), dbar.mat.cols + [s.coords for s in syzygies]),
         dbar.row_grades,
         dbar.col_grades + [s.grade for s in syzygies],
@@ -284,10 +255,9 @@ def pres_dparam(F, p: int) -> Presentation:
         dbar.col_labels + [f"y{i}" for i in range(len(syzygies))],
         bp.d,
     )
-    return Presentation(out, case_tag=D_PARAM)
 
 
-def minimize(P: Presentation) -> Presentation:
+def minimize(M: GradedMatrix) -> GradedMatrix:
     """A minimal presentation of the same module: no redundant line left.
 
     First, unit pivots are split off: while some entry (i, j) has
@@ -309,7 +279,6 @@ def minimize(P: Presentation) -> Presentation:
     The row and column grades left are the module's graded Betti numbers
     in degrees 0 and 1.  Kept rows and columns stay in input order.
     """
-    M = P.matrix
     col_grades = M.col_grades
     cols = list(M.mat.cols)
     at_grade: Dict[Tuple[int, ...], int] = {}
@@ -361,16 +330,15 @@ def minimize(P: Presentation) -> Presentation:
     keep_rows = sorted(live_rows)
     keep_cols = [j for j in live_cols if j not in redundant]
     # the column additions above only add a column into one of larger grade
-    out = _reindexed(
+    return _reindexed(
         M, keep_rows, keep_cols, F2Matrix(M.n_rows, cols).submatrix(keep_rows, keep_cols)
     )
-    return Presentation(out, case_tag=P.case_tag, minimized=True)
 
 
 # -- raw presentation files -------------------------------------------------
 
 
-def parse_presentation(text: str) -> Presentation:
+def parse_presentation(text: str) -> GradedMatrix:
     """Parse the mppres format::
 
         mppres 1
@@ -379,6 +347,8 @@ def parse_presentation(text: str) -> Presentation:
         r <g1> ... <gd>          (n times)
         cols <m>
         c <g1> ... <gd> : <row_index> ...   (m times)
+
+    Only comments may follow the last column.
     """
     lines = read_lines(text)
 
@@ -390,12 +360,7 @@ def parse_presentation(text: str) -> Presentation:
     line_no, tokens = next_tokens("'mppres 1' header")
     if tokens != ["mppres", "1"]:
         raise InputError(f"line {line_no}: expected header 'mppres 1'")
-    line_no, tokens = next_tokens("'params <d>'")
-    if len(tokens) != 2 or tokens[0] != "params" or not tokens[1].removeprefix("-").isdecimal():
-        raise InputError(f"line {line_no}: expected 'params <d>'")
-    d = int(tokens[1])
-    if d < 1:
-        raise InputError(f"line {line_no}: parameter count must be positive")
+    d = read_params(*next_tokens("'params <d>'"))
 
     line_no, tokens = next_tokens("'rows <n>'")
     if len(tokens) != 2 or tokens[0] != "rows" or not tokens[1].isdecimal():
@@ -436,16 +401,16 @@ def parse_presentation(text: str) -> Presentation:
                 )
             v |= 1 << i
         cols.append(v)
+    for line_no, _ in lines:
+        raise InputError(f"line {line_no}: expected end of input after {m} columns")
 
     # every grade and entry is checked above, all that the constructor checks
     labels = [f"r{i}" for i in range(n)], [f"c{j}" for j in range(m)]
-    matrix = _trusted(F2Matrix(n, cols), row_grades, col_grades, *labels, d)
-    return Presentation(matrix, case_tag=RAW)
+    return _trusted(F2Matrix(n, cols), row_grades, col_grades, *labels, d)
 
 
-def format_presentation(P: Presentation) -> str:
+def format_presentation(M: GradedMatrix) -> str:
     """Serialize a presentation in the mppres format; inverse of parsing."""
-    M = P.matrix
     out = ["mppres 1", f"params {M.d}", f"rows {M.n_rows}"]
     for g in M.row_grades:
         out.append("r " + " ".join(str(x) for x in g))

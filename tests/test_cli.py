@@ -45,6 +45,27 @@ def test_decompose_json_worked_example(capsys):
     assert payload["matrix"]["columns"] == [[0, 1], [2], [2]]
 
 
+@pytest.mark.parametrize(
+    "path, dim, case",
+    [
+        (RAW, None, "RAW"),
+        (TRIANGLE, None, "H0"),
+        (SUSPENSION, "1", "TWO_PARAM"),
+        (K23, "1", "D_PARAM"),
+    ],
+    ids=["raw", "h0", "two-param", "d-param"],
+)
+def test_case_names_the_construction(capsys, path, dim, case):
+    flags = ["--dim", dim] if dim is not None else []
+    for command in ("decompose", "betti"):
+        code, out, err = run_cli(capsys, command, path, *flags)
+        assert code == 0, err
+        assert json.loads(out)["case"] == case
+    code, out, err = run_cli(capsys, "decompose", path, *flags, "--format", "text")
+    assert code == 0, err
+    assert out.startswith(f"case {case}, ")
+
+
 def test_decompose_text_golden(capsys):
     code, out, _ = run_cli(capsys, "decompose", TRIANGLE, "--dim", "0",
                            "--format", "text")
@@ -385,8 +406,11 @@ def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys)
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("mppres 1\nparams \u00b2\n", "line 2: expected 'params <d>'"),
-        ("mppres 1\nparams --1\n", "line 2: expected 'params <d>'"),
+        ("mppres 1\nparams \u00b2\n", "line 2: parameter count '\u00b2' is not an integer"),
+        ("mppres 1\nparams --1\n", "line 2: parameter count '--1' is not an integer"),
+        ("mppres 1\nparams 1_0\n", "line 2: parameter count '1_0' is not an integer"),
+        ("mppres 1\nparams +2\n", "line 2: parameter count '+2' is not an integer"),
+        ("mppres 1\nparams\n", "line 2: expected 'params <d>', got 'params'"),
         ("mppres 1\nparams 1\nrows \u00b2\n", "line 3: expected 'rows <n>'"),
         ("mppres 1\nparams 1\nrows 0\ncols \u00b3\n", "line 4: expected 'cols <m>'"),
         (
@@ -403,8 +427,8 @@ def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys)
         ),
         ("mppres 2\n", "line 1: expected header 'mppres 1'"),
         ("mppres 1\n", "unexpected end of input, expected 'params <d>'"),
-        ("mppres 1\nparams x\n", "line 2: expected 'params <d>'"),
-        ("mppres 1\nparams 0\n", "line 2: parameter count must be positive"),
+        ("mppres 1\nparams x\n", "line 2: parameter count 'x' is not an integer"),
+        ("mppres 1\nparams 0\n", "line 2: parameter count must be positive, got 0"),
         ("mppres 1\nparams 1\n", "unexpected end of input, expected 'rows <n>'"),
         ("mppres 1\nparams 1\nrows -1\n", "line 3: expected 'rows <n>'"),
         (
@@ -442,10 +466,17 @@ def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys)
             "line 6: entry at row 0 breaks homogeneity: "
             "row grade (2) is not <= column grade (1)",
         ),
+        (
+            "mppres 1\nparams 1\nrows 1\nr 0\ncols 0\nthis is not a column\nc 5 : 0\n",
+            "line 6: expected end of input after 0 columns",
+        ),
     ],
     ids=[
         "params-superscript",
         "params-double-minus",
+        "params-underscore",
+        "params-plus",
+        "params-shape",
         "rows-superscript",
         "cols-superscript",
         "grade-superscript",
@@ -467,6 +498,7 @@ def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys)
         "row-index-not-integer",
         "row-index-outside",
         "inhomogeneous",
+        "line-after-last-column",
     ],
 )
 def test_mppres_counts_and_coordinates_fail_with_line_numbers(tmp_path, capsys, text, message):
@@ -484,6 +516,8 @@ def test_mppres_counts_and_coordinates_fail_with_line_numbers(tmp_path, capsys, 
         ("mpfilt 1  # header only\n", "missing 'params <d>' line"),
         ("mpfilt 1\nparams\n", "line 2: expected 'params <d>', got 'params'"),
         ("mpfilt 1\nparams x\n", "line 2: parameter count 'x' is not an integer"),
+        ("mpfilt 1\nparams 1_0\n", "line 2: parameter count '1_0' is not an integer"),
+        ("mpfilt 1\nparams +2\n", "line 2: parameter count '+2' is not an integer"),
         ("mpfilt 1\nparams 0\n", "line 2: parameter count must be positive, got 0"),
         (
             "mpfilt 1\nparams 2\nx 0 0 :  # comment\n",
@@ -523,6 +557,8 @@ def test_mppres_counts_and_coordinates_fail_with_line_numbers(tmp_path, capsys, 
         "missing-params",
         "params-shape",
         "params-not-integer",
+        "params-underscore",
+        "params-plus",
         "params-not-positive",
         "not-a-simplex-line",
         "missing-colon",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,9 +12,18 @@ import mpdecomp
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
+# SHA-256 of each demo's stdout.  A refactor must leave what the demos print
+# unchanged; a change that means to alter it updates the digest with it.
+STDOUT_SHA256 = {
+    "01_total_diagonalization.py": "541722f6462feb6d701229971d5d3390d0727f79175820c85ca5811f86b07605",
+    "02_betti_and_blockcodes.py": "ded21c5cacf7331015cb1d151f91283493a1fdbf9b7980b341ee95dcebe5a268",
+    "03_three_parameters.py": "ec1fc0426629b613fd1e17094429e9e3c39a5f7792ceaedcc93767e5b61d09f9",
+    "04_brute_force_check.py": "7fe33fc8a1030e08832e4239be7067fa4e0d93cecc26f1abc6c2f097562185fb",
+}
+
 
 def test_demos_are_found():
-    assert len(DEMOS) >= 4
+    assert sorted(p.name for p in DEMOS) == sorted(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -23,6 +33,7 @@ def test_demo_runs(demo):
     package_root = str(Path(mpdecomp.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, str(demo)], capture_output=True, env=env, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.name]

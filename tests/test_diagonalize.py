@@ -9,7 +9,6 @@ from mpdecomp import (
     GradedMatrix,
     IndexBlock,
     Op,
-    Presentation,
     block_reduce,
     minimize,
     parse_filtration,
@@ -200,8 +199,7 @@ def test_earlier_columns_never_regress(monkeypatch):
     # H0 of random graphs: clearing their blocks also takes column
     # additions into columns before t, which undo the row additions there
     for _ in range(30):
-        pres = minimize(Presentation(random_graph_boundary(rng, 10, 20), case_tag="H0"))
-        cases.append(sort_by_grade(pres.matrix))
+        cases.append(sort_by_grade(minimize(random_graph_boundary(rng, 10, 20))))
     calls = 0
     for M in cases:
         seen.clear()
@@ -238,8 +236,7 @@ def cost_cases():
     rng = random.Random(53)
     n_random = 0
     while n_random < 60:
-        pres = minimize(pres_h0(parse_filtration(random_filtration_text(rng))))
-        M = sort_by_grade(pres.matrix)
+        M = sort_by_grade(minimize(pres_h0(parse_filtration(random_filtration_text(rng)))))
         if tied_pairs(M.row_grades) or tied_pairs(M.col_grades):
             continue
         colop, rowop = op_pairs(admissible_ops(M))
@@ -309,16 +306,16 @@ def equivalence_cases():
     for _ in range(30):
         M = random_graph_boundary(rng, 10, 24, span=12)
         yield sort_by_grade(M)
-        yield sort_by_grade(minimize(Presentation(M, case_tag="H0")).matrix)
+        yield sort_by_grade(minimize(M))
     for _ in range(20):
         P = pres_2param(graph_filtration(rng, 7, 14, span=8), 1)
-        yield sort_by_grade(P.matrix)
-        yield sort_by_grade(minimize(P).matrix)
+        yield sort_by_grade(P)
+        yield sort_by_grade(minimize(P))
     for _ in range(15):  # d = 3
         F = graph_filtration(rng, 6, 12, span=4, d=3, tets=True)
         for P in (pres_h0(F), pres_dparam(F, 1)):
-            yield sort_by_grade(P.matrix)
-            yield sort_by_grade(minimize(P).matrix)
+            yield sort_by_grade(P)
+            yield sort_by_grade(minimize(P))
 
 
 def test_block_reduce_matches_lin_reference(monkeypatch):
@@ -365,8 +362,8 @@ def test_ops_built_only_for_applied_operations(monkeypatch):
     rng = random.Random(67)
     applied = 0
     for _ in range(30):
-        pres = minimize(Presentation(random_graph_boundary(rng, 10, 20), case_tag="H0"))
-        diag = tot_diagonalize(sort_by_grade(pres.matrix), perturb_ties=True)
+        pres = minimize(random_graph_boundary(rng, 10, 20))
+        diag = tot_diagonalize(sort_by_grade(pres), perturb_ties=True)
         applied += len(diag.certificate)
     assert applied > 100
     assert built == applied

@@ -15,7 +15,6 @@ from mpdecomp import (
     F2Matrix,
     GradeBox,
     GradedMatrix,
-    Presentation,
     betti01,
     betti_higher_2param,
     blockcodes,
@@ -26,7 +25,6 @@ from mpdecomp import (
     parse_filtration,
     persistent_betti,
     pres_h0,
-    restrict_presentation,
     sort_by_grade,
     tot_diagonalize,
 )
@@ -41,10 +39,8 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 def triangle_pipeline():
     filt = parse_filtration((DATA / "triangle.mpfilt").read_text())
     pres = minimize(pres_h0(filt))
-    sorted_matrix = sort_by_grade(pres.matrix)
-    diag = tot_diagonalize(sorted_matrix)
-    final = Presentation(diag.matrix, case_tag=pres.case_tag, minimized=True)
-    return final, diag
+    diag = tot_diagonalize(sort_by_grade(pres))
+    return diag.matrix, diag
 
 
 def test_grade_box_basics():
@@ -62,11 +58,9 @@ def test_default_box_covers_all_grades():
     box = default_box(final)
     assert box.lo == (0, 0)
     assert box.hi == (3, 3)  # componentwise max + 1
-    for g in list(final.matrix.row_grades) + list(final.matrix.col_grades):
+    for g in list(final.row_grades) + list(final.col_grades):
         assert leq(box.lo, g) and leq(g, box.hi)
-    empty = Presentation(
-        GradedMatrix(F2Matrix(0), [], [], d=2), case_tag="RAW"
-    )
+    empty = GradedMatrix(F2Matrix(0), [], [], d=2)
     fallback = default_box(empty)
     assert fallback.lo == (0, 0) and fallback.hi == (1, 1)
 
@@ -120,13 +114,6 @@ def test_box_over_point_cap_rejected():
             call()
 
 
-def test_betti01_requires_minimized():
-    final, _ = triangle_pipeline()
-    raw = Presentation(final.matrix, case_tag=final.case_tag, minimized=False)
-    with pytest.raises(InputError):
-        betti01(raw)
-
-
 def test_persistent_betti_reproduces_reference_table():
     final, diag = triangle_pipeline()
     tables = persistent_betti(final, diag.blocks)
@@ -167,19 +154,18 @@ def test_dimension_function_additive_over_blocks():
     box = default_box(final)
     total = dimension_function(final, box)
     acc = [0] * len(total)
-    for block in diag.blocks:
-        sub = restrict_presentation(final, block)
-        acc = list(map(add, acc, dimension_function(sub, box)))
+    for code in blockcodes(final, diag.blocks, box):
+        acc = list(map(add, acc, code.values))
     assert acc == total
 
 
 def test_hilbert_consistency_betti_vs_dimension():
     final, diag = triangle_pipeline()
     box = default_box(final)
+    codes = {code.block: code.values for code in blockcodes(final, diag.blocks, box)}
     for block in diag.blocks:
-        sub = restrict_presentation(final, block)
         table = dict(persistent_betti(final, [block]))[block]
-        assert betti_euler_function(table, box) == dimension_function(sub, box)
+        assert betti_euler_function(table, box) == codes[block]
 
 
 def test_persistent_betti_skips_free_columns_only_blocks():
@@ -190,11 +176,10 @@ def test_persistent_betti_skips_free_columns_only_blocks():
         [(0, 0)],
         [(1, 0), (1, 1)],
     )
-    P = Presentation(M, case_tag="RAW", minimized=True)
     diag = tot_diagonalize(M)
     rowless = [b for b in diag.blocks if not b.rows]
     assert rowless
-    tables = persistent_betti(P, diag.blocks)
+    tables = persistent_betti(M, diag.blocks)
     assert all(block.rows for block, _ in tables)
 
 
@@ -222,7 +207,7 @@ def presentation_and_box(draw):
         [draw(st.integers(0, 1)) if leq(r, c) else 0 for c in cols] for r in rows
     ]
     mat = from_dense(dense) if cols else F2Matrix(len(rows))
-    P = Presentation(GradedMatrix(mat, rows, cols), case_tag="RAW")
+    P = GradedMatrix(mat, rows, cols)
     grades = rows + cols
     below = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
     above = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
@@ -251,7 +236,7 @@ def random_presentation(rng, d, n_rows, n_cols, coords):
         sum(1 << i for i, r in enumerate(rows) if leq(r, c) and rng.random() < 0.5)
         for c in cols
     ]
-    return Presentation(GradedMatrix(F2Matrix(n_rows, vecs), rows, cols), case_tag="RAW")
+    return GradedMatrix(F2Matrix(n_rows, vecs), rows, cols)
 
 
 def assert_matches_oracle(P, box):
@@ -272,7 +257,7 @@ def test_dimension_function_on_wide_grid_matches_oracle():
     # column opens a slice of its own
     rng = random.Random(11)
     P = random_presentation(rng, 2, 12, 30, lambda k: rng.sample(range(50), 42))
-    assert len({g[1] for g in P.matrix.col_grades}) == 30
+    assert len({g[1] for g in P.col_grades}) == 30
     assert_matches_oracle(P, widened(default_box(P)))
 
 
@@ -291,7 +276,7 @@ def test_dimension_function_at_the_64_bit_edge():
     top = 2**63 - 1
     rows = [(top - 3, -(2**63)), (top - 1, -(2**63) + 1)]
     cols = [(top - 1, -(2**63) + 2)]
-    P = Presentation(GradedMatrix(F2Matrix(2, [0b11]), rows, cols), case_tag="RAW")
+    P = GradedMatrix(F2Matrix(2, [0b11]), rows, cols)
     box = GradeBox((top - 4, -(2**63)), (top, -(2**63) + 3))
     assert_matches_oracle(P, box)
 
@@ -356,7 +341,7 @@ def test_betti01_of_minimize_matches_rank_counts():
             for c in cols
         ]
         M = GradedMatrix(F2Matrix(n, vecs), rows, cols, d=d)
-        table = betti01(minimize(Presentation(M, case_tag="RAW")))
+        table = betti01(minimize(M))
         b0, b1 = rank_betti01(M)
         for deg, want in ((0, b0), (1, b1)):
             got = {}

@@ -11,7 +11,6 @@ from mpdecomp import (
     F2Matrix,
     GradedMatrix,
     KernelElement,
-    Presentation,
     betti_higher_2param,
     boundary_matrix,
     format_presentation,
@@ -372,14 +371,11 @@ def test_rewrite_work_is_bounded_by_generators_used(monkeypatch):
 def test_pres_h0_is_the_boundary_matrix():
     filt = load("triangle.mpfilt")
     P = pres_h0(filt)
-    assert P.case_tag == "H0"
-    assert P.matrix.mat.to_dense() == boundary_matrix(filt, 1).mat.to_dense()
-    assert not P.minimized
+    assert P.mat.to_dense() == boundary_matrix(filt, 1).mat.to_dense()
 
 
 def test_pres_2param_suspension_minimizes_to_known_4x3():
-    P = minimize(pres_2param(load("suspension.mpfilt"), 1))
-    M = P.matrix
+    M = minimize(pres_2param(load("suspension.mpfilt"), 1))
     assert M.row_grades == [(0, 1), (1, 0), (1, 1), (2, 2)]
     assert sorted(M.col_grades) == [(1, 1), (1, 2), (2, 1)]
     by_grade = {M.col_grades[j]: bits(M.mat.cols[j]) for j in range(3)}
@@ -388,13 +384,12 @@ def test_pres_2param_suspension_minimizes_to_known_4x3():
 
 def test_pres_dparam_k23_single_syzygy():
     P = pres_dparam(load("k23.mpfilt"), 1)
-    assert P.case_tag == "D_PARAM"
     assert P.n_rows == 3 and P.n_cols == 1
-    assert P.matrix.col_grades == [(1, 1, 1)]
-    assert P.matrix.mat.cols[0] == 0b111
+    assert P.col_grades == [(1, 1, 1)]
+    assert P.mat.cols[0] == 0b111
     # already minimal: no generator grade equals the relation grade
     Q = minimize(P)
-    assert Q.matrix.mat.to_dense() == P.matrix.mat.to_dense()
+    assert Q.mat.to_dense() == P.mat.to_dense()
 
 
 def graph_filtration(
@@ -461,24 +456,24 @@ def test_internal_builders_emit_valid_matrices():
             assert_valid_graded(dbar, d)
             n_up = len(F.grades[p + 1]) if p + 1 < len(F.grades) else 0  # (p+1)-simplices
             assert dbar.n_rows == len(gens) and dbar.n_cols == n_up
-            assert_valid_graded(pres_dparam(F, p).matrix, d)
+            assert_valid_graded(pres_dparam(F, p), d)
             if d == 2:
-                assert_valid_graded(pres_2param(F, p).matrix, d)
+                assert_valid_graded(pres_2param(F, p), d)
 
 
 def test_pres_dparam_agrees_with_2param_on_suspension():
     filt = load("suspension.mpfilt")
     a = minimize(pres_2param(filt, 1))
     b = minimize(pres_dparam(filt, 1))
-    assert sorted(a.matrix.row_grades) == sorted(b.matrix.row_grades)
-    assert sorted(a.matrix.col_grades) == sorted(b.matrix.col_grades)
+    assert sorted(a.row_grades) == sorted(b.row_grades)
+    assert sorted(a.col_grades) == sorted(b.col_grades)
     # with two parameters the cycle generators are free, so the general
     # construction adds no syzygy and gives the same raw matrix
     rng = random.Random(31)
     filts = [filt] + [graph_filtration(rng, 10, 25, span=6) for _ in range(4)]
     for f in filts:
         for p in (1, 2):
-            a, b = pres_2param(f, p).matrix, pres_dparam(f, p).matrix
+            a, b = pres_2param(f, p), pres_dparam(f, p)
             assert a.mat == b.mat
             assert (a.row_grades, a.col_grades) == (b.row_grades, b.col_grades)
             assert (a.row_labels, a.col_labels) == (b.row_labels, b.col_labels)
@@ -505,13 +500,12 @@ def test_minimize_removes_unit_pivot():
         [(1, 1), (0, 0)],
         [(1, 1), (2, 2)],
     )
-    P = minimize(Presentation(M, case_tag="RAW"))
-    assert P.minimized
+    P = minimize(M)
     assert P.n_rows == 1 and P.n_cols == 1
-    assert P.matrix.row_grades == [(0, 0)]
-    assert P.matrix.col_grades == [(2, 2)]
+    assert P.row_grades == [(0, 0)]
+    assert P.col_grades == [(2, 2)]
     # the surviving relation keeps its image in the surviving generator
-    assert P.matrix.mat.to_dense() == [[1]]
+    assert P.mat.to_dense() == [[1]]
 
 
 def test_minimize_drops_zero_columns():
@@ -520,9 +514,9 @@ def test_minimize_drops_zero_columns():
         [(0, 0)],
         [(1, 0), (1, 1)],
     )
-    P = minimize(Presentation(M, case_tag="RAW"))
+    P = minimize(M)
     assert P.n_cols == 1
-    assert P.matrix.col_grades == [(1, 1)]
+    assert P.col_grades == [(1, 1)]
 
 
 def test_minimize_preserves_dimension_function():
@@ -531,15 +525,14 @@ def test_minimize_preserves_dimension_function():
     rng = random.Random(107)
     for _ in range(200):
         M = random_graded_cols(rng, d=2, m_max=5)
-        raw = Presentation(M, case_tag="RAW")
-        mini = minimize(raw)
+        mini = minimize(M)
         box = GradeBox((0, 0), (4, 4))
-        assert dimension_function(raw, box) == dimension_function(mini, box)
+        assert dimension_function(M, box) == dimension_function(mini, box)
         # minimality: no unit entry with equal grades remains
-        for i, j in mini.matrix.mat.entries():
-            assert mini.matrix.row_grades[i] != mini.matrix.col_grades[j]
+        for i, j in mini.mat.entries():
+            assert mini.row_grades[i] != mini.col_grades[j]
         for j in range(mini.n_cols):
-            assert mini.matrix.mat.cols[j] != 0
+            assert mini.mat.cols[j] != 0
 
 
 def test_minimize_work_is_bounded_by_tails_times_relations(monkeypatch):
@@ -562,7 +555,7 @@ def test_minimize_work_is_bounded_by_tails_times_relations(monkeypatch):
     cols = [tuple(axis[j] for axis in axes) for j in range(m)]
     vecs = [(1 << rng.randrange(n)) | (1 << rng.randrange(n)) for _ in range(m)]
     M = GradedMatrix(F2Matrix(n, vecs), [(0, 0, 0, 0)] * n, cols)
-    P = minimize(Presentation(M, case_tag="RAW"))
+    P = minimize(M)
     assert P.n_cols < m  # some relation was redundant
     assert calls <= 3 * m * m  # d - 1 tail comparisons per (tail, relation)
 
@@ -573,12 +566,11 @@ def test_minimize_work_is_bounded_by_tails_times_relations(monkeypatch):
 def test_parse_format_round_trip():
     text = (DATA / "triangle.mppres").read_text()
     P = parse_presentation(text)
-    assert P.case_tag == "RAW"
     out = format_presentation(P)
     Q = parse_presentation(out)
-    assert Q.matrix.mat == P.matrix.mat
-    assert Q.matrix.row_grades == P.matrix.row_grades
-    assert Q.matrix.col_grades == P.matrix.col_grades
+    assert Q.mat == P.mat
+    assert Q.row_grades == P.row_grades
+    assert Q.col_grades == P.col_grades
     assert format_presentation(Q) == out
 
 

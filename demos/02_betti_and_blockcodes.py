@@ -49,11 +49,11 @@ def main() -> None:
     box = default_box(final)
     print(f"\ndimension functions on box {fmt(box.lo)}..{fmt(box.hi)} "
           "(x1 grows downwards, x2 to the right):")
-    for code in blockcodes(final, diag.blocks, box):
-        print(f"  block rows={list(code.block.rows)}:")
-        width = code.shape[-1]  # values are flat, last coordinate fastest
-        for start in range(0, len(code.values), width):
-            print("    " + " ".join(str(v) for v in code.values[start : start + width]))
+    width = box.shape[-1]  # values are flat, last coordinate fastest
+    for block, values in blockcodes(final, diag.blocks, box):
+        print(f"  block rows={list(block.rows)}:")
+        for start in range(0, len(values), width):
+            print("    " + " ".join(str(v) for v in values[start : start + width]))
 
 
 if __name__ == "__main__":

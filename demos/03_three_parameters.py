@@ -31,12 +31,12 @@ def main() -> None:
     filt = parse_filtration(DATA.read_text())
     d1 = boundary_matrix(filt, 1)
 
-    gens = kernel_gens(d1)
+    # a column per generator at its birth grade, a row per edge of d1
+    Z = kernel_gens(d1)
     print("cycle generators (grade, support over edge columns):")
-    for g in gens:
-        support = [j for j in range(d1.n_cols) if (g.coords >> j) & 1]
-        names = [d1.col_labels[j] for j in support]
-        print(f"  {fmt(g.grade)}  {names}")
+    for g, z in zip(Z.col_grades, Z.mat.cols):
+        names = [Z.row_labels[i] for i in bits(z)]
+        print(f"  {fmt(g)}  {names}")
     print()
 
     pres = minimize(pres_dparam(filt, 1))

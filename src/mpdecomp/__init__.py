@@ -23,7 +23,6 @@ from .graded import AdmissibleOps, GradedMatrix, admissible_ops, sort_by_grade
 from .grades import leq, tied_pairs, topo_order
 from .invariants import (
     BettiTable,
-    Blockcode,
     GradeBox,
     betti01,
     betti_higher_2param,
@@ -33,7 +32,6 @@ from .invariants import (
     persistent_betti,
 )
 from .presentation import (
-    KernelElement,
     format_presentation,
     kernel_gens,
     minimize,
@@ -49,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibleOps",
     "BettiTable",
-    "Blockcode",
     "Diagonalization",
     "F2Matrix",
     "Filtration",
@@ -58,7 +55,6 @@ __all__ = [
     "IndexBlock",
     "InputError",
     "InternalCheckError",
-    "KernelElement",
     "Op",
     "TiedGradesError",
     "admissible_ops",

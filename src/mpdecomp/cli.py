@@ -17,15 +17,14 @@ from operator import add, sub
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .diagonalize import Diagonalization, Op, replay_certificate, tot_diagonalize
+from .diagonalize import Diagonalization, IndexBlock, Op, replay_certificate, tot_diagonalize
 from .errors import InputError, InternalCheckError, TiedGradesError
 from .f2 import bits
 from .filtration import parse_filtration
 from .graded import GradedMatrix, sort_by_grade
-from .grades import check_grade, fmt, read_lines
+from .grades import check_grade, fmt, read_int, read_lines
 from .invariants import (
     BettiTable,
-    Blockcode,
     GradeBox,
     blockcodes,
     default_box,
@@ -123,11 +122,7 @@ def _decompose_payload(
 ) -> dict:
     M = diag.matrix
     tables = dict(persistent_betti(M, diag.blocks)) if with_invariants else {}
-    codes = (
-        {c.block: c for c in blockcodes(M, diag.blocks, box)}
-        if with_invariants
-        else {}
-    )
+    codes = dict(blockcodes(M, diag.blocks, box)) if with_invariants else {}
     blocks_payload = []
     for b in diag.blocks:
         entry = {
@@ -142,11 +137,10 @@ def _decompose_payload(
         if b in tables:
             entry["betti"] = _betti_payload(tables[b])
         if b in codes:
-            code = codes[b]
             entry["dim_function"] = {
-                "origin": list(code.origin),
-                "shape": list(code.shape),
-                "values": code.values,
+                "origin": list(box.lo),
+                "shape": list(box.shape),
+                "values": codes[b],
             }
         blocks_payload.append(entry)
     return {
@@ -240,23 +234,21 @@ def _betti_text(diag: Diagonalization) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _blockcode_csv(codes: List[Blockcode], box: GradeBox) -> str:
+def _blockcode_csv(codes: List[Tuple[IndexBlock, List[int]]], box: GradeBox) -> str:
     d = len(box.lo)
     header = ",".join(f"x{k + 1}" for k in range(d)) + ",block_id,dim"
     lines = [header]
     for pos, u in enumerate(box.grades()):
-        for block_id, code in enumerate(codes):
-            lines.append(
-                ",".join(map(str, u)) + f",{block_id},{code.values[pos]}"
-            )
+        for block_id, (_, values) in enumerate(codes):
+            lines.append(",".join(map(str, u)) + f",{block_id},{values[pos]}")
     return "\n".join(lines) + "\n"
 
 
 def _box_from_flag(flag: str) -> GradeBox:
     try:
         lo_part, hi_part = flag.split(":")
-        lo = [int(x) for x in lo_part.split(",")]
-        hi = [int(x) for x in hi_part.split(",")]
+        lo = [read_int(x) for x in lo_part.split(",")]
+        hi = [read_int(x) for x in hi_part.split(",")]
     except ValueError:
         raise InputError(
             f"bad --box {flag!r}, expected 'lo1,..,lod:hi1,..,hid'"
@@ -321,13 +313,13 @@ def _cmd_blockcode(args: argparse.Namespace) -> str:
             "box": {"lo": list(box.lo), "hi": list(box.hi)},
             "blocks": [
                 {
-                    "rows": list(c.block.rows),
-                    "cols": list(c.block.cols),
-                    "origin": list(c.origin),
-                    "shape": list(c.shape),
-                    "values": c.values,
+                    "rows": list(block.rows),
+                    "cols": list(block.cols),
+                    "origin": list(box.lo),
+                    "shape": list(box.shape),
+                    "values": values,
                 }
-                for c in codes
+                for block, values in codes
             ],
         }
         return _dump_json(payload)
@@ -362,7 +354,10 @@ def _cmd_check(args: argparse.Namespace) -> str:
 def _cmd_export_pres(args: argparse.Namespace) -> str:
     text = format_presentation(sort_by_grade(minimize(_load(args)[0])))
     if args.output is not None:
-        args.output.write_text(text)
+        try:
+            args.output.write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from None
         return f"wrote {args.output}\n"
     return text
 

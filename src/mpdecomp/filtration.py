@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 from .errors import InputError
 from .f2 import F2Matrix
 from .graded import GradedMatrix, _trusted
-from .grades import fmt, read_grade, read_lines, read_params
+from .grades import fmt, read_grade, read_int, read_lines, read_params
 
 
 @dataclass
@@ -78,7 +78,7 @@ def parse_filtration(text: str) -> Filtration:
         g = read_grade(line_no, tokens[1:sep], d)
         facet_tokens = tokens[sep + 1 :]
         try:
-            facets = tuple(sorted(int(tok) for tok in facet_tokens))
+            facets = tuple(sorted(map(read_int, facet_tokens)))
         except ValueError:
             _fail(line_no, f"non-integer facet id in {facet_tokens}")
 

@@ -11,9 +11,11 @@ is preserved by use.
 
 Matrices that are valid by construction skip the checks through
 ``_trusted``: a parsed presentation, the boundary matrices of a parsed
-filtration, the rewritten boundaries and syzygies of a presentation, and
-the copies and re-indexings of a checked matrix (``_reindexed``).  The
-tests assert the invariant on every such builder's output.
+filtration, the generator matrices of ``kernel_gens`` (cycles and their
+syzygies), the boundaries rewritten over the cycles, the presentation
+``pres_dparam`` assembles from them, and the copies and re-indexings of a
+checked matrix (``_reindexed``).  The tests assert the invariant on every
+such builder's output.
 """
 from __future__ import annotations
 

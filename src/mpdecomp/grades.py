@@ -3,7 +3,8 @@
 A grade is a point of Z^d attached to a row, column, or simplex, held as a
 tuple of ints.  ``check_grade`` admits coordinates where they enter the
 program; both file formats enter through ``read_lines``, ``read_params``
-and ``read_grade``.
+and ``read_grade``, and every integer they or ``--box`` hold is read by
+``read_int``.
 The product partial order ``leq`` decides which matrix operations are
 legal; ``topo_order`` extends it to the total order in which the reduction
 consumes rows and columns.  Equal grades are ordered by input index, which
@@ -37,6 +38,18 @@ def read_lines(text: str) -> Iterator[Tuple[int, str]]:
             yield line_no, line
 
 
+def read_int(token: str) -> int:
+    """The int a token spells as an optional '-' then decimal digits.
+
+    Raises ValueError otherwise: unlike ``int()`` this refuses a '+', a '_'
+    between digits and surrounding whitespace.  Every integer of the input
+    is read by this one rule.
+    """
+    if not token.removeprefix("-").isdecimal():
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def read_grade(line_no: int, tokens: Sequence[str], d: int) -> Tuple[int, ...]:
     """The grade one input line's tokens spell; refusals name the line."""
     if len(tokens) != d:
@@ -44,7 +57,7 @@ def read_grade(line_no: int, tokens: Sequence[str], d: int) -> Tuple[int, ...]:
             f"line {line_no}: expected {d} grade coordinates, got {len(tokens)}"
         )
     try:
-        coords = [int(t) for t in tokens]
+        coords = [read_int(t) for t in tokens]
     except ValueError:
         raise InputError(f"line {line_no}: non-integer grade in {tokens}") from None
     try:
@@ -54,12 +67,15 @@ def read_grade(line_no: int, tokens: Sequence[str], d: int) -> Tuple[int, ...]:
 
 
 def read_params(line_no: int, tokens: Sequence[str]) -> int:
-    """The parameter count a 'params <d>' line's tokens give, in decimal digits."""
+    """The parameter count a 'params <d>' line's tokens give."""
     if len(tokens) != 2 or tokens[0] != "params":
         raise InputError(f"line {line_no}: expected 'params <d>', got {' '.join(tokens)!r}")
-    if not tokens[1].removeprefix("-").isdecimal():
-        raise InputError(f"line {line_no}: parameter count {tokens[1]!r} is not an integer")
-    d = int(tokens[1])
+    try:
+        d = read_int(tokens[1])
+    except ValueError:
+        raise InputError(
+            f"line {line_no}: parameter count {tokens[1]!r} is not an integer"
+        ) from None
     if d < 1:
         raise InputError(f"line {line_no}: parameter count must be positive, got {d}")
     return d

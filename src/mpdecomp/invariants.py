@@ -191,7 +191,7 @@ def betti_higher_2param(M: GradedMatrix) -> List[Tuple[int, ...]]:
     """Degree 2 for two parameters: grades of a basis of ker(M), M minimal."""
     if M.d != 2:
         raise InputError(f"degree-2 Betti numbers computed only for d == 2, have d == {M.d}")
-    return [k.grade for k in kernel_gens(M)]
+    return kernel_gens(M).col_grades
 
 
 def persistent_betti(
@@ -218,25 +218,13 @@ def persistent_betti(
     return out
 
 
-@dataclass
-class Blockcode:
-    """Dimension function of one indecomposable over a shared box."""
-
-    block: IndexBlock
-    origin: Tuple[int, ...]
-    shape: Tuple[int, ...]
-    values: List[int]  # flat, in the C order of GradeBox.grades()
-
-
 def blockcodes(
     M: GradedMatrix, blocks: Sequence[IndexBlock], box: GradeBox
-) -> List[Blockcode]:
-    """One dimension function per block with rows; checks the box first."""
+) -> List[Tuple[IndexBlock, List[int]]]:
+    """(block, dimension function) per block with rows; checks the box first."""
     box.check_size()
-    out = []
-    for block in blocks:
-        if not block.rows:
-            continue
-        values = dimension_function(_reindexed(M, block.rows, block.cols), box)
-        out.append(Blockcode(block, box.lo, box.shape, values))
-    return out
+    return [
+        (block, dimension_function(_reindexed(M, block.rows, block.cols), box))
+        for block in blocks
+        if block.rows
+    ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import xor
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .diagonalize import IndexBlock
+from .diagonalize import IndexBlock, _block_key
 from .errors import InputError, InternalCheckError
 from .f2 import F2Matrix, bits
 from .graded import AdmissibleOps, GradedMatrix, admissible_ops
@@ -56,7 +56,7 @@ def block_partition(M: F2Matrix) -> List[IndexBlock]:
     blocks = [IndexBlock(tuple(rows), tuple(cols)) for rows, cols in groups.values()]
     blocks.extend(IndexBlock((i,), ()) for i in range(n) if i not in touched_rows)
     blocks.extend(IndexBlock((), (j,)) for j in range(m) if j not in touched_cols)
-    return sorted(blocks, key=lambda b: (0, b.rows[0]) if b.rows else (1, b.cols[0]))
+    return sorted(blocks, key=_block_key)
 
 
 def _as_partition(blocks: List[IndexBlock]) -> Partition:
@@ -134,7 +134,7 @@ def brute_force_finest(M: GradedMatrix, budget: int = 20) -> List[IndexBlock]:
         )
     return sorted(
         (IndexBlock(rows, cols) for rows, cols in best_partitions.pop()),
-        key=lambda b: (0, b.rows[0]) if b.rows else (1, b.cols[0]),
+        key=_block_key,
     )
 
 

@@ -21,27 +21,21 @@ die along an antichain and every minimal grade is kept.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import product
 from operator import le
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import InputError, InternalCheckError
 from .f2 import F2Matrix, bits
 from .graded import GradedMatrix, _reindexed, _trusted
-from .grades import check_grade, fmt, read_grade, read_lines, read_params, topo_order
+from .grades import fmt, read_grade, read_int, read_lines, read_params, topo_order
 
 
-@dataclass(frozen=True)
-class KernelElement:
-    """A cycle: grade of birth plus coordinates over the ambient columns."""
+def kernel_gens(M: GradedMatrix) -> GradedMatrix:
+    """Generators of ker(M) as a graded matrix Z with MZ = 0.
 
-    grade: Tuple[int, ...]
-    coords: int
-
-
-def kernel_gens(M: GradedMatrix) -> List[KernelElement]:
-    """Generators of ker(M), coordinates over the columns of M.
+    Z's rows are M's columns, with their grades and labels; its columns are
+    the generators at their birth grades, labelled ``z0``, ``z1``, ...
 
     The grid spanned by the column grades is cut into slices, a slice being
     a value ``s`` of the coordinates after the first.  Take the columns
@@ -67,9 +61,9 @@ def kernel_gens(M: GradedMatrix) -> List[KernelElement]:
     the rank of M.
 
     What is left is one generator per minimal death grade of each column,
-    listed by (grade, topo position).  With two parameters the grid is one
-    row whose slices are totally ordered, each column gives at most one
-    generator, and the list is a basis of the free kernel.  With one
+    Z's columns in (grade, topo position) order.  With two parameters the
+    grid is one row whose slices are totally ordered, each column gives at
+    most one generator, and Z is a basis of the free kernel.  With one
     parameter the grid is a single slice.
     """
     d = M.d
@@ -110,21 +104,25 @@ def kernel_gens(M: GradedMatrix) -> List[KernelElement]:
                     found.append((((g[0],) + row + (chain[k],))[:d], pos, comb))
                     break
     found.sort()
-    return [KernelElement(grade=z, coords=comb) for z, _, comb in found]
+    # a generator sums columns born at or below its grade: Z is homogeneous
+    return _trusted(
+        F2Matrix(len(cols), [comb for _, _, comb in found]),
+        list(M.col_grades),
+        [z for z, _, _ in found],
+        list(M.col_labels),
+        [f"z{i}" for i in range(len(found))],
+        d,
+    )
 
 
-def rewrite_in_basis(
-    cols: GradedMatrix,
-    basis: Sequence[KernelElement],
-    basis_labels: Optional[Sequence[str]] = None,
-) -> GradedMatrix:
+def rewrite_in_basis(cols: GradedMatrix, basis: GradedMatrix) -> GradedMatrix:
     """Express every column of `cols` over the given cycle generators.
 
     Contract: ``basis`` is ``kernel_gens`` of the matrix whose columns are
     the rows of ``cols`` (the boundary matrix one degree down), and every
-    column of ``cols`` is a cycle of it.  Each generator's grade and
-    coordinates and the label count are checked; that ``basis`` is such
-    output is not.
+    column of ``cols`` is a cycle of it.  The output's rows are the columns
+    of ``basis``, with their grades and labels.  Only the shapes are
+    checked: ``basis`` must have the rows of ``cols`` and its ``d``.
 
     A generator's coordinates are its dying column plus columns before it
     in the topo order of the row grades, so it leads with that column.  A
@@ -139,21 +137,11 @@ def rewrite_in_basis(
     basis does not generate the image: an internal error, not bad input.
     """
     ambient = cols.n_rows
-    grades = []
-    for b in basis:
-        g = check_grade(b.grade)
-        if len(g) != cols.d:
-            raise InputError(f"kernel element grade {fmt(g)} is not {cols.d}-parameter")
-        if b.coords < 0 or b.coords >> ambient:
-            raise InputError("kernel element has coordinates outside the ambient")
-        grades.append(g)
-    labels = (
-        list(basis_labels)
-        if basis_labels is not None
-        else [f"z{i}" for i in range(len(basis))]
-    )
-    if len(labels) != len(basis):
-        raise InputError(f"{len(labels)} labels for {len(basis)} kernel elements")
+    if basis.n_rows != ambient or basis.d != cols.d:
+        raise InputError(
+            f"a basis over {basis.n_rows} rows with {basis.d} parameters cannot "
+            f"express columns over {ambient} rows with {cols.d}"
+        )
     # columns of the ambient as bits in topo order, so a vector's last
     # column is its highest bit
     at = [0] * ambient
@@ -169,8 +157,8 @@ def rewrite_in_basis(
         return v
 
     led_by: Dict[int, List[Tuple[int, Tuple[int, ...], int]]] = {}
-    for idx, (g, b) in enumerate(zip(grades, basis)):
-        z = in_topo(b.coords)
+    for idx, (g, c) in enumerate(zip(basis.col_grades, basis.mat.cols)):
+        z = in_topo(c)
         if z:
             led_by.setdefault(z.bit_length() - 1, []).append((idx, g, z))
     out_cols: List[int] = []
@@ -190,10 +178,10 @@ def rewrite_in_basis(
                 )
         out_cols.append(v)
     return _trusted(
-        F2Matrix(len(basis), out_cols),
-        grades,
+        F2Matrix(basis.n_cols, out_cols),
+        list(basis.col_grades),
         list(cols.col_grades),
-        labels,
+        list(basis.col_labels),
         list(cols.col_labels),
         cols.d,
     )
@@ -206,54 +194,43 @@ def pres_h0(F) -> GradedMatrix:
     return boundary_matrix(F, 1)
 
 
-def _cycles(F, p: int) -> Tuple[GradedMatrix, List[KernelElement], GradedMatrix]:
+def _cycles(F, p: int) -> Tuple[GradedMatrix, GradedMatrix]:
     """The boundaries of degree p + 1 rewritten over the cycles of degree p.
 
-    Returns the boundary matrix of degree p, its cycle generators from
-    ``kernel_gens`` (labelled ``z0``, ``z1``, ...) and the rewritten matrix.
+    Returns the cycle generators, ``kernel_gens`` of the boundary matrix of
+    degree p, and the rewritten matrix.
     """
     from .filtration import boundary_matrix
 
     if p < 1:
         raise InputError(f"degree must be >= 1, got {p}; degree 0 has its own path")
-    bp = boundary_matrix(F, p)
-    gens = kernel_gens(bp)
-    labels = [f"z{i}" for i in range(len(gens))]
-    return bp, gens, rewrite_in_basis(boundary_matrix(F, p + 1), gens, labels)
+    gens = kernel_gens(boundary_matrix(F, p))
+    return gens, rewrite_in_basis(boundary_matrix(F, p + 1), gens)
 
 
 def pres_2param(F, p: int) -> GradedMatrix:
     """Degree p >= 1 presentation for a 2-parameter filtration."""
     if F.d != 2:
         raise InputError(f"two-parameter construction on a {F.d}-parameter input")
-    return _cycles(F, p)[2]
+    return _cycles(F, p)[1]
 
 
 def pres_dparam(F, p: int) -> GradedMatrix:
     """Degree p >= 1 presentation for any parameter count.
 
     Cycle generators need not be independent here, so the syzygies among
-    them are appended as relation columns next to the rewritten boundaries.
+    them, the kernel generators of the generator matrix, are appended as
+    relation columns next to the rewritten boundaries.
     """
-    bp, gens, dbar = _cycles(F, p)
-    # a generator is a cycle born at its grade, so its coordinates sit at or
-    # below it; a syzygy is a kernel element of these, born at its grade too
-    gen_matrix = _trusted(
-        F2Matrix(bp.n_cols, [g.coords for g in gens]),
-        bp.col_grades,
-        dbar.row_grades,
-        bp.col_labels,
-        dbar.row_labels,
-        bp.d,
-    )
-    syzygies = kernel_gens(gen_matrix)
+    gens, dbar = _cycles(F, p)
+    syzygies = kernel_gens(gens)
     return _trusted(
-        F2Matrix(len(gens), dbar.mat.cols + [s.coords for s in syzygies]),
+        F2Matrix(gens.n_cols, dbar.mat.cols + syzygies.mat.cols),
         dbar.row_grades,
-        dbar.col_grades + [s.grade for s in syzygies],
+        dbar.col_grades + syzygies.col_grades,
         dbar.row_labels,
-        dbar.col_labels + [f"y{i}" for i in range(len(syzygies))],
-        bp.d,
+        dbar.col_labels + [f"y{i}" for i in range(syzygies.n_cols)],
+        gens.d,
     )
 
 
@@ -389,7 +366,7 @@ def parse_presentation(text: str) -> GradedMatrix:
         v = 0
         for tok in tokens[sep + 1 :]:
             try:
-                i = int(tok)
+                i = read_int(tok)
             except ValueError:
                 raise InputError(f"line {line_no}: non-integer row index {tok!r}") from None
             if not 0 <= i < n:

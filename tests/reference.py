@@ -15,7 +15,6 @@ from mpdecomp import (
     GradeBox,
     GradedMatrix,
     IndexBlock,
-    KernelElement,
     Op,
     col_reduce,
     leq,
@@ -61,19 +60,18 @@ def rank(M: F2Matrix) -> int:
     return len(pivots)
 
 
-def rewrite_by_elimination(
-    cols: GradedMatrix, basis: Sequence[KernelElement]
-) -> List[Optional[int]]:
+def rewrite_by_elimination(cols: GradedMatrix, basis: GradedMatrix) -> List[Optional[int]]:
     """Each column of cols over the generators born at or below its grade.
 
     One fresh elimination per column over the generators whose grade is <=
     the column's: the coefficients as a bitmask over ``basis``, or None for
-    a column those generators do not generate.
+    a column those generators do not generate.  ``basis`` holds one
+    generator per column, as ``kernel_gens`` returns them.
     """
     out: List[Optional[int]] = []
     for u, c in zip(cols.col_grades, cols.mat.cols):
-        sub = [idx for idx, b in enumerate(basis) if leq(b.grade, u)]
-        coeffs = col_reduce(F2Matrix(cols.n_rows, [basis[idx].coords for idx in sub]), c)
+        sub = [idx for idx, g in enumerate(basis.col_grades) if leq(g, u)]
+        coeffs = col_reduce(F2Matrix(cols.n_rows, [basis.mat.cols[idx] for idx in sub]), c)
         out.append(
             None
             if coeffs is None

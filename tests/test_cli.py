@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -187,6 +188,15 @@ def test_export_pres_round_trips(tmp_path, capsys):
     assert P.n_rows == 4 and P.n_cols == 3
 
 
+def test_export_pres_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.mppres"
+    code, out, err = run_cli(capsys, "export-pres", TRIANGLE, "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot write {target}: [Errno 2] No such file or directory: '{target}'\n"
+    )
+
+
 def test_export_pres_golden_two_parameters(capsys):
     code, out, _ = run_cli(capsys, "export-pres", SUSPENSION, "--dim", "1")
     assert code == 0
@@ -292,6 +302,14 @@ def test_bad_box_flag(capsys):
     assert code4 == 2
     assert "--box" in err4 and "outside 64-bit range" in err4
     assert "expected" not in err4
+
+
+@pytest.mark.parametrize("flag", ["1_0,0:3,3", "+1,0:3,3", "0,0:3, 3"])
+def test_box_coordinates_are_decimal_digits(capsys, flag):
+    # read like every integer of the input files, not by int()
+    code, out, err = run_cli(capsys, "blockcode", TRIANGLE, "--box", flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad --box {flag!r}, expected 'lo1,..,lod:hi1,..,hid'\n"
 
 
 @pytest.mark.parametrize(
@@ -457,6 +475,16 @@ def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys)
             "mppres 1\nparams 1\nrows 1\nr 0\ncols 1\nc 1 : w\n",
             "line 6: non-integer row index 'w'",
         ),
+        ("mppres 1\nparams 1\nrows 1\nr 1_0\ncols 0\n", "line 4: non-integer grade in ['1_0']"),
+        ("mppres 1\nparams 1\nrows 0\ncols 1\nc +1 : \n", "line 5: non-integer grade in ['+1']"),
+        (
+            "mppres 1\nparams 1\nrows 2\nr 0\nr 0\ncols 1\nc 20 : 0_0\n",
+            "line 7: non-integer row index '0_0'",
+        ),
+        (
+            "mppres 1\nparams 1\nrows 2\nr 0\nr 0\ncols 1\nc 20 : +1\n",
+            "line 7: non-integer row index '+1'",
+        ),
         (
             "mppres 1\nparams 1\nrows 1\nr 0\ncols 1\nc 1 : 3\n",
             "line 6: row index 3 outside 0..0",
@@ -496,6 +524,10 @@ def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys)
         "not-a-column-line",
         "column-grade-not-integer",
         "row-index-not-integer",
+        "grade-underscore",
+        "grade-plus",
+        "row-index-underscore",
+        "row-index-plus",
         "row-index-outside",
         "inhomogeneous",
         "line-after-last-column",
@@ -530,7 +562,17 @@ def test_mppres_counts_and_coordinates_fail_with_line_numbers(tmp_path, capsys, 
             "mpfilt 1\nparams 2\ns 0 9223372036854775808 :\n",
             "line 3: grade coordinate 9223372036854775808 outside 64-bit range",
         ),
+        ("mpfilt 1\nparams 1\ns 1_000 :\n", "line 3: non-integer grade in ['1_000']"),
+        ("mpfilt 1\nparams 1\ns +2 :\n", "line 3: non-integer grade in ['+2']"),
         ("mpfilt 1\nparams 1\ns 0 :\ns 1 : 0 z\n", "line 4: non-integer facet id in ['0', 'z']"),
+        (
+            "mpfilt 1\nparams 1\ns 0 :\ns 0 :\ns 1 : 0 0_1\n",
+            "line 5: non-integer facet id in ['0', '0_1']",
+        ),
+        (
+            "mpfilt 1\nparams 1\ns 0 :\ns 0 :\ns 1 : +0 1\n",
+            "line 5: non-integer facet id in ['+0', '1']",
+        ),
         ("mpfilt 1\nparams 1\ns 0 :\ns 1 : 0 0\n", "line 4: facet listed twice"),
         ("mpfilt 1\nparams 2\ns 0 0 : 5\n", "line 3: facet 5 not declared before simplex 0"),
         (
@@ -565,7 +607,11 @@ def test_mppres_counts_and_coordinates_fail_with_line_numbers(tmp_path, capsys, 
         "grade-count",
         "grade-not-integer",
         "grade-out-of-range",
+        "grade-underscore",
+        "grade-plus",
         "facet-not-integer",
+        "facet-underscore",
+        "facet-plus",
         "facet-listed-twice",
         "facet-not-declared",
         "facet-dimensions-differ",
@@ -633,6 +679,27 @@ def test_readme_library_example_runs(monkeypatch, capsys):
     exec(compile(example, "<README Library example>", "exec"), {"__name__": "readme_example"})
     # the triangle's H0 splits into two summands, one line each
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_readme_library_names_resolve():
+    # a name the Library section writes as a call, in CamelCase or under
+    # mpdecomp. must exist, so a deleted public name cannot stay documented
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", prose):
+        call = re.match(r"([A-Za-z_][\w.]*)\(", span)
+        if call:
+            names.add(call.group(1))
+        elif re.fullmatch(r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*|mpdecomp\.[\w.]+", span):
+            names.add(span)
+    assert {"kernel_gens", "GradedMatrix", "mpdecomp.oracle"} <= names
+    for name in sorted(names):
+        obj, path = mpdecomp, "mpdecomp"
+        for part in name.removeprefix("mpdecomp.").split("."):
+            path += "." + part
+            obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(path)
 
 
 def test_installed_entry_point_runs():

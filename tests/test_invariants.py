@@ -143,8 +143,8 @@ def test_blockcode_reference_values():
     box = GradeBox((0, 0), (3, 3))
     codes = blockcodes(final, diag.blocks, box)
     assert len(codes) == 2
-    m1, m2 = codes
-    for u, v1, v2 in zip(box.grades(), m1.values, m2.values, strict=True):
+    (_, m1), (_, m2) = codes
+    for u, v1, v2 in zip(box.grades(), m1, m2, strict=True):
         assert v1 == (1 if (leq((1, 0), u) or leq((0, 1), u)) else 0)
         assert v2 == (1 if u == (1, 1) else 0)
 
@@ -154,15 +154,15 @@ def test_dimension_function_additive_over_blocks():
     box = default_box(final)
     total = dimension_function(final, box)
     acc = [0] * len(total)
-    for code in blockcodes(final, diag.blocks, box):
-        acc = list(map(add, acc, code.values))
+    for _, values in blockcodes(final, diag.blocks, box):
+        acc = list(map(add, acc, values))
     assert acc == total
 
 
 def test_hilbert_consistency_betti_vs_dimension():
     final, diag = triangle_pipeline()
     box = default_box(final)
-    codes = {code.block: code.values for code in blockcodes(final, diag.blocks, box)}
+    codes = dict(blockcodes(final, diag.blocks, box))
     for block in diag.blocks:
         table = dict(persistent_betti(final, [block]))[block]
         assert betti_euler_function(table, box) == codes[block]

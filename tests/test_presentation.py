@@ -10,7 +10,6 @@ import pytest
 from mpdecomp import (
     F2Matrix,
     GradedMatrix,
-    KernelElement,
     betti_higher_2param,
     boundary_matrix,
     format_presentation,
@@ -45,15 +44,15 @@ def load(name: str):
 def test_kernel_basis_of_triangle_boundary():
     d1 = boundary_matrix(load("triangle.mpfilt"), 1)
     basis = kernel_gens(d1)
-    assert len(basis) == 1
-    assert basis[0].grade == (2, 2)
-    assert basis[0].coords == 0b111  # the full cycle br+bg+rg
+    assert basis.n_cols == 1
+    assert basis.col_grades[0] == (2, 2)
+    assert basis.mat.cols[0] == 0b111  # the full cycle br+bg+rg
 
 
 def test_kernel_genset_registers_multiple_minimal_grades():
     d1 = boundary_matrix(load("k23.mpfilt"), 1)
     gens = kernel_gens(d1)
-    assert [(g.grade, g.coords) for g in gens] == [
+    assert gens_key(gens) == [
         ((0, 1, 1), 0b001111),
         ((1, 0, 1), 0b110011),
         ((1, 1, 0), 0b111100),
@@ -91,8 +90,8 @@ def gradewise_nullity(M: GradedMatrix, u) -> int:
     return len(active) - _row_echelon_rank(dense)
 
 
-def kernel_rank_at(M: GradedMatrix, gens, u) -> int:
-    vecs = [g.coords for g in gens if leq(g.grade, u)]
+def kernel_rank_at(M: GradedMatrix, gens: GradedMatrix, u) -> int:
+    vecs = [z for g, z in gens_key(gens) if leq(g, u)]
     if not vecs:
         return 0
     dense = np.zeros((len(vecs), M.n_cols), dtype=np.uint8)
@@ -110,12 +109,12 @@ def grid_points(M: GradedMatrix):
 
 def assert_kernel_sound_and_complete(M: GradedMatrix):
     gens = kernel_gens(M)
-    for g in gens:
+    for g, z in gens_key(gens):
         # soundness: the recorded combination really is a cycle at its grade
         acc = 0
         for j in range(M.n_cols):
-            if (g.coords >> j) & 1:
-                assert leq(M.col_grades[j], g.grade)
+            if (z >> j) & 1:
+                assert leq(M.col_grades[j], g)
                 acc ^= M.mat.cols[j]
         assert acc == 0
     for u in grid_points(M):
@@ -123,7 +122,7 @@ def assert_kernel_sound_and_complete(M: GradedMatrix):
     if M.d == 2:
         # with two parameters the generators are a basis: globally independent
         top = tuple(max(g[k] for g in M.col_grades) for k in range(M.d))
-        assert kernel_rank_at(M, gens, top) == len(gens)
+        assert kernel_rank_at(M, gens, top) == gens.n_cols
 
 
 def test_kernel_sound_complete_2param_random():
@@ -147,6 +146,7 @@ def per_point_kernel_gens(M: GradedMatrix, first_only: bool = False):
     it is kept here to pin the generators, their grades and their order.
     A column is recorded at every minimal grade where it dies, or with
     ``first_only`` at the first one only, which gives a basis when d == 2.
+    Returns (grade, coordinates) per generator, as ``gens_key`` reads them.
     """
     order = topo_order(M.col_grades)
     axes = [sorted({g[k] for g in M.col_grades}) for k in range(M.d)]
@@ -173,12 +173,13 @@ def per_point_kernel_gens(M: GradedMatrix, first_only: bool = False):
             if (first_only and prior) or any(leq(zp, z) for zp in prior):
                 continue
             prior.append(z)
-            out.append(KernelElement(grade=z, coords=comb))
+            out.append((z, comb))
     return out
 
 
-def gens_key(gens):
-    return [(g.grade, g.coords) for g in gens]
+def gens_key(gens: GradedMatrix):
+    """(grade, coordinates) of each generator, a column of ``kernel_gens``."""
+    return list(zip(gens.col_grades, gens.mat.cols))
 
 
 def test_kernel_slice_sweep_equals_per_point_sweep_random():
@@ -196,11 +197,11 @@ def test_kernel_slice_sweep_equals_per_point_sweep_random():
         ]
         M = GradedMatrix(from_dense(dense), rows, cols)
         got = gens_key(kernel_gens(M))
-        assert got == gens_key(per_point_kernel_gens(M))
+        assert got == per_point_kernel_gens(M)
         checked += 1
         if d == 2:
             # a column's first death is its only minimal one
-            assert got == gens_key(per_point_kernel_gens(M, first_only=True))
+            assert got == per_point_kernel_gens(M, first_only=True)
             checked += 1
     assert checked > 1200
 
@@ -229,17 +230,17 @@ def test_kernel_slice_sweep_equals_per_point_sweep_on_graphs():
     rng = random.Random(113)
     for _ in range(3):
         M = random_graph_boundary(rng)
-        expected = gens_key(per_point_kernel_gens(M, first_only=True))
+        expected = per_point_kernel_gens(M, first_only=True)
         assert len(expected) >= 90 - 30
         assert gens_key(kernel_gens(M)) == expected
-        assert gens_key(per_point_kernel_gens(M)) == expected
+        assert per_point_kernel_gens(M) == expected
     # three parameters over few coordinates: many columns share a row of the
     # slice grid, and a column can die at several minimal grades
     on_antichain = 0
     for _ in range(3):
         M = random_graph_boundary(rng, nv=20, ne=60, d=3, span=5)
         got = gens_key(kernel_gens(M))
-        assert got == gens_key(per_point_kernel_gens(M))
+        assert got == per_point_kernel_gens(M)
         on_antichain += len(got) > len(per_point_kernel_gens(M, first_only=True))
     assert on_antichain
 
@@ -255,6 +256,7 @@ def test_rewrite_in_basis_triangle_h1():
     out = rewrite_in_basis(d2, basis)
     assert out.n_rows == 1 and out.n_cols == 0
     assert out.row_grades == [(2, 2)]
+    assert out.row_labels == basis.col_labels == ["z0"]
 
 
 def test_rewrite_respects_column_grades():
@@ -262,31 +264,41 @@ def test_rewrite_respects_column_grades():
     # rewrite must fail loudly rather than produce an inhomogeneous result
     cols = GradedMatrix(from_dense([[1], [0]]),
                         [(0, 0), (0, 0)], [(1, 0)])
-    late = [KernelElement((0, 5), 0b01), KernelElement((0, 0), 0b10)]
+
+    def basis(grades, coords, n_rows=2, labels=()):
+        row_grades = [(0,) * len(grades[0])] * n_rows
+        return GradedMatrix(F2Matrix(n_rows, coords), row_grades, grades, col_labels=labels)
+
+    late = basis([(0, 5), (0, 0)], [0b01, 0b10])
     with pytest.raises(InternalCheckError):
         rewrite_in_basis(cols, late)
+    # a basis of the wrong d or over the wrong rows is refused by the rewrite
     with pytest.raises(InputError):
-        rewrite_in_basis(cols, [KernelElement((0, 0, 0), 0b01)])
+        rewrite_in_basis(cols, basis([(0, 0, 0)], [0b01]))
     with pytest.raises(InputError):
-        rewrite_in_basis(cols, [KernelElement((0, 0), 0b100)])
+        rewrite_in_basis(cols, basis([(0, 0)], [0b100], n_rows=3))
+    # coordinates outside the rows, a grade outside 64 bits and a wrong label
+    # count are refused while the basis is built
     with pytest.raises(InputError):
-        rewrite_in_basis(cols, [KernelElement((0, 1 << 63), 0b01)])
+        rewrite_in_basis(cols, basis([(0, 0)], [0b100]))
     with pytest.raises(InputError):
-        rewrite_in_basis(cols, late, ["z0"])
+        rewrite_in_basis(cols, basis([(0, 1 << 63)], [0b01]))
+    with pytest.raises(InputError):
+        rewrite_in_basis(cols, basis([(0, 5), (0, 0)], [0b01, 0b10], labels=["z0"]))
 
 
 def cycle_columns(rng: random.Random, M: GradedMatrix, m: int) -> GradedMatrix:
     """m random cycles of M, each a sum of up to three of its kernel
     generators at the least upper bound of their grades plus a jitter."""
-    gens = kernel_gens(M)
+    gens = gens_key(kernel_gens(M))
     grades, vecs = [], []
     for _ in range(m):
         picked = rng.sample(gens, min(len(gens), rng.randint(1, 3)))
-        lub = [max(z.grade[k] for z in picked) for k in range(M.d)]
+        lub = [max(g[k] for g, _ in picked) for k in range(M.d)]
         grades.append(tuple(x + rng.randint(0, 2) for x in lub))
         v = 0
-        for z in picked:
-            v ^= z.coords
+        for _, z in picked:
+            v ^= z
         vecs.append(v)
     return GradedMatrix(F2Matrix(M.n_cols, vecs), M.col_grades, grades, d=M.d)
 
@@ -335,8 +347,8 @@ def test_rewrite_expresses_columns_with_more_parameters():
             for u, c, v in zip(cols.col_grades, cols.mat.cols, out.mat.cols):
                 acc = 0
                 for i in bits(v):
-                    assert leq(gens[i].grade, u)
-                    acc ^= gens[i].coords
+                    assert leq(gens.col_grades[i], u)
+                    acc ^= gens.mat.cols[i]
                 assert acc == c
             checked += cols.n_cols
     assert checked > 300
@@ -361,7 +373,7 @@ def test_rewrite_work_is_bounded_by_generators_used(monkeypatch):
     monkeypatch.setattr(presentation, "le", counting_le)
     out = rewrite_in_basis(cols, gens)
     used = sum(len(bits(v)) for v in out.mat.cols)
-    assert used < 5 * cols.n_cols < len(gens) * cols.n_cols // 10
+    assert used < 5 * cols.n_cols < gens.n_cols * cols.n_cols // 10
     assert calls <= 2 * used  # d coordinates per generator used
 
 
@@ -440,9 +452,20 @@ def assert_valid_graded(M: GradedMatrix, d: int) -> None:
     M.validate_homogeneity()
 
 
+def assert_cycles(M: GradedMatrix, Z: GradedMatrix) -> None:
+    """Z is a generator matrix over M's columns: M times Z is zero."""
+    assert (Z.row_grades, Z.row_labels) == (M.col_grades, M.col_labels)
+    for z in Z.mat.cols:
+        acc = 0
+        for j in bits(z):
+            acc ^= M.mat.cols[j]
+        assert acc == 0
+
+
 def test_internal_builders_emit_valid_matrices():
-    # boundary matrices, rewritten cycles and both constructions skip the
-    # constructor's checks, so their output is checked here instead
+    # boundary matrices, cycle generators, their syzygies, rewritten cycles
+    # and both constructions skip the constructor's checks, so their output
+    # is checked here instead
     rng = random.Random(211)
     for k in range(320):
         d = 1 + k % 4
@@ -452,10 +475,15 @@ def test_internal_builders_emit_valid_matrices():
         for p in (1, 2, 3):
             assert_valid_graded(boundary_matrix(F, p), d)
         for p in (1, 2):
-            bp, gens, dbar = _cycles(F, p)
+            gens, dbar = _cycles(F, p)
+            assert_valid_graded(gens, d)
+            assert_cycles(boundary_matrix(F, p), gens)
+            syzygies = kernel_gens(gens)
+            assert_valid_graded(syzygies, d)
+            assert_cycles(gens, syzygies)
             assert_valid_graded(dbar, d)
             n_up = len(F.grades[p + 1]) if p + 1 < len(F.grades) else 0  # (p+1)-simplices
-            assert dbar.n_rows == len(gens) and dbar.n_cols == n_up
+            assert dbar.n_rows == gens.n_cols and dbar.n_cols == n_up
             assert_valid_graded(pres_dparam(F, p), d)
             if d == 2:
                 assert_valid_graded(pres_2param(F, p), d)

@@ -46,9 +46,13 @@ def main() -> None:
         for deg in range(table.max_degree_computed + 1):
             print(f"  beta_{deg} supported at {[fmt(g) for g in table.degree(deg)]}")
 
+    # each dimension function is constant on the cells of the grid of
+    # distinct grade coordinates, so its values at the grid points are all
     box = default_box(final)
-    print(f"\ndimension functions on box {fmt(box.lo)}..{fmt(box.hi)} "
-          "(x1 grows downwards, x2 to the right):")
+    xs, ys = (list(axis) for axis in box.axes)
+    print(f"\ndimension functions on the grade grid x1 in {xs}, x2 in {ys}\n"
+          "(x1 grows downwards, x2 to the right; a grade between grid points\n"
+          "takes the value of the grid point at or below it):")
     width = box.shape[-1]  # values are flat, last coordinate fastest
     for block, values in blockcodes(final, diag.blocks, box):
         print(f"  block rows={list(block.rows)}:")

@@ -1,8 +1,12 @@
 """Command line front end.
 
-Subcommands: decompose, diagonalize, betti, blockcode, check, export-pres.
+Subcommands: decompose, diagonalize, check, export-pres.
 Input files are recognized by their header line (mpfilt or mppres).  JSON
 output is byte-deterministic: keys sorted, arrays in canonical index order.
+``decompose`` gives each summand's Betti table and its dimension function
+on a grid: by default the distinct grade coordinates on each axis, where
+the function is constant on the cells between them, or every integer of a
+``--box``.  Its ``csv`` and ``betti`` formats are views of that result.
 
 Exit codes: 0 success, 2 bad input, 3 tied grades without the perturbation
 flag, 4 internal consistency failure.
@@ -22,7 +26,7 @@ from .errors import InputError, InternalCheckError, TiedGradesError
 from .f2 import bits
 from .filtration import parse_filtration
 from .graded import GradedMatrix, sort_by_grade
-from .grades import check_grade, fmt, read_int, read_lines
+from .grades import check_grade, fmt, leq, read_int, read_lines
 from .invariants import (
     BettiTable,
     GradeBox,
@@ -62,9 +66,9 @@ def _load(args: argparse.Namespace) -> Tuple[GradedMatrix, str]:
     D_PARAM after the builder called.
     """
     obj = _read_input(args.input)
-    if args.box is not None and len(args.box.lo) != obj.d:
+    if args.box is not None and len(args.box[0]) != obj.d:
         raise InputError(
-            f"--box has {len(args.box.lo)} coordinates but the input has {obj.d}"
+            f"--box has {len(args.box[0])} coordinates but the input has {obj.d}"
         )
     if isinstance(obj, GradedMatrix):
         if args.dim is not None:
@@ -117,40 +121,26 @@ def _betti_payload(table: BettiTable) -> dict:
     }
 
 
-def _decompose_payload(
-    case: str, diag: Diagonalization, box: GradeBox, with_invariants: bool
-) -> dict:
+def _diagonalize_payload(case: str, diag: Diagonalization) -> dict:
     M = diag.matrix
-    tables = dict(persistent_betti(M, diag.blocks)) if with_invariants else {}
-    codes = dict(blockcodes(M, diag.blocks, box)) if with_invariants else {}
-    blocks_payload = []
-    for b in diag.blocks:
-        entry = {
-            "rows": list(b.rows),
-            "cols": list(b.cols),
-            "row_grades": _grade_list(M.row_grades[i] for i in b.rows),
-            "col_grades": _grade_list(M.col_grades[j] for j in b.cols),
-            "row_labels": [M.row_labels[i] for i in b.rows],
-            "col_labels": [M.col_labels[j] for j in b.cols],
-            "trivial": not b.rows,
-        }
-        if b in tables:
-            entry["betti"] = _betti_payload(tables[b])
-        if b in codes:
-            entry["dim_function"] = {
-                "origin": list(box.lo),
-                "shape": list(box.shape),
-                "values": codes[b],
-            }
-        blocks_payload.append(entry)
     return {
         "case": case,
         "d": M.d,
         "perturbed": diag.perturbed,
         "num_ops_applied": len(diag.certificate),
-        "box": {"lo": list(box.lo), "hi": list(box.hi)},
         "matrix": _matrix_payload(M),
-        "blocks": blocks_payload,
+        "blocks": [
+            {
+                "rows": list(b.rows),
+                "cols": list(b.cols),
+                "row_grades": _grade_list(M.row_grades[i] for i in b.rows),
+                "col_grades": _grade_list(M.col_grades[j] for j in b.cols),
+                "row_labels": [M.row_labels[i] for i in b.rows],
+                "col_labels": [M.col_labels[j] for j in b.cols],
+                "trivial": not b.rows,
+            }
+            for b in diag.blocks
+        ],
     }
 
 
@@ -235,8 +225,7 @@ def _betti_text(diag: Diagonalization) -> str:
 
 
 def _blockcode_csv(codes: List[Tuple[IndexBlock, List[int]]], box: GradeBox) -> str:
-    d = len(box.lo)
-    header = ",".join(f"x{k + 1}" for k in range(d)) + ",block_id,dim"
+    header = ",".join(f"x{k + 1}" for k in range(len(box.axes))) + ",block_id,dim"
     lines = [header]
     for pos, u in enumerate(box.grades()):
         for block_id, (_, values) in enumerate(codes):
@@ -244,7 +233,8 @@ def _blockcode_csv(codes: List[Tuple[IndexBlock, List[int]]], box: GradeBox) -> 
     return "\n".join(lines) + "\n"
 
 
-def _box_from_flag(flag: str) -> GradeBox:
+def _box_from_flag(flag: str) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The corners lo, hi of a --box flag; GradeBox.span builds the box."""
     try:
         lo_part, hi_part = flag.split(":")
         lo = [read_int(x) for x in lo_part.split(",")]
@@ -259,7 +249,16 @@ def _box_from_flag(flag: str) -> GradeBox:
         raise InputError(f"--box: {exc}") from None
     if len(lo) != len(hi):
         raise InputError(f"--box has {len(lo)} coordinates below and {len(hi)} above")
-    return GradeBox(lo, hi)
+    if not leq(lo, hi):
+        raise InputError(f"empty box: {fmt(lo)} is not <= {fmt(hi)}")
+    return lo, hi
+
+
+def _dim_flag(text: str) -> int:
+    try:
+        return read_int(text)
+    except ValueError:  # argparse's own wording for a bad int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 # -- subcommands -------------------------------------------------------------
@@ -269,61 +268,28 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
     case, diag, _ = _pipeline(args)
     if args.format == "text":
         return _decompose_text(case, diag)
-    box = args.box or default_box(diag.matrix)
+    if args.format == "betti":
+        return _betti_text(diag)
+    M = diag.matrix
+    box = GradeBox.span(*args.box) if args.box else default_box(M)
     if args.format == "csv":
-        codes = blockcodes(diag.matrix, diag.blocks, box)
-        return _blockcode_csv(codes, box)
-    return _dump_json(_decompose_payload(case, diag, box, with_invariants=True))
+        return _blockcode_csv(blockcodes(M, diag.blocks, box), box)
+    payload = _diagonalize_payload(case, diag)
+    payload["grid"] = [list(axis) for axis in box.axes]
+    tables = dict(persistent_betti(M, diag.blocks))
+    codes = dict(blockcodes(M, diag.blocks, box))
+    for b, entry in zip(diag.blocks, payload["blocks"]):
+        if b.rows:
+            entry["betti"] = _betti_payload(tables[b])
+            entry["dim_function"] = codes[b]
+    return _dump_json(payload)
 
 
 def _cmd_diagonalize(args: argparse.Namespace) -> str:
     case, diag, _ = _pipeline(args, minimal=False)
     if args.format == "text":
         return _decompose_text(case, diag)
-    box = args.box or default_box(diag.matrix)
-    return _dump_json(_decompose_payload(case, diag, box, with_invariants=False))
-
-
-def _cmd_betti(args: argparse.Namespace) -> str:
-    case, diag, _ = _pipeline(args)
-    if args.format == "text":
-        return _betti_text(diag)
-    M = diag.matrix
-    payload = {
-        "case": case,
-        "perturbed": diag.perturbed,
-        "blocks": [
-            {
-                "rows": list(block.rows),
-                "row_labels": [M.row_labels[i] for i in block.rows],
-                "betti": _betti_payload(table),
-            }
-            for block, table in persistent_betti(M, diag.blocks)
-        ],
-    }
-    return _dump_json(payload)
-
-
-def _cmd_blockcode(args: argparse.Namespace) -> str:
-    _, diag, _ = _pipeline(args)
-    box = args.box or default_box(diag.matrix)
-    codes = blockcodes(diag.matrix, diag.blocks, box)
-    if args.format == "json":
-        payload = {
-            "box": {"lo": list(box.lo), "hi": list(box.hi)},
-            "blocks": [
-                {
-                    "rows": list(block.rows),
-                    "cols": list(block.cols),
-                    "origin": list(box.lo),
-                    "shape": list(box.shape),
-                    "values": values,
-                }
-                for block, values in codes
-            ],
-        }
-        return _dump_json(payload)
-    return _blockcode_csv(codes, box)
+    return _dump_json(_diagonalize_payload(case, diag))
 
 
 def _cmd_check(args: argparse.Namespace) -> str:
@@ -365,10 +331,8 @@ def _cmd_export_pres(args: argparse.Namespace) -> str:
 # name: handler, --format choices (the first is the default; none means
 # one output form), the other options the command reads
 _COMMANDS = {
-    "decompose": (_cmd_decompose, ("json", "text", "csv"), ("--perturb", "--box")),
-    "diagonalize": (_cmd_diagonalize, ("json", "text"), ("--perturb", "--box")),
-    "betti": (_cmd_betti, ("json", "text"), ("--perturb",)),
-    "blockcode": (_cmd_blockcode, ("csv", "json"), ("--perturb", "--box")),
+    "decompose": (_cmd_decompose, ("json", "text", "csv", "betti"), ("--perturb", "--box")),
+    "diagonalize": (_cmd_diagonalize, ("json", "text"), ("--perturb",)),
     "check": (_cmd_check, (), ("--perturb",)),
     "export-pres": (_cmd_export_pres, (), ("--output",)),
 }
@@ -376,7 +340,7 @@ _COMMANDS = {
 _OPTIONS = {
     "--perturb": dict(action="store_true", help="break exactly tied grades by index order"),
     "--box": dict(
-        default=None, help="override the evaluation box, 'lo1,..,lod:hi1,..,hid'"
+        default=None, help="evaluate on every grade of 'lo1,..,lod:hi1,..,hid'"
     ),
     "--output": dict(type=Path, default=None),
 }
@@ -387,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after it.
 
     Parsing leaves the parser unchanged, so repeated in-process calls of
-    ``main`` share one instance instead of rebuilding six subparsers.
+    ``main`` share one instance instead of rebuilding four subparsers.
     """
     parser = argparse.ArgumentParser(
         prog="mpdecomp",
@@ -401,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", type=Path, help="mpfilt or mppres file")
         p.add_argument(
             "--dim",
-            type=int,
+            type=_dim_flag,
             default=None,
             help="homology degree (filtration input only, default 0)",
         )

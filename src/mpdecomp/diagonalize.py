@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import lt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, TiedGradesError
@@ -35,14 +36,15 @@ from .grades import tied_pairs, topo_order
 
 @dataclass(frozen=True)
 class IndexBlock:
-    """A paired set of row and column indices, each kept sorted."""
+    """A paired set of row and column indices, each strictly increasing."""
 
     rows: Tuple[int, ...]
     cols: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if tuple(sorted(self.rows)) != self.rows or tuple(sorted(self.cols)) != self.cols:
-            raise InputError("block index sets must be sorted")
+        rows, cols = self.rows, self.cols
+        if not (all(map(lt, rows, rows[1:])) and all(map(lt, cols, cols[1:]))):
+            raise InputError("block index sets must be strictly increasing")
 
 
 class Op(NamedTuple):

@@ -3,8 +3,8 @@
 A grade is a point of Z^d attached to a row, column, or simplex, held as a
 tuple of ints.  ``check_grade`` admits coordinates where they enter the
 program; both file formats enter through ``read_lines``, ``read_params``
-and ``read_grade``, and every integer they or ``--box`` hold is read by
-``read_int``.
+and ``read_grade``, and every integer they, ``--box`` or ``--dim`` hold is
+read by ``read_int``.
 The product partial order ``leq`` decides which matrix operations are
 legal; ``topo_order`` extends it to the total order in which the reduction
 consumes rows and columns.  Equal grades are ordered by input index, which

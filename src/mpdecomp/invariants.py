@@ -12,15 +12,18 @@ each summand of its decomposition is minimal too.  With two parameters the
 kernel of that presentation is free, so its generators are the whole of
 degree 2 and the Betti tables are complete.
 
-A dimension function lists one value per integer grade of a box, as a
-flat list of ints in the C order of ``GradeBox.grades()``.  A box of more
-than ``MAX_BOX_POINTS`` points is refused with an ``InputError`` before
-any per-point work starts.
+A dimension function lists one value per grade of a ``GradeBox``, a
+product of per-axis coordinate lists, as a flat list of ints in the C order
+of ``GradeBox.grades()``.  ``default_box`` is the grid of a presentation's
+distinct coordinates, whose values determine the function everywhere;
+``GradeBox.span`` is every integer grade between two corners.  A box of
+more than ``MAX_BOX_POINTS`` grades is refused with an ``InputError``
+before any per-point work starts.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, product
 from operator import le
@@ -29,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 from .diagonalize import IndexBlock
 from .errors import InputError
 from .graded import GradedMatrix, _reindexed
-from .grades import _BOUND, check_grade, fmt, leq, topo_order
+from .grades import fmt, topo_order
 from .presentation import kernel_gens
 
 # Largest box, in grade points, that a dimension function is evaluated on.
@@ -38,47 +41,55 @@ MAX_BOX_POINTS = 1_000_000
 
 @dataclass(frozen=True)
 class GradeBox:
-    """An axis-aligned box of grades, inclusive on both ends."""
+    """The grades of a product of increasing per-axis coordinate lists.
 
-    lo: Tuple[int, ...]
-    hi: Tuple[int, ...]
+    A box of more than MAX_BOX_POINTS grades is refused: with three or more
+    parameters even the grid of distinct coordinates grows as a power of
+    the number of grades.
+    """
+
+    axes: Tuple[Sequence[int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", check_grade(self.lo))
-        object.__setattr__(self, "hi", check_grade(self.hi))
-        if not leq(self.lo, self.hi):
-            raise InputError(f"empty box: {fmt(self.lo)} is not <= {fmt(self.hi)}")
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
-
-    def grades(self):
-        return product(*(range(l, h + 1) for l, h in zip(self.lo, self.hi)))
-
-    def check_size(self) -> None:
-        """Refuse a box of more than MAX_BOX_POINTS points."""
         points = math.prod(self.shape)
         if points > MAX_BOX_POINTS:
             raise InputError(
-                f"box {fmt(self.lo)}..{fmt(self.hi)} has {points} grade points, "
+                f"grid of {'x'.join(map(str, self.shape))} has {points} grade points, "
                 f"more than the limit of {MAX_BOX_POINTS}"
             )
 
+    @classmethod
+    def span(cls, lo: Sequence[int], hi: Sequence[int]) -> "GradeBox":
+        """Every integer grade from lo to hi, each axis a range.
+
+        The limit is checked from the corners, before any range is built,
+        so a runaway box costs nothing.
+        """
+        points = math.prod(max(h - l + 1, 0) for l, h in zip(lo, hi))
+        if points > MAX_BOX_POINTS:
+            raise InputError(
+                f"box {fmt(lo)}..{fmt(hi)} has {points} grade points, "
+                f"more than the limit of {MAX_BOX_POINTS}"
+            )
+        return cls(tuple(range(l, h + 1) for l, h in zip(lo, hi)))
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return tuple(map(len, self.axes))
+
+    def grades(self):
+        return product(*self.axes)
+
 
 def default_box(M: GradedMatrix) -> GradeBox:
-    """Componentwise min of all grades up to max plus a margin of one.
+    """The distinct coordinates of M's grades on each axis.
 
-    The margin stops at the largest 64-bit coordinate, 2**63 - 1.  Without
-    grades the box is 0..1 on each of the d axes.
+    Every axis is empty when M has no grades.
     """
     grades = M.row_grades + M.col_grades
     if not grades:
-        return GradeBox((0,) * M.d, (1,) * M.d)
-    axes = list(zip(*grades))
-    return GradeBox(
-        tuple(map(min, axes)), tuple(min(max(a) + 1, _BOUND - 1) for a in axes)
-    )
+        return GradeBox(((),) * M.d)
+    return GradeBox(tuple(sorted(set(axis)) for axis in zip(*grades)))
 
 
 def dimension_function(M: GradedMatrix, box: GradeBox) -> List[int]:
@@ -90,7 +101,8 @@ def dimension_function(M: GradedMatrix, box: GradeBox) -> List[int]:
     plus a zero cell below the lowest one on each axis.  The dimension at a
     cell is the number of generators below it minus the rank of the
     relations below it; the box is filled by repeating each cell's value
-    over the run of box points that falls in it, axis by axis.
+    over the run of box points that falls in it, axis by axis, so a box
+    point below or above every grade takes the value of its cell too.
 
     The grid is swept one slice at a time, a slice ``s`` being a cell index
     on every axis after the first (a slice through a zero cell is all
@@ -103,19 +115,13 @@ def dimension_function(M: GradedMatrix, box: GradeBox) -> List[int]:
     ``kernel_gens``).  That is one reduction of the slice's columns per
     slice instead of one rank per cell.
     """
-    box.check_size()
+    if len(box.axes) != M.d:
+        raise InputError(f"box has {len(box.axes)} axes but M has {M.d} parameters")
+    points = math.prod(box.shape)
     grades = M.row_grades + M.col_grades
-    if not grades:
-        return [0] * math.prod(box.shape)
+    if not grades or not points:
+        return [0] * points
     axes = [sorted(set(col)) for col in zip(*grades)]
-    # each axis's min and max against the box; the scan names the culprit
-    if len(axes) != len(box.lo) or any(
-        a[0] < l or a[-1] > h for a, l, h in zip(axes, box.lo, box.hi)
-    ):
-        g = next(g for g in grades if not (leq(box.lo, g) and leq(g, box.hi)))
-        raise InputError(
-            f"box {fmt(box.lo)}..{fmt(box.hi)} does not cover grade {fmt(g)}"
-        )
 
     def cell(g: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(map(bisect_right, axes, g))
@@ -145,10 +151,12 @@ def dimension_function(M: GradedMatrix, box: GradeBox) -> List[int]:
                 cur ^= owner[lw]
         out[offset::stride] = accumulate(dims)
 
-    # the points lo..hi of an axis fall in its cells in runs
+    # the box's coordinates on an axis fall in its cells in runs: those
+    # below axis[c] and not below axis[c - 1] lie in cell c
     for k in reversed(range(len(shape))):
-        axis, lo, hi = axes[k], box.lo[k], box.hi[k]
-        runs = [b - a for a, b in zip([lo] + axis, axis + [hi + 1])]
+        coords = box.axes[k]
+        ends = [bisect_left(coords, x) for x in axes[k]] + [len(coords)]
+        runs = [b - a for a, b in zip([0] + ends, ends)]
         chunk = len(out) // math.prod(shape[: k + 1])
         filled: List[int] = []
         for c0 in range(0, len(out), shape[k] * chunk):
@@ -221,8 +229,7 @@ def persistent_betti(
 def blockcodes(
     M: GradedMatrix, blocks: Sequence[IndexBlock], box: GradeBox
 ) -> List[Tuple[IndexBlock, List[int]]]:
-    """(block, dimension function) per block with rows; checks the box first."""
-    box.check_size()
+    """(block, dimension function over the box) per block with rows."""
     return [
         (block, dimension_function(_reindexed(M, block.rows, block.cols), box))
         for block in blocks

@@ -95,7 +95,6 @@ def betti_euler_function(table: BettiTable, box: GradeBox) -> List[int]:
     Equals the dimension function whenever the table covers the full
     resolution, which is the case for d == 2 tables from the library.
     """
-    box.check_size()
     return [
         sum(
             cnt if deg % 2 == 0 else -cnt

@@ -121,7 +121,7 @@ def test_2_persistent_betti_tables():
 def test_3_blockcodes_closed_form():
     with verdict(3, "blockcodes equal their closed forms on (0,0)..(3,3)"):
         final, diag = h0_pipeline("triangle.mpfilt")
-        box = GradeBox((0, 0), (3, 3))
+        box = GradeBox.span((0, 0), (3, 3))
         codes = {
             tuple(block.rows): values
             for block, values in blockcodes(final, diag.blocks, box)

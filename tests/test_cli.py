@@ -44,6 +44,13 @@ def test_decompose_json_worked_example(capsys):
     ]
     assert sorted(blocks) == [(("0", "1"), ("3",)), (("2",), ("4", "5"))]
     assert payload["matrix"]["columns"] == [[0, 1], [2], [2]]
+    # dimension functions on the grid of distinct coordinates, C order
+    assert payload["grid"] == [[0, 1, 2], [0, 1, 2]]
+    assert [b["dim_function"] for b in payload["blocks"]] == [
+        [0, 1, 1, 1, 1, 1, 1, 1, 1],
+        [0, 0, 0, 0, 1, 0, 0, 0, 0],
+    ]
+    assert "box" not in payload
 
 
 @pytest.mark.parametrize(
@@ -58,8 +65,8 @@ def test_decompose_json_worked_example(capsys):
 )
 def test_case_names_the_construction(capsys, path, dim, case):
     flags = ["--dim", dim] if dim is not None else []
-    for command in ("decompose", "betti"):
-        code, out, err = run_cli(capsys, command, path, *flags)
+    for command in ("decompose", "diagonalize"):
+        code, out, err = run_cli(capsys, command, path, *flags, "--perturb")
         assert code == 0, err
         assert json.loads(out)["case"] == case
     code, out, err = run_cli(capsys, "decompose", path, *flags, "--format", "text")
@@ -101,10 +108,10 @@ def test_json_output_is_deterministic(capsys):
 
 
 def test_betti_json_torus_analogue(capsys):
-    code, out, _ = run_cli(capsys, "betti", SUSPENSION, "--dim", "1")
+    code, out, _ = run_cli(capsys, "decompose", SUSPENSION, "--dim", "1")
     assert code == 0
     payload = json.loads(out)
-    betti = [b["betti"] for b in payload["blocks"]]
+    betti = [b["betti"] for b in payload["blocks"] if b["rows"]]
     assert betti == [
         {"0": [[0, 1], [1, 0]], "1": [[1, 1]], "2": []},
         {"0": [[1, 1]], "1": [[1, 2], [2, 1]], "2": [[2, 2]]},
@@ -114,7 +121,7 @@ def test_betti_json_torus_analogue(capsys):
 
 def test_blockcode_csv_header_and_rows(capsys):
     code, out, _ = run_cli(
-        capsys, "blockcode", TRIANGLE, "--dim", "0", "--box", "0,0:3,3"
+        capsys, "decompose", TRIANGLE, "--dim", "0", "--box", "0,0:3,3", "--format", "csv"
     )
     assert code == 0
     lines = out.splitlines()
@@ -125,6 +132,13 @@ def test_blockcode_csv_header_and_rows(capsys):
     assert "1,1,1,1" in lines  # block 1 alive only at (1,1)
     assert "2,2,1,0" in lines
     assert "0,0,0,0" in lines
+    assert "3,3,0,1" in lines  # past the grades, in the top cell
+    # without --box, one row per point of the 3x3 grade grid and block
+    code, out, _ = run_cli(capsys, "decompose", TRIANGLE, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + 9 * 2
+    assert lines[1:3] == ["0,0,0,0", "0,0,1,0"] and lines[-2:] == ["2,2,0,1", "2,2,1,0"]
 
 
 def test_check_reports_agreement(capsys):
@@ -169,6 +183,11 @@ def test_diagonalize_raw_presentation(capsys):
     assert code == 0
     assert "blocks:" in out
     assert "rows=[0,1] cols=[0]" in out
+    code, out, _ = run_cli(capsys, "diagonalize", RAW)
+    assert code == 0
+    payload = json.loads(out)
+    assert "box" not in payload and "grid" not in payload
+    assert all("dim_function" not in b for b in payload["blocks"])
 
 
 def test_export_pres_round_trips(tmp_path, capsys):
@@ -246,7 +265,7 @@ def test_main_twice_in_one_process_keeps_no_flags(tmp_path, capsys):
     code, out, err = run_cli(capsys, "diagonalize", RAW, "--perturb", "--dim", "1")
     assert code == 2
     assert "filtration" in err
-    code, out, _ = run_cli(capsys, "betti", SUSPENSION, "--dim", "1")
+    code, out, _ = run_cli(capsys, "decompose", SUSPENSION, "--dim", "1")
     assert code == 0
     assert json.loads(out)["perturbed"] is False
 
@@ -302,31 +321,38 @@ def test_bad_box_flag(capsys):
     assert code4 == 2
     assert "--box" in err4 and "outside 64-bit range" in err4
     assert "expected" not in err4
+    code5, out5, err5 = run_cli(capsys, "decompose", TRIANGLE, "--box", "1,1:0,2")
+    assert (code5, out5) == (2, "")
+    assert err5 == "error: empty box: (1,1) is not <= (0,2)\n"
 
 
 @pytest.mark.parametrize("flag", ["1_0,0:3,3", "+1,0:3,3", "0,0:3, 3"])
 def test_box_coordinates_are_decimal_digits(capsys, flag):
     # read like every integer of the input files, not by int()
-    code, out, err = run_cli(capsys, "blockcode", TRIANGLE, "--box", flag)
+    code, out, err = run_cli(capsys, "decompose", TRIANGLE, "--box", flag)
     assert (code, out) == (2, "")
     assert err == f"error: bad --box {flag!r}, expected 'lo1,..,lod:hi1,..,hid'\n"
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, refusal",
     [
-        ["export-pres", SUSPENSION, "--dim", "1", "--perturb"],
-        ["export-pres", SUSPENSION, "--format", "text"],
-        ["betti", TRIANGLE, "--box", "0,0:3,3"],
-        ["check", K23, "--box", "0,0,0:1,1,1"],
-        ["check", K23, "--format", "text"],
+        (["export-pres", SUSPENSION, "--dim", "1", "--perturb"], "unrecognized arguments"),
+        (["export-pres", SUSPENSION, "--format", "text"], "unrecognized arguments"),
+        (["diagonalize", TRIANGLE, "--box", "0,0:3,3"], "unrecognized arguments"),
+        (["check", K23, "--box", "0,0,0:1,1,1"], "unrecognized arguments"),
+        (["check", K23, "--format", "text"], "unrecognized arguments"),
+        # --dim is read like every other integer: digits after an optional '-'
+        (["export-pres", SUSPENSION, "--dim", "0_1"], "argument --dim: invalid int value: '0_1'"),
+        (["decompose", SUSPENSION, "--dim", "+1"], "argument --dim: invalid int value: '+1'"),
     ],
+    ids=["argv0", "argv1", "argv2", "argv3", "argv4", "dim-underscore", "dim-plus"],
 )
-def test_options_a_command_does_not_read_are_refused(argv, capsys):
+def test_options_a_command_does_not_read_are_refused(argv, refusal, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
 
 
 def test_redundant_relation_leaves_no_trivial_block(tmp_path, capsys):
@@ -337,7 +363,7 @@ def test_redundant_relation_leaves_no_trivial_block(tmp_path, capsys):
         "mpfilt 1\nparams 2\ns 0 0 :\ns 0 0 :\ns 0 0 :\n"
         "s 1 0 : 0 1\ns 1 0 : 1 2\ns 2 0 : 0 2\n"
     )
-    code, out, _ = run_cli(capsys, "betti", str(path), "--perturb", "--format", "text")
+    code, out, _ = run_cli(capsys, "decompose", str(path), "--perturb", "--format", "betti")
     assert code == 0
     beta1 = [g for line in out.splitlines() if "beta_1:" in line for g in line.split()[1:]]
     assert beta1 == ["(1,0)", "(1,0)"]
@@ -351,10 +377,9 @@ def test_runaway_box_exits_2_quickly(tmp_path, capsys):
     path = tmp_path / "far.mppres"
     path.write_text("mppres 1\nparams 2\nrows 2\nr 0 0\nr 0 1\ncols 1\nc 3000 3000 : 0 1\n")
     for argv in (
-        ["decompose", str(path)],
-        ["decompose", str(path), "--format", "csv"],
-        ["blockcode", str(path)],
-        ["blockcode", str(path), "--box", "0,0:1000,1000"],
+        ["decompose", str(path), "--box", "0,0:3001,3001"],
+        ["decompose", str(path), "--format", "csv", "--box", "0,0:1000,1000"],
+        ["decompose", str(path), "--box=-9223372036854775808,0:9223372036854775807,0"],
     ):
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -362,10 +387,36 @@ def test_runaway_box_exits_2_quickly(tmp_path, capsys):
         assert code == 2, argv
         assert out == ""
         assert "grade points" in err
-    assert "9012004" in run_cli(capsys, "decompose", str(path))[2]  # 3002 x 3002
-    # the text report walks no box, so it still succeeds
-    code, _, _ = run_cli(capsys, "decompose", str(path), "--format", "text")
-    assert code == 0
+    err = run_cli(capsys, "decompose", str(path), "--box", "0,0:3001,3001")[2]
+    assert "9012004" in err  # 3002 x 3002
+    # the grade grid is 2x3, and the text report walks no box
+    for fmt in ("json", "csv", "text", "betti"):
+        code, _, _ = run_cli(capsys, "decompose", str(path), "--format", fmt)
+        assert code == 0, fmt
+    # with three parameters the grid of distinct coordinates is capped too
+    rows = "".join(f"r {i} {i} {i}\n" for i in range(101))
+    path.write_text(f"mppres 1\nparams 3\nrows 101\n{rows}cols 0\n")
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: grid of 101x101x101 has 1030301 grade points, "
+        "more than the limit of 1000000\n"
+    )
+    assert run_cli(capsys, "decompose", str(path), "--format", "betti")[0] == 0
+
+
+def test_far_grades_decompose_on_their_grid(tmp_path, capsys):
+    # a dense box from the lowest to the highest grade would hold 10**10 points
+    path = tmp_path / "far.mppres"
+    path.write_text(
+        "mppres 1\nparams 2\nrows 2\nr 0 0\nr 100000 0\ncols 1\nc 100000 100000 : 0 1\n"
+    )
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["grid"] == [[0, 100000], [0, 100000]]
+    values = [b["dim_function"] for b in payload["blocks"] if b["rows"]]
+    assert [sum(vs) for vs in zip(*values)] == [1, 1, 2, 1]
 
 
 def test_text_exponents_may_leave_the_grade_range(tmp_path, capsys):
@@ -392,10 +443,10 @@ def test_grades_at_the_top_of_the_64_bit_range(tmp_path, capsys):
     for fmt in ("json", "text", "csv"):
         code, out, err = run_cli(capsys, "decompose", str(path), "--format", fmt)
         assert code == 0, (fmt, err)
-    # the default box's margin of one stops at the largest coordinate
+    # the grid is the grade's own coordinate, with no margin past it
     code, out, _ = run_cli(capsys, "decompose", str(path))
-    assert json.loads(out)["box"] == {"lo": [top], "hi": [top]}
-    code, out, _ = run_cli(capsys, "blockcode", str(path))
+    assert json.loads(out)["grid"] == [[top]]
+    code, out, _ = run_cli(capsys, "decompose", str(path), "--format", "csv")
     assert code == 0
     assert out == f"x1,block_id,dim\n{top},0,1\n"
 
@@ -410,7 +461,7 @@ def test_presentation_without_grades_keeps_its_parameter_count(tmp_path, capsys)
     code, out, _ = run_cli(capsys, "decompose", str(point), "--dim", "1")
     assert code == 0
     payload = json.loads(out)
-    assert payload["d"] == 2 and payload["box"] == {"lo": [0, 0], "hi": [1, 1]}
+    assert payload["d"] == 2 and payload["grid"] == [[], []]
 
 
 def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys):
@@ -658,6 +709,12 @@ def test_readme_names_exactly_the_cli_flags():
         s for p in sub.choices.values() for a in p._actions for s in a.option_strings
     }
     assert named == options - {"-h", "--help"}
+    # the examples, the list of subcommands and the table of options each
+    # name exactly the parser's subcommands
+    examples = re.findall(r"^mpdecomp ([a-z-]+) ", section, re.M)
+    assert set(examples) == set(sub.choices)
+    listed = re.findall(r"^- `([a-z-]+)` - ", section, re.M)
+    assert sorted(listed) == sorted(sub.choices)
     # the table of options per subcommand, with the --format choices in order
     table = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, re.M))
     assert set(table) == set(sub.choices)

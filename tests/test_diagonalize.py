@@ -134,6 +134,15 @@ def test_incomparable_column_cannot_split():
     assert diag.blocks == [IndexBlock((0, 1, 2), (0,))]
 
 
+def test_index_block_sets_strictly_increase():
+    assert IndexBlock((0, 2), (1,)).rows == (0, 2)
+    IndexBlock((), ())
+    # a repeated index used to pass the check, which compared a sorted copy
+    for rows, cols in [((1, 1), ()), ((), (3, 3)), ((2, 1), ()), ((0,), (4, 5, 1))]:
+        with pytest.raises(InputError, match="strictly increasing"):
+            IndexBlock(rows, cols)
+
+
 def test_unsorted_input_rejected():
     M = GradedMatrix(
         F2Matrix(2, [0]),

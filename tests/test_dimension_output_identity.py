@@ -1,14 +1,22 @@
-"""Dimension-function output stays byte-identical across implementations.
+"""Dimension-function output stays the same function across implementations.
 
 200 seeded random presentations with d = 1, 2 and 3, coordinates drawn
 from small ranges so that grades tie, go through ``decompose`` (JSON and
-CSV) and ``blockcode`` (JSON and CSV), each on its default box and on a
-``--box`` that reaches up to two past the grades on either side.  The
-SHA-256 of every exit code and stdout is compared with
-``data/dimension_outputs.json``, which holds the digests of the numpy
-implementation that the pure-Python ``dimension_function`` replaced.
+CSV), each on its default grid and on a ``--box`` that reaches up to two
+past the grades on either side.  ``data/dimension_outputs.json`` holds the
+SHA-256 of every exit code and stdout of the earlier dense form, as the
+numpy implementation wrote it: ``decompose`` (JSON and CSV) and the
+``blockcode`` command (JSON and CSV), each on the grades' bounding box plus
+one and on the ``--box``.
 
-To re-record after a deliberate output change (and only then)::
+The dense outputs are rebuilt from today's ``decompose`` JSON alone.  A
+dense point takes the value of the grid point that has, on each axis, the
+largest grid coordinate at or below it; the old default box ran from each
+axis's smallest coordinate to its largest plus one.  Every rebuilt digest
+must match the recorded one, and the CSV that ``decompose`` writes must
+equal the CSV of its own JSON.
+
+To re-record after a deliberate change of the function (and only then)::
 
     PYTHONPATH=src python tests/test_dimension_output_identity.py
 """
@@ -20,18 +28,15 @@ import io
 import json
 import random
 import sys
+from bisect import bisect_right
+from itertools import product
 from pathlib import Path
 
 from mpdecomp.cli import main
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "dimension_outputs.json"
 N_CASES = 200
-FORMATS = [
-    ("decompose", "json"),
-    ("decompose", "csv"),
-    ("blockcode", "json"),
-    ("blockcode", "csv"),
-]
+TOP = 2**63 - 1
 
 
 def random_mppres(rng: random.Random, d: int) -> tuple:
@@ -61,23 +66,93 @@ def random_mppres(rng: random.Random, d: int) -> tuple:
     return "\n".join(lines) + "\n", box
 
 
+def run(argv: list) -> tuple:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def digest(code: int, out: str) -> str:
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()[:16]
+
+
+def dump(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def csv(axes: list, codes: list) -> str:
+    """The CSV of ``decompose``: one row per grade of the axes and block with rows."""
+    lines = [",".join(f"x{k + 1}" for k in range(len(axes))) + ",block_id,dim"]
+    for pos, u in enumerate(product(*axes)):
+        for block_id, values in enumerate(codes):
+            lines.append(",".join(map(str, u)) + f",{block_id},{values[pos]}")
+    return "\n".join(lines) + "\n"
+
+
+def densified(grid: list, codes: list, lo: list, hi: list) -> list:
+    """Each grid function's values at every integer grade of lo..hi, in C order."""
+    strides = [1] * len(grid)
+    for k in reversed(range(len(grid) - 1)):
+        strides[k] = strides[k + 1] * len(grid[k + 1])
+    cells = []  # flat grid index of each dense point, None below the grid
+    for u in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+        idx = [bisect_right(axis, x) - 1 for axis, x in zip(grid, u)]
+        cells.append(None if min(idx) < 0 else sum(map(int.__mul__, idx, strides)))
+    return [[0 if c is None else values[c] for c in cells] for values in codes]
+
+
+def dense_outputs(code: int, out: str, default: bool) -> list:
+    """The earlier ``decompose`` JSON and CSV and ``blockcode`` JSON and CSV."""
+    if code != 0:
+        return [(code, "")] * 4
+    payload = json.loads(out)
+    grid = payload.pop("grid")
+    if default:  # min to max + 1, the margin stopping at the top
+        lo = [axis[0] if axis else 0 for axis in grid]
+        hi = [min(axis[-1] + 1, TOP) if axis else 1 for axis in grid]
+    else:
+        lo, hi = [axis[0] for axis in grid], [axis[-1] for axis in grid]
+    with_rows = [b for b in payload["blocks"] if b["rows"]]
+    codes = densified(grid, [b["dim_function"] for b in with_rows], lo, hi)
+    box = {"lo": lo, "hi": hi}
+    shape = [h - l + 1 for l, h in zip(lo, hi)]
+    for b, values in zip(with_rows, codes):
+        b["dim_function"] = {"origin": lo, "shape": shape, "values": values}
+    payload["box"] = box
+    dense_csv = csv([range(l, h + 1) for l, h in zip(lo, hi)], codes)
+    blockcode = {
+        "box": box,
+        "blocks": [
+            {"rows": b["rows"], "cols": b["cols"], "origin": lo, "shape": shape, "values": v}
+            for b, v in zip(with_rows, codes)
+        ],
+    }
+    return [(0, dump(payload)), (0, dense_csv), (0, dump(blockcode)), (0, dense_csv)]
+
+
 def case_digests(directory: Path) -> list:
-    """One list of digests per case, one digest per command and box."""
+    """One list of digests per case, in the recorded order: decompose JSON,
+    decompose CSV, blockcode JSON, blockcode CSV, each on the default box
+    and then on the --box."""
     rng = random.Random(20261018)
     out = []
     for case in range(N_CASES):
         text, box = random_mppres(rng, 1 + case % 3)
         path = directory / f"case{case}.mppres"
         path.write_text(text)
-        digests = []
-        for command, fmt in FORMATS:
-            for extra in ([], [f"--box={box}"]):
-                buf = io.StringIO()
-                with contextlib.redirect_stdout(buf):
-                    code = main([command, str(path), "--perturb", "--format", fmt] + extra)
-                blob = f"{code}\n{buf.getvalue()}".encode()
-                digests.append(hashlib.sha256(blob).hexdigest()[:16])
-        out.append(digests)
+        dense = []
+        for extra in ([], [f"--box={box}"]):
+            code, out_json = run(["decompose", str(path), "--perturb"] + extra)
+            csv_code, out_csv = run(["decompose", str(path), "--perturb", "--format", "csv"] + extra)
+            assert csv_code == code, case
+            if code == 0:
+                payload = json.loads(out_json)
+                codes = [b["dim_function"] for b in payload["blocks"] if b["rows"]]
+                assert out_csv == csv(payload["grid"], codes), case
+            dense.append(dense_outputs(code, out_json, default=not extra))
+        # recorded order: each output form on the default box, then the --box
+        out.append([digest(*outputs[i]) for i in range(4) for outputs in dense])
     return out
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from itertools import product
@@ -28,6 +29,7 @@ from mpdecomp import (
     sort_by_grade,
     tot_diagonalize,
 )
+from mpdecomp.cli import main
 from mpdecomp.errors import InputError
 from mpdecomp.invariants import MAX_BOX_POINTS
 from mpdecomp.oracle import dim_oracle
@@ -44,30 +46,32 @@ def triangle_pipeline():
 
 
 def test_grade_box_basics():
-    box = GradeBox((0, 0), (2, 1))
+    box = GradeBox.span((0, 0), (2, 1))
+    assert box.axes == (range(0, 3), range(0, 2))
     assert box.shape == (3, 2)
     pts = list(box.grades())
     assert pts[0] == (0, 0) and pts[-1] == (2, 1)
     assert len(pts) == 6
-    with pytest.raises(InputError):
-        GradeBox((1, 1), (0, 0))
+    grid = GradeBox(([-5, 0, 7], [3]))
+    assert grid.shape == (3, 1)
+    assert list(grid.grades()) == [(-5, 3), (0, 3), (7, 3)]
+    assert GradeBox.span((1, 1), (0, 0)).shape == (0, 0)
 
 
 def test_default_box_covers_all_grades():
     final, _ = triangle_pipeline()
     box = default_box(final)
-    assert box.lo == (0, 0)
-    assert box.hi == (3, 3)  # componentwise max + 1
+    assert box.axes == ([0, 1, 2], [0, 1, 2])  # the distinct coordinates
+    grid = set(box.grades())
     for g in list(final.row_grades) + list(final.col_grades):
-        assert leq(box.lo, g) and leq(g, box.hi)
+        assert g in grid
     empty = GradedMatrix(F2Matrix(0), [], [], d=2)
-    fallback = default_box(empty)
-    assert fallback.lo == (0, 0) and fallback.hi == (1, 1)
+    assert default_box(empty).axes == ((), ())
 
 
 def test_dimension_function_matches_hand_values():
     final, _ = triangle_pipeline()
-    box = GradeBox((0, 0), (2, 2))
+    box = GradeBox.span((0, 0), (2, 2))
     dm = dimension_function(final, box)
     # dims of H0 of the triangle complex on the grid
     expected = [
@@ -77,6 +81,8 @@ def test_dimension_function_matches_hand_values():
     ]
     assert dm == expected
     assert dm[4] == 3 - 1  # at (1,1): three vertices, one edge merges two
+    with pytest.raises(InputError, match="box has 1 axes but M has 2 parameters"):
+        dimension_function(final, GradeBox.span((0,), (2,)))
 
 
 def test_dimension_function_agrees_with_oracle_everywhere():
@@ -94,24 +100,30 @@ def test_dim_oracle_example_values():
     assert dim_oracle(final, (2, 2)) == 1
 
 
-def test_box_must_cover_presentation():
+@pytest.mark.parametrize("flag", ["0,0:1,1", "-3,-2:1,0", "2,1:5,4", "-2,4:0,6"])
+def test_box_off_the_grades_matches_oracle(capsys, flag):
+    # the triangle's grades span (0,0)..(2,2); each box leaves part of
+    # them out or lies wholly below, above or beside them
     final, _ = triangle_pipeline()
-    with pytest.raises(InputError):
-        dimension_function(final, GradeBox((0, 0), (1, 1)))
+    assert main(["decompose", str(DATA / "triangle.mpfilt"), f"--box={flag}"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    lo, hi = (tuple(map(int, part.split(","))) for part in flag.split(":"))
+    assert payload["grid"] == [list(range(l, h + 1)) for l, h in zip(lo, hi)]
+    values = [b["dim_function"] for b in payload["blocks"] if b["rows"]]
+    points = list(product(*payload["grid"]))
+    for u, *vs in zip(points, *values, strict=True):
+        assert sum(vs) == dim_oracle(final, u), u
 
 
 def test_box_over_point_cap_rejected():
-    final, diag = triangle_pipeline()
     side = int(MAX_BOX_POINTS**0.5) + 1  # just over the cap
-    box = GradeBox((0, 0), (side - 1, side - 1))
-    for call in (
-        lambda: dimension_function(final, box),
-        lambda: blockcodes(final, diag.blocks, box),
-        lambda: blockcodes(final, [], box),
-        lambda: betti_euler_function(BettiTable(), box),
-    ):
-        with pytest.raises(InputError, match=str(side * side)):
-            call()
+    with pytest.raises(InputError, match=str(side * side)):
+        GradeBox.span((0, 0), (side - 1, side - 1))
+    with pytest.raises(InputError, match=f"grid of {side}x{side} has {side * side}"):
+        GradeBox((range(side), list(range(side))))
+    # counted from the corners, so a box too large to list is refused too
+    with pytest.raises(InputError, match=str(2**128)):
+        GradeBox.span((-(2**63), -(2**63)), (2**63 - 1, 2**63 - 1))
 
 
 def test_persistent_betti_reproduces_reference_table():
@@ -140,7 +152,7 @@ def test_global_betti_is_sum_of_blocks():
 
 def test_blockcode_reference_values():
     final, diag = triangle_pipeline()
-    box = GradeBox((0, 0), (3, 3))
+    box = GradeBox.span((0, 0), (3, 3))
     codes = blockcodes(final, diag.blocks, box)
     assert len(codes) == 2
     (_, m1), (_, m2) = codes
@@ -195,8 +207,8 @@ def test_betti_table_merge_and_counts():
 
 @st.composite
 def presentation_and_box(draw):
-    """Random presentation with repeated coordinates, and a box around it
-    that reaches below and above its grades."""
+    """Random presentation with repeated coordinates, and a box that may
+    reach below or above its grades or leave some of them out."""
     d = draw(st.sampled_from([2, 3]))
     coords = st.lists(st.integers(0, 3), min_size=d, max_size=d).map(
         lambda c: tuple(c)
@@ -209,11 +221,11 @@ def presentation_and_box(draw):
     mat = from_dense(dense) if cols else F2Matrix(len(rows))
     P = GradedMatrix(mat, rows, cols)
     grades = rows + cols
-    below = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
-    above = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
+    below = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    above = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
     lo = tuple(min(g[k] for g in grades) - below[k] for k in range(d))
     hi = tuple(max(g[k] for g in grades) + above[k] for k in range(d))
-    return P, GradeBox(lo, hi)
+    return P, GradeBox.span(lo, hi)
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,10 +258,10 @@ def assert_matches_oracle(P, box):
         assert v == dim_oracle(P, u), str(u)
 
 
-def widened(box):
-    return GradeBox(
-        tuple(x - 1 for x in box.lo), tuple(x + 1 for x in box.hi)
-    )
+def widened(P):
+    """Every integer grade from one below P's grades to one above them."""
+    axes = default_box(P).axes
+    return GradeBox.span(tuple(a[0] - 1 for a in axes), tuple(a[-1] + 1 for a in axes))
 
 
 def test_dimension_function_on_wide_grid_matches_oracle():
@@ -258,7 +270,7 @@ def test_dimension_function_on_wide_grid_matches_oracle():
     rng = random.Random(11)
     P = random_presentation(rng, 2, 12, 30, lambda k: rng.sample(range(50), 42))
     assert len({g[1] for g in P.col_grades}) == 30
-    assert_matches_oracle(P, widened(default_box(P)))
+    assert_matches_oracle(P, widened(P))
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -269,7 +281,7 @@ def test_dimension_function_matches_oracle_in_one_and_three_parameters(d):
         P = random_presentation(
             rng, d, n, m, lambda k: [rng.randint(0, 4) for _ in range(n + m)]
         )
-        assert_matches_oracle(P, widened(default_box(P)))
+        assert_matches_oracle(P, widened(P))
 
 
 def test_dimension_function_at_the_64_bit_edge():
@@ -277,7 +289,7 @@ def test_dimension_function_at_the_64_bit_edge():
     rows = [(top - 3, -(2**63)), (top - 1, -(2**63) + 1)]
     cols = [(top - 1, -(2**63) + 2)]
     P = GradedMatrix(F2Matrix(2, [0b11]), rows, cols)
-    box = GradeBox((top - 4, -(2**63)), (top, -(2**63) + 3))
+    box = GradeBox.span((top - 4, -(2**63)), (top, -(2**63) + 3))
     assert_matches_oracle(P, box)
 
 

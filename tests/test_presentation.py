@@ -554,7 +554,7 @@ def test_minimize_preserves_dimension_function():
     for _ in range(200):
         M = random_graded_cols(rng, d=2, m_max=5)
         mini = minimize(M)
-        box = GradeBox((0, 0), (4, 4))
+        box = GradeBox.span((0, 0), (4, 4))
         assert dimension_function(M, box) == dimension_function(mini, box)
         # minimality: no unit entry with equal grades remains
         for i, j in mini.mat.entries():

@@ -23,9 +23,9 @@ RUNS = [
     ["decompose", "triangle.mpfilt", "--format", "json"],
     ["decompose", "suspension.mpfilt", "--dim", "1", "--format", "csv"],
     ["decompose", "k23.mpfilt", "--dim", "1", "--format", "text"],
-    ["blockcode", "triangle.mpfilt", "--format", "csv"],
-    ["blockcode", "suspension.mpfilt", "--dim", "1", "--format", "json"],
-    ["betti", "suspension.mpfilt", "--dim", "1"],
+    ["decompose", "triangle.mpfilt", "--format", "csv", "--box", "0,0:3,3"],
+    ["decompose", "suspension.mpfilt", "--dim", "1", "--box", "0,0:3,3"],
+    ["decompose", "suspension.mpfilt", "--dim", "1", "--format", "betti"],
     ["diagonalize", "triangle.mppres"],
     ["export-pres", "suspension.mpfilt", "--dim", "1"],
     ["check", "k23.mpfilt", "--dim", "1"],  # last: it loads the oracle

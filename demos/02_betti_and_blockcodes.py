@@ -43,8 +43,8 @@ def main() -> None:
     for block, table in persistent_betti(final, diag.blocks):
         gens = [final.row_labels[i] for i in block.rows]
         print(f"summand generated by {gens}:")
-        for deg in range(table.max_degree_computed + 1):
-            print(f"  beta_{deg} supported at {[fmt(g) for g in table.degree(deg)]}")
+        for deg, grades in enumerate(table):  # the sorted grades of each degree
+            print(f"  beta_{deg} supported at {[fmt(g) for g in grades]}")
 
     # each dimension function is constant on the cells of the grid of
     # distinct grade coordinates, so its values at the grid points are all

@@ -22,10 +22,7 @@ from .filtration import Filtration, boundary_matrix, parse_filtration
 from .graded import AdmissibleOps, GradedMatrix, admissible_ops, sort_by_grade
 from .grades import leq, tied_pairs, topo_order
 from .invariants import (
-    BettiTable,
     GradeBox,
-    betti01,
-    betti_higher_2param,
     blockcodes,
     default_box,
     dimension_function,
@@ -46,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibleOps",
-    "BettiTable",
     "Diagonalization",
     "F2Matrix",
     "Filtration",
@@ -58,8 +54,6 @@ __all__ = [
     "Op",
     "TiedGradesError",
     "admissible_ops",
-    "betti01",
-    "betti_higher_2param",
     "block_reduce",
     "blockcodes",
     "boundary_matrix",

@@ -6,7 +6,8 @@ output is byte-deterministic: keys sorted, arrays in canonical index order.
 ``decompose`` gives each summand's Betti table and its dimension function
 on a grid: by default the distinct grade coordinates on each axis, where
 the function is constant on the cells between them, or every integer of a
-``--box``.  Its ``csv`` and ``betti`` formats are views of that result.
+``--box``.  Its ``csv`` and ``betti`` formats are views of that result;
+``text`` and ``betti`` print no dimension function and refuse ``--box``.
 
 Exit codes: 0 success, 2 bad input, 3 tied grades without the perturbation
 flag, 4 internal consistency failure.
@@ -27,13 +28,7 @@ from .f2 import bits
 from .filtration import parse_filtration
 from .graded import GradedMatrix, sort_by_grade
 from .grades import check_grade, fmt, leq, read_int, read_lines
-from .invariants import (
-    BettiTable,
-    GradeBox,
-    blockcodes,
-    default_box,
-    persistent_betti,
-)
+from .invariants import GradeBox, blockcodes, default_box, persistent_betti
 from .presentation import (
     format_presentation,
     minimize,
@@ -114,11 +109,8 @@ def _matrix_payload(M: GradedMatrix) -> dict:
     }
 
 
-def _betti_payload(table: BettiTable) -> dict:
-    return {
-        str(deg): _grade_list(table.degree(deg))
-        for deg in range(table.max_degree_computed + 1)
-    }
+def _betti_payload(table: List[List[Tuple[int, ...]]]) -> dict:
+    return {str(deg): _grade_list(grades) for deg, grades in enumerate(table)}
 
 
 def _diagonalize_payload(case: str, diag: Diagonalization) -> dict:
@@ -218,9 +210,8 @@ def _betti_text(diag: Diagonalization) -> str:
     for pos, (block, table) in enumerate(persistent_betti(M, diag.blocks)):
         labels = ",".join(M.row_labels[i] for i in block.rows)
         lines.append(f"block {pos} (generators {labels}):")
-        for deg in range(table.max_degree_computed + 1):
-            grades = " ".join(map(fmt, table.degree(deg)))
-            lines.append(f"  beta_{deg}: {grades}".rstrip())
+        for deg, grades in enumerate(table):
+            lines.append(f"  beta_{deg}: {' '.join(map(fmt, grades))}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -265,6 +256,8 @@ def _dim_flag(text: str) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> str:
+    if args.box is not None and args.format in ("text", "betti"):
+        raise InputError(f"--box applies to --format json and csv only, not {args.format}")
     case, diag, _ = _pipeline(args)
     if args.format == "text":
         return _decompose_text(case, diag)

@@ -26,10 +26,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import lt
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import InputError, TiedGradesError
-from .f2 import F2Matrix, bits, col_reduce
+from .f2 import F2Matrix, bits, col_reduce, remap
 from .graded import AdmissibleOps, GradedMatrix, admissible_ops
 from .grades import tied_pairs, topo_order
 
@@ -65,20 +65,12 @@ def _block_key(b: IndexBlock):
     return (0, b.rows[0]) if b.rows else (1, b.cols[0])
 
 
-def _compact(on_t: int, slot_bit: Dict[int, int]) -> int:
-    """A column's bits on T's rows, bit rpos for row rows_t[rpos]."""
-    v = 0
-    for i in bits(on_t):
-        v |= slot_bit[i]
-    return v
-
-
 def block_reduce(
     A: GradedMatrix,
     ops: AdmissibleOps,
     T: IndexBlock,
     t: int,
-    certificate: Optional[List[Op]] = None,
+    certificate: List[Op],
 ) -> bool:
     """Try to clear A on T's rows over T's columns up to column t.
 
@@ -125,7 +117,7 @@ def block_reduce(
         slot = (n_ct - 1 - cpos) * n_rt
         col = cols[j]
         if col & mask:
-            c |= _compact(col & mask, slot_bit) << slot
+            c |= remap(col & mask, slot_bit) << slot
         rest = col & row_feeders
         if rest:
             trace_mask |= rest
@@ -139,7 +131,7 @@ def block_reduce(
     b_mask = 0
     for i in bits(col_feeders & ~t_mask & ((1 << t) - 1)):
         if cols[i] & mask:
-            b_vecs[i] = _compact(cols[i] & mask, slot_bit)
+            b_vecs[i] = remap(cols[i] & mask, slot_bit)
             b_mask |= 1 << i
 
     # (is_col, source, target) per vector; an Op only for those applied
@@ -168,8 +160,7 @@ def block_reduce(
             A.mat.add_col(src, dst)
         else:
             A.mat.add_row(src, dst)
-        if certificate is not None:
-            certificate.append(Op("col" if is_col else "row", src, dst))
+        certificate.append(Op("col" if is_col else "row", src, dst))
     return True
 
 

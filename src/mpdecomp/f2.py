@@ -6,7 +6,7 @@ Storage is column-major; a row addition walks every column.
 """
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InputError
 
@@ -19,6 +19,16 @@ def bits(c: int) -> List[int]:
         out.append(low.bit_length() - 1)
         c ^= low
     return out
+
+
+def remap(c: int, to: Union[Sequence[int], Mapping[int, int]]) -> int:
+    """c relabelled bit by bit: the OR of to[i] over the set bits i of c."""
+    v = 0
+    while c:
+        low = c & -c
+        v |= to[low.bit_length() - 1]
+        c ^= low
+    return v
 
 
 class F2Matrix:
@@ -83,13 +93,7 @@ class F2Matrix:
             if new_row[i]:
                 raise InputError(f"row {i} picked twice")
             new_row[i] = 1 << ii
-        out = []
-        for j in cols:
-            v = 0
-            for i in bits(self.cols[j]):
-                v |= new_row[i]
-            out.append(v)
-        return F2Matrix(len(rows), out)
+        return F2Matrix(len(rows), [remap(self.cols[j], new_row) for j in cols])
 
     def copy(self) -> "F2Matrix":
         return F2Matrix(self.n_rows, self.cols)

@@ -10,7 +10,8 @@ value of every coordinate after the first), never one rank per point.
 column grades are exactly the graded Betti numbers in degrees 0 and 1, and
 each summand of its decomposition is minimal too.  With two parameters the
 kernel of that presentation is free, so its generators are the whole of
-degree 2 and the Betti tables are complete.
+degree 2 and the Betti tables are complete.  A Betti table is these grade
+lists, sorted and indexed by degree.
 
 A dimension function lists one value per grade of a ``GradeBox``, a
 product of per-axis coordinate lists, as a flat list of ints in the C order
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, product
 from operator import le
 from typing import Dict, List, Sequence, Tuple
@@ -166,62 +167,26 @@ def dimension_function(M: GradedMatrix, box: GradeBox) -> List[int]:
     return out
 
 
-@dataclass
-class BettiTable:
-    """Multiset of (degree, grade) with the degree cap that was computed."""
-
-    entries: Dict[Tuple[int, Tuple[int, ...]], int] = field(default_factory=dict)
-    max_degree_computed: int = 1
-
-    def add(self, degree: int, grade: Tuple[int, ...], count: int = 1) -> None:
-        key = (degree, grade)
-        self.entries[key] = self.entries.get(key, 0) + count
-
-    def degree(self, j: int) -> List[Tuple[int, ...]]:
-        out: List[Tuple[int, ...]] = []
-        for (deg, g), cnt in self.entries.items():
-            if deg == j:
-                out.extend([g] * cnt)
-        return sorted(out)
-
-
-def betti01(M: GradedMatrix) -> BettiTable:
-    """Degrees 0 and 1 from the grades of M, which must be ``minimize``'s output."""
-    table = BettiTable(max_degree_computed=1)
-    for g in M.row_grades:
-        table.add(0, g)
-    for g in M.col_grades:
-        table.add(1, g)
-    return table
-
-
-def betti_higher_2param(M: GradedMatrix) -> List[Tuple[int, ...]]:
-    """Degree 2 for two parameters: grades of a basis of ker(M), M minimal."""
-    if M.d != 2:
-        raise InputError(f"degree-2 Betti numbers computed only for d == 2, have d == {M.d}")
-    return kernel_gens(M).col_grades
-
-
 def persistent_betti(
     M: GradedMatrix, blocks: Sequence[IndexBlock]
-) -> List[Tuple[IndexBlock, BettiTable]]:
+) -> List[Tuple[IndexBlock, List[List[Tuple[int, ...]]]]]:
     """One Betti table per generator-carrying block of a decomposition.
 
-    M is ``minimize``'s output, diagonalized.  Blocks without rows
-    present the zero module and are skipped (a minimal presentation has
-    none); every kept block has a nonempty degree 0.  With two parameters
-    degree 2 is included and the tables are complete.
+    M is ``minimize``'s output, diagonalized.  A table lists, by degree,
+    the sorted grades of that degree with multiplicity: the rows, the
+    columns and, with two parameters, the generators of the free kernel,
+    so the table is complete.  Blocks without rows present the zero module
+    and are skipped (a minimal presentation has none); every kept block has
+    a nonempty degree 0.
     """
     out = []
     for block in blocks:
         if not block.rows:
             continue
         sub = _reindexed(M, block.rows, block.cols)
-        table = betti01(sub)
+        table = [sorted(sub.row_grades), sorted(sub.col_grades)]
         if M.d == 2:
-            for g in betti_higher_2param(sub):
-                table.add(2, g)
-            table.max_degree_computed = 2
+            table.append(sorted(kernel_gens(sub).col_grades))
         out.append((block, table))
     return out
 

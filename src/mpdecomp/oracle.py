@@ -2,9 +2,9 @@
 
 Everything in here is deliberately independent of the main algorithms: the
 finest block structure is found by enumerating admissible transformation
-pairs rather than by reduction, and ranks come from a row echelon on dense
-0/1 lists rather than the packed-column elimination.  No F2Matrix
-arithmetic is used.  Slow and simple on purpose.
+pairs rather than by reduction, and blocks are read off as connected
+components of the nonzero entries.  No F2Matrix arithmetic is used.  Slow
+and simple on purpose; ``check`` runs it against ``tot_diagonalize``.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .diagonalize import IndexBlock, _block_key
 from .errors import InputError, InternalCheckError
 from .f2 import F2Matrix, bits
 from .graded import AdmissibleOps, GradedMatrix, admissible_ops
-from .grades import leq
 
 Partition = FrozenSet[Tuple[Tuple[int, ...], Tuple[int, ...]]]
 
@@ -136,32 +135,3 @@ def brute_force_finest(M: GradedMatrix, budget: int = 20) -> List[IndexBlock]:
         (IndexBlock(rows, cols) for rows, cols in best_partitions.pop()),
         key=_block_key,
     )
-
-
-def _row_echelon_rank(a) -> int:
-    """Rank over F2 of a dense 0/1 matrix (a sequence of rows)."""
-    rows = [[int(x) % 2 for x in r] for r in a]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                rows[r] = list(map(xor, rows[r], top))
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def dim_oracle(M: GradedMatrix, u) -> int:
-    """Dimension of coker(M) at u, via the independent echelon rank."""
-    n_gen = sum(1 for g in M.row_grades if leq(g, u))
-    cols = [j for j, g in enumerate(M.col_grades) if leq(g, u)]
-    if not cols or M.n_rows == 0:
-        return n_gen
-    dense = [[row[j] for j in cols] for row in M.mat.to_dense()]
-    return n_gen - _row_echelon_rank(dense)

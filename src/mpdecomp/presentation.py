@@ -26,7 +26,7 @@ from operator import le
 from typing import Dict, List, Tuple
 
 from .errors import InputError, InternalCheckError
-from .f2 import F2Matrix, bits
+from .f2 import F2Matrix, bits, remap
 from .graded import GradedMatrix, _reindexed, _trusted
 from .grades import fmt, read_grade, read_int, read_lines, read_params, topo_order
 
@@ -148,23 +148,15 @@ def rewrite_in_basis(cols: GradedMatrix, basis: GradedMatrix) -> GradedMatrix:
     for pos, i in enumerate(topo_order(cols.row_grades)):
         at[i] = 1 << pos
 
-    def in_topo(c: int) -> int:
-        v = 0
-        while c:
-            low = c & -c
-            v |= at[low.bit_length() - 1]
-            c ^= low
-        return v
-
     led_by: Dict[int, List[Tuple[int, Tuple[int, ...], int]]] = {}
     for idx, (g, c) in enumerate(zip(basis.col_grades, basis.mat.cols)):
-        z = in_topo(c)
+        z = remap(c, at)
         if z:
             led_by.setdefault(z.bit_length() - 1, []).append((idx, g, z))
     out_cols: List[int] = []
     for j, c in enumerate(cols.mat.cols):
         u = cols.col_grades[j]
-        cur = in_topo(c)
+        cur = remap(c, at)
         v = 0
         while cur:
             for idx, g, z in led_by.get(cur.bit_length() - 1, ()):

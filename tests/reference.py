@@ -6,11 +6,11 @@ part of the program needs them.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence
+from operator import xor
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mpdecomp import (
     AdmissibleOps,
-    BettiTable,
     F2Matrix,
     GradeBox,
     GradedMatrix,
@@ -80,16 +80,21 @@ def rewrite_by_elimination(cols: GradedMatrix, basis: GradedMatrix) -> List[Opti
     return out
 
 
-def merge_tables(tables: Iterable[BettiTable]) -> BettiTable:
-    """The entrywise sum of Betti tables."""
-    out = BettiTable({})
+Table = List[List[Tuple[int, ...]]]  # a Betti table: sorted grades per degree
+
+
+def merge_tables(tables: Iterable[Table]) -> Table:
+    """The per-degree concatenation of Betti tables, each degree sorted."""
+    out: Table = []
     for table in tables:
-        for (deg, g), cnt in table.entries.items():
-            out.add(deg, g, cnt)
-    return out
+        for deg, grades in enumerate(table):
+            if deg == len(out):
+                out.append([])
+            out[deg] += grades
+    return [sorted(grades) for grades in out]
 
 
-def betti_euler_function(table: BettiTable, box: GradeBox) -> List[int]:
+def betti_euler_function(table: Table, box: GradeBox) -> List[int]:
     """Alternating cumulative sum of a Betti table over a box, flat in C order.
 
     Equals the dimension function whenever the table covers the full
@@ -97,12 +102,44 @@ def betti_euler_function(table: BettiTable, box: GradeBox) -> List[int]:
     """
     return [
         sum(
-            cnt if deg % 2 == 0 else -cnt
-            for (deg, g), cnt in table.entries.items()
-            if leq(g, u)
+            (-1) ** deg * sum(1 for g in grades if leq(g, u))
+            for deg, grades in enumerate(table)
         )
         for u in box.grades()
     ]
+
+
+def row_echelon_rank(a) -> int:
+    """Rank over F2 of a dense 0/1 matrix (a sequence of rows).
+
+    A row echelon on 0/1 lists, independent of the packed-column
+    elimination the library uses.
+    """
+    rows = [[int(x) % 2 for x in r] for r in a]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = list(map(xor, rows[r], top))
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def dim_oracle(M: GradedMatrix, u) -> int:
+    """Dimension of coker(M) at u, via the independent echelon rank."""
+    n_gen = sum(1 for g in M.row_grades if leq(g, u))
+    cols = [j for j, g in enumerate(M.col_grades) if leq(g, u)]
+    if not cols or M.n_rows == 0:
+        return n_gen
+    dense = [[row[j] for j in cols] for row in M.mat.to_dense()]
+    return n_gen - row_echelon_rank(dense)
 
 
 def _gather(col: int, rows: Sequence[int]) -> int:
@@ -132,7 +169,7 @@ def block_reduce_lin(
     ops: AdmissibleOps,
     T: IndexBlock,
     t: int,
-    certificate: Optional[List[Op]] = None,
+    certificate: List[Op],
 ) -> bool:
     """``diagonalize.block_reduce`` restated row by row and source by source.
 
@@ -191,6 +228,5 @@ def block_reduce_lin(
                 A.mat.add_col(op.source, op.target)
             else:
                 A.mat.add_row(op.source, op.target)
-            if certificate is not None:
-                certificate.append(op)
+            certificate.append(op)
     return True

@@ -119,6 +119,46 @@ def test_betti_json_torus_analogue(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "path, dim",
+    [(RAW, None)] + [(f, dim) for f in (TRIANGLE, SUSPENSION, K23) for dim in ("0", "1")],
+)
+def test_betti_tables_are_sorted_grade_lists(capsys, path, dim):
+    # a table lists, per degree, that degree's grades sorted with
+    # multiplicity; degree 2 is there exactly when d == 2.  decompose JSON
+    # and --format betti print the same tables
+    args = argparse.Namespace(
+        input=Path(path), dim=None if dim is None else int(dim), box=None, perturb=True
+    )
+    _, diag, _ = cli._pipeline(args)
+    d = diag.matrix.d
+    tables = [table for _, table in mpdecomp.persistent_betti(diag.matrix, diag.blocks)]
+    assert tables
+    for table in tables:
+        assert type(table) is list and len(table) == (3 if d == 2 else 2)
+        for grades in table:
+            assert type(grades) is list and grades == sorted(grades)
+            assert all(type(g) is tuple and len(g) == d for g in grades)
+    dim_flag = [] if dim is None else ["--dim", dim]
+    code, out, _ = run_cli(capsys, "decompose", path, *dim_flag, "--perturb")
+    assert code == 0
+    from_json = [b["betti"] for b in json.loads(out)["blocks"] if b["rows"]]
+    assert from_json == [
+        {str(deg): [list(g) for g in grades] for deg, grades in enumerate(table)}
+        for table in tables
+    ]
+    code, out, _ = run_cli(capsys, "decompose", path, *dim_flag, "--perturb", "--format", "betti")
+    assert code == 0
+    from_text: list = []
+    for line in out.splitlines():
+        if line.startswith("block "):
+            from_text.append({})
+        else:
+            deg, _, grades = line.strip().removeprefix("beta_").partition(":")
+            from_text[-1][deg] = [[int(x) for x in g[1:-1].split(",")] for g in grades.split()]
+    assert from_text == from_json
+
+
 def test_blockcode_csv_header_and_rows(capsys):
     code, out, _ = run_cli(
         capsys, "decompose", TRIANGLE, "--dim", "0", "--box", "0,0:3,3", "--format", "csv"
@@ -353,6 +393,16 @@ def test_options_a_command_does_not_read_are_refused(argv, refusal, capsys):
         main(argv)
     assert exc.value.code == 2
     assert refusal in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "betti"])
+def test_box_is_refused_by_formats_without_a_grid(capsys, fmt):
+    # text and betti print no dimension function, so a --box would be ignored
+    code, out, err = run_cli(
+        capsys, "decompose", TRIANGLE, "--format", fmt, "--box", "0,0:5000,5000"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --box applies to --format json and csv only, not {fmt}\n"
 
 
 def test_redundant_relation_leaves_no_trivial_block(tmp_path, capsys):

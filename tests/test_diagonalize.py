@@ -225,9 +225,11 @@ def test_block_reduce_splits_worked_example_block():
     M = triangle_matrix()
     ops = admissible_ops(M)
     T = IndexBlock((0, 1), (1, 2))
-    ok = block_reduce(M, ops, T, 1)
+    certificate: list = []
+    ok = block_reduce(M, ops, T, 1, certificate)
     assert ok
     assert M.mat.cols[1] & 0b011 == 0
+    assert replay_certificate(triangle_matrix(), certificate).mat == M.mat
 
 
 def test_replay_certificate_rejects_illegal_ops():

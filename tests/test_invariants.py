@@ -12,15 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpdecomp import (
-    BettiTable,
     F2Matrix,
     GradeBox,
     GradedMatrix,
-    betti01,
-    betti_higher_2param,
     blockcodes,
     default_box,
     dimension_function,
+    kernel_gens,
     leq,
     minimize,
     parse_filtration,
@@ -32,8 +30,7 @@ from mpdecomp import (
 from mpdecomp.cli import main
 from mpdecomp.errors import InputError
 from mpdecomp.invariants import MAX_BOX_POINTS
-from mpdecomp.oracle import dim_oracle
-from reference import betti_euler_function, from_dense, merge_tables, rank
+from reference import betti_euler_function, dim_oracle, from_dense, merge_tables, rank
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -132,22 +129,22 @@ def test_persistent_betti_reproduces_reference_table():
     assert len(tables) == 2
     (b1, t1), (b2, t2) = tables
     assert b1.rows == (0, 1) and b2.rows == (2,)
-    assert sorted(t1.degree(0)) == [(0, 1), (1, 0)]
-    assert t1.degree(1) == [(1, 1)]
-    assert t1.degree(2) == []
-    assert t2.degree(0) == [(1, 1)]
-    assert sorted(t2.degree(1)) == [(1, 2), (2, 1)]
-    assert t2.degree(2) == [(2, 2)]
+    assert t1[0] == [(0, 1), (1, 0)]
+    assert t1[1] == [(1, 1)]
+    assert t1[2] == []
+    assert t2[0] == [(1, 1)]
+    assert t2[1] == [(1, 2), (2, 1)]
+    assert t2[2] == [(2, 2)]
 
 
 def test_global_betti_is_sum_of_blocks():
     final, diag = triangle_pipeline()
-    whole = betti01(final)
+    whole = [final.row_grades, final.col_grades]
     merged = merge_tables(table for _, table in persistent_betti(final, diag.blocks))
     for deg in (0, 1):
-        assert sorted(merged.degree(deg)) == sorted(whole.degree(deg))
-    b2_whole = betti_higher_2param(final)
-    assert sorted(b2_whole) == sorted(merged.degree(2))
+        assert merged[deg] == sorted(whole[deg])
+    b2_whole = kernel_gens(final).col_grades
+    assert sorted(b2_whole) == merged[2]
 
 
 def test_blockcode_reference_values():
@@ -196,13 +193,11 @@ def test_persistent_betti_skips_free_columns_only_blocks():
 
 
 def test_betti_table_merge_and_counts():
-    t = BettiTable({})
-    t.add(0, (0, 0))
-    t.add(0, (0, 0))
-    t.add(1, (1, 1))
-    assert t.degree(0) == [(0, 0), (0, 0)]
-    u = merge_tables([t, t])
-    assert len(u.degree(0)) == 4
+    t = [[(0, 0), (0, 0)], [(1, 1)]]
+    u = merge_tables([t, [[(0, 1)], [], [(2, 2)]], t])
+    assert u[0] == [(0, 0)] * 4 + [(0, 1)]
+    assert u[1] == [(1, 1), (1, 1)]
+    assert u[2] == [(2, 2)]
 
 
 @st.composite
@@ -353,11 +348,11 @@ def test_betti01_of_minimize_matches_rank_counts():
             for c in cols
         ]
         M = GradedMatrix(F2Matrix(n, vecs), rows, cols, d=d)
-        table = betti01(minimize(M))
+        mini = minimize(M)
         b0, b1 = rank_betti01(M)
-        for deg, want in ((0, b0), (1, b1)):
+        for deg, (grades, want) in enumerate(((mini.row_grades, b0), (mini.col_grades, b1))):
             got = {}
-            for g in table.degree(deg):
+            for g in grades:
                 got[g] = got.get(g, 0) + 1
             assert got == {u: k for u, k in want.items() if k}, (case, deg)
 
@@ -370,6 +365,6 @@ def test_minimize_drops_relation_that_only_closes_a_cycle():
         "s 0 0 :\ns 0 0 :\ns 0 0 :\n"
         "s 1 0 : 0 1\ns 1 0 : 1 2\ns 2 0 : 0 2\n"
     )
-    table = betti01(minimize(pres_h0(filt)))
-    assert table.degree(0) == [(0, 0)] * 3
-    assert table.degree(1) == [(1, 0), (1, 0)]
+    mini = minimize(pres_h0(filt))
+    assert sorted(mini.row_grades) == [(0, 0)] * 3
+    assert sorted(mini.col_grades) == [(1, 0), (1, 0)]

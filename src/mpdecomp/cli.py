@@ -18,7 +18,7 @@ import argparse
 import functools
 import json
 import sys
-from operator import add, sub
+from operator import sub
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -41,8 +41,8 @@ from .presentation import (
 
 def _read_input(path: Path):
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     for _, line in read_lines(text):
         kind = line.split()[0]
@@ -146,34 +146,28 @@ def _basis_expressions(
     cert: Sequence[Op],
     kind: str,
 ) -> List[str]:
-    """Rebuild each final basis element over the input basis.
+    """Rebuild each final basis element over the input basis, as a mask.
 
     A column addition c_i -> c_j turns relation j into s_j + t^(gj-gi) s_i;
     a row addition r_l -> r_k rewrites generator l as g_l + t^(gl-gk) g_k.
-    Exponents compose along the certificate order.
+    Either XORs one mask into another, and the exponent of input element m
+    in element x is always grade(x) - grade(m).
     """
-    if not grades:
-        return []
-    zero = (0,) * len(grades[0])
-    exprs: List[set] = [{(i, zero)} for i in range(len(grades))]
+    exprs = [1 << i for i in range(len(grades))]
     for op in cert:
-        if op.kind != kind:
-            continue
-        upd, base = (op.target, op.source) if kind == "col" else (op.source, op.target)
-        # an exponent is a difference of grades, so it may leave the 64-bit range
-        shift = tuple(map(sub, grades[upd], grades[base]))
-        exprs[upd] = exprs[upd] ^ {
-            (m, tuple(map(add, e, shift))) for (m, e) in exprs[base]
-        }
+        if op.kind == kind:
+            upd, base = (op.target, op.source) if kind == "col" else (op.source, op.target)
+            exprs[upd] ^= exprs[base]
     out = []
-    for terms in exprs:
+    for x, terms in enumerate(exprs):
         parts = []
-        for m, e in sorted(terms, key=lambda te: (te[1], te[0])):
-            if all(x == 0 for x in e):
-                parts.append(labels[m])
+        # an exponent is a difference of grades, so it may leave the 64-bit range
+        for e, m in sorted((tuple(map(sub, grades[x], grades[m])), m) for m in bits(terms)):
+            if any(e):
+                parts.append("t^(" + ",".join(map(str, e)) + ")*" + labels[m])
             else:
-                parts.append("t^(" + ",".join(str(x) for x in e) + ")*" + labels[m])
-        out.append(" + ".join(parts) if parts else "0")
+                parts.append(labels[m])
+        out.append(" + ".join(parts))
     return out
 
 

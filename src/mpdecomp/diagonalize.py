@@ -1,8 +1,8 @@
 """Total diagonalization of a graded matrix under admissible operations.
 
 The outer loop introduces columns one at a time and keeps a set of blocks
-(paired row/column index sets) that are already mutually decoupled: on the
-columns seen so far, each block's rows are zero outside its own columns.
+(a row mask paired with a column mask) that are already mutually decoupled:
+on the columns seen so far, each block's rows are zero outside its columns.
 At column t a block whose rows are zero in column t therefore stays as it
 is, and the loop only visits the blocks that own a row column t meets.
 For any such block B the question is whether B's rows can be cleared on
@@ -12,7 +12,7 @@ and reducing it against one vector per admissible operation that feeds
 it.  Building the region and the vectors costs about one step per set
 bit of the columns up to t: admissibility is read from bitmasks, and an
 Op is made only for an operation that is applied.  Blocks that fail merge
-with column t and nothing is applied to them.
+with column t, by OR of their masks, and nothing is applied to them.
 
 The operations realized for a block that passes change only its rows.
 The region starts clear on the columns before t and ends clear on all of
@@ -164,17 +164,6 @@ def block_reduce(
     return True
 
 
-def _complement(cols: Sequence[int], t: int) -> Tuple[int, ...]:
-    """The columns up to t that are not in cols (ascending, all below t)."""
-    out: List[int] = []
-    start = 0
-    for j in cols:
-        out.extend(range(start, j))
-        start = j + 1
-    out.extend(range(start, t + 1))
-    return tuple(out)
-
-
 def tot_diagonalize(A: GradedMatrix, *, perturb_ties: bool = False) -> Diagonalization:
     """Decompose A into the finest block structure admissible ops can reach.
 
@@ -200,32 +189,31 @@ def tot_diagonalize(A: GradedMatrix, *, perturb_ties: bool = False) -> Diagonali
 
     work = A.copy()
     ops = admissible_ops(work)
-    owner = [IndexBlock((i,), ()) for i in range(work.n_rows)]  # row -> its block
-    col_only: List[IndexBlock] = []  # blocks without rows
+    owner = [(1 << i, 0) for i in range(work.n_rows)]  # row -> its block's masks
     certificate: List[Op] = []
 
     for t in range(work.n_cols):
         # earlier columns outside a block are already clear on its rows, so
-        # only the blocks whose rows column t meets need work
-        met = {owner[i].rows[0]: owner[i] for i in bits(work.mat.cols[t])}
-        merged_rows: List[int] = []
-        merged_cols: List[int] = [t]
-        for B in sorted(met.values(), key=_block_key):
-            T = IndexBlock(B.rows, _complement(B.cols, t))
+        # only the blocks whose rows column t meets need work, by lowest row
+        met = {owner[i] for i in bits(work.mat.cols[t])}
+        merged_rows, merged_cols = 0, 1 << t
+        for rmask, cmask in sorted(met, key=lambda b: b[0] & -b[0]):
+            T = IndexBlock(tuple(bits(rmask)), tuple(bits(((2 << t) - 1) & ~cmask)))
             if not block_reduce(work, ops, T, t, certificate):
-                merged_rows.extend(B.rows)
-                merged_cols.extend(B.cols)
-        merged = IndexBlock(tuple(sorted(merged_rows)), tuple(sorted(merged_cols)))
-        if merged.rows:
-            for i in merged.rows:
-                owner[i] = merged
-        else:
-            col_only.append(merged)
+                merged_rows |= rmask
+                merged_cols |= cmask
+        for i in bits(merged_rows):
+            owner[i] = (merged_rows, merged_cols)
 
-    blocks = list({B.rows[0]: B for B in owner}.values()) + col_only
+    blocks = [
+        IndexBlock(tuple(bits(rmask)), tuple(bits(cmask)))
+        for rmask, cmask in dict.fromkeys(owner)  # each first met at its lowest row
+    ]
+    # exactly the columns that joined no block with rows end up zero
+    blocks += [IndexBlock((), (j,)) for j, c in enumerate(work.mat.cols) if not c]
     return Diagonalization(
         matrix=work,
-        blocks=sorted(blocks, key=_block_key),
+        blocks=blocks,
         certificate=certificate,
         perturbed=perturbed,
     )

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 from .errors import InputError
 
 _BOUND = 1 << 63  # coordinates are 64-bit signed integers
+MAX_PARAMS = 64  # a parameter count above it is refused as it is read
 
 
 def check_grade(coords: Iterable[int]) -> Tuple[int, ...]:
@@ -67,7 +68,7 @@ def read_grade(line_no: int, tokens: Sequence[str], d: int) -> Tuple[int, ...]:
 
 
 def read_params(line_no: int, tokens: Sequence[str]) -> int:
-    """The parameter count a 'params <d>' line's tokens give."""
+    """The parameter count, 1 to MAX_PARAMS, a 'params <d>' line's tokens give."""
     if len(tokens) != 2 or tokens[0] != "params":
         raise InputError(f"line {line_no}: expected 'params <d>', got {' '.join(tokens)!r}")
     try:
@@ -78,6 +79,10 @@ def read_params(line_no: int, tokens: Sequence[str]) -> int:
         ) from None
     if d < 1:
         raise InputError(f"line {line_no}: parameter count must be positive, got {d}")
+    if d > MAX_PARAMS:
+        raise InputError(
+            f"line {line_no}: parameter count {d} is more than the limit of {MAX_PARAMS}"
+        )
     return d
 
 

@@ -20,6 +20,7 @@ die along an antichain and every minimal grade is kept.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from itertools import product
 from operator import le
@@ -29,6 +30,8 @@ from .errors import InputError, InternalCheckError
 from .f2 import F2Matrix, bits, remap
 from .graded import GradedMatrix, _reindexed, _trusted
 from .grades import fmt, read_grade, read_int, read_lines, read_params, topo_order
+
+MAX_KERNEL_SLICES = 1_000_000  # rows times chain slices; more is refused
 
 
 def kernel_gens(M: GradedMatrix) -> GradedMatrix:
@@ -64,7 +67,8 @@ def kernel_gens(M: GradedMatrix) -> GradedMatrix:
     Z's columns in (grade, topo position) order.  With two parameters the
     grid is one row whose slices are totally ordered, each column gives at
     most one generator, and Z is a basis of the free kernel.  With one
-    parameter the grid is a single slice.
+    parameter the grid is a single slice.  A grid of more than
+    MAX_KERNEL_SLICES slices is refused before the sweep starts.
     """
     d = M.d
     cols = M.mat.cols
@@ -72,7 +76,14 @@ def kernel_gens(M: GradedMatrix) -> GradedMatrix:
     # constant last coordinate makes the grid a single slice
     grades = M.col_grades if d > 1 else [g + (0,) for g in M.col_grades]
     chain = sorted({g[-1] for g in grades})
-    rows = product(*(sorted({g[k] for g in grades}) for k in range(1, max(d, 2) - 1)))
+    axes = [sorted({g[k] for g in grades}) for k in range(1, max(d, 2) - 1)]
+    slices = math.prod(map(len, axes)) * len(chain)
+    if slices > MAX_KERNEL_SLICES:
+        raise InputError(
+            f"kernel sweep of {slices} grade slices is more than the limit of "
+            f"{MAX_KERNEL_SLICES}"
+        )
+    rows = product(*axes)
     died: List[List[Tuple[Tuple[int, ...], int]]] = [[] for _ in grades]  # (row, k)
     found: List[Tuple[Tuple[int, ...], int, int]] = []
     order = topo_order(grades)
@@ -229,10 +240,13 @@ def pres_dparam(F, p: int) -> GradedMatrix:
 def minimize(M: GradedMatrix) -> GradedMatrix:
     """A minimal presentation of the same module: no redundant line left.
 
-    First, unit pivots are split off: while some entry (i, j) has
-    grade(r_i) == grade(c_j), taking the smallest (grade, row, column),
-    column j is added into every other column that meets row i, then row i
-    and column j are deleted.  The cokernel never changes.
+    First, unit pivots are split off in one pass over the rows in topo
+    order: row i takes the first live column j at its own grade that meets
+    it, column j is added into every other column that meets row i, then row
+    i and column j are deleted.  The cokernel never changes.  Such a step
+    adds a column of grade g only into columns of grade >= g, so it makes new
+    units only at g, on later rows: each pick is the smallest (grade, row,
+    column) unit left.
 
     Then each relation in the span of the relations of lower or equal
     grade is dropped (the minimization step of Lesnick and Wright,
@@ -250,23 +264,16 @@ def minimize(M: GradedMatrix) -> GradedMatrix:
     """
     col_grades = M.col_grades
     cols = list(M.mat.cols)
-    at_grade: Dict[Tuple[int, ...], int] = {}
-    for i, g in enumerate(M.row_grades):
-        at_grade[g] = at_grade.get(g, 0) | (1 << i)
-    unit = [at_grade.get(g, 0) for g in col_grades]  # rows at the column's grade
+    at_grade: Dict[Tuple[int, ...], List[int]] = {}  # live columns per grade
+    for j, g in enumerate(col_grades):
+        at_grade.setdefault(g, []).append(j)
     live_rows = set(range(M.n_rows))
     live_cols = list(range(M.n_cols))
-    while True:
-        best = None
-        for j in live_cols:
-            hits = cols[j] & unit[j]
-            if hits:
-                key = (col_grades[j], (hits & -hits).bit_length() - 1, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, i, j = best
+    for i in topo_order(M.row_grades):
+        units = at_grade.get(M.row_grades[i], [])
+        j = next((j for j in units if (cols[j] >> i) & 1), None)
+        if j is None:
+            continue
         # row i then meets column j only; its row addition would change
         # nothing but column j, which goes
         for j2 in live_cols:
@@ -274,6 +281,7 @@ def minimize(M: GradedMatrix) -> GradedMatrix:
                 cols[j2] ^= cols[j]
         live_rows.discard(i)
         live_cols.remove(j)
+        units.remove(j)
 
     order = sorted(live_cols, key=col_grades.__getitem__)  # stable: ties by index
     tails = [col_grades[j][1:] for j in order]

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -548,6 +549,10 @@ def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys)
         ("mppres 1\n", "unexpected end of input, expected 'params <d>'"),
         ("mppres 1\nparams x\n", "line 2: parameter count 'x' is not an integer"),
         ("mppres 1\nparams 0\n", "line 2: parameter count must be positive, got 0"),
+        (
+            "mppres 1\nparams 100000000000\nrows 0\ncols 0\n",
+            "line 2: parameter count 100000000000 is more than the limit of 64",
+        ),
         ("mppres 1\nparams 1\n", "unexpected end of input, expected 'rows <n>'"),
         ("mppres 1\nparams 1\nrows -1\n", "line 3: expected 'rows <n>'"),
         (
@@ -615,6 +620,7 @@ def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys)
         "end-before-params",
         "params-not-integer",
         "params-not-positive",
+        "params-above-limit",
         "end-before-rows",
         "rows-negative",
         "end-before-row",
@@ -652,6 +658,10 @@ def test_mppres_counts_and_coordinates_fail_with_line_numbers(tmp_path, capsys, 
         ("mpfilt 1\nparams 1_0\n", "line 2: parameter count '1_0' is not an integer"),
         ("mpfilt 1\nparams +2\n", "line 2: parameter count '+2' is not an integer"),
         ("mpfilt 1\nparams 0\n", "line 2: parameter count must be positive, got 0"),
+        (
+            "mpfilt 1\nparams 100000000000\n",
+            "line 2: parameter count 100000000000 is more than the limit of 64",
+        ),
         (
             "mpfilt 1\nparams 2\nx 0 0 :  # comment\n",
             "line 3: expected a simplex line starting with 's', got 'x 0 0 :'",
@@ -703,6 +713,7 @@ def test_mppres_counts_and_coordinates_fail_with_line_numbers(tmp_path, capsys, 
         "params-underscore",
         "params-plus",
         "params-not-positive",
+        "params-above-limit",
         "not-a-simplex-line",
         "missing-colon",
         "grade-count",
@@ -745,6 +756,36 @@ def test_input_file_refusals(tmp_path, capsys, text, message):
     code, out, err = run_cli(capsys, "decompose", str(path))
     assert (code, out) == (2, "")
     assert err == "error: " + message.format(path=path) + "\n"
+
+
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.mpfilt"
+    path.write_bytes(b"mpfilt 1\n# \xff\nparams 2\n")  # the byte sits in a comment
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 11: invalid start byte\n"
+    )
+
+
+def test_kernel_sweep_beyond_the_limit_exits_2_quickly(tmp_path, capsys):
+    # 24 parameters: six vertices at 0 and the 15 edges of K6 spread over
+    # 0..2 on every axis, so the cycle sweep would visit 3^22 rows of 3 slices
+    lines = ["mpfilt 1", "params 24"] + ["s " + " 0" * 24 + " :"] * 6
+    for e, (a, b) in enumerate(combinations(range(6), 2)):
+        lines.append("s " + " ".join(str((e + k) % 3) for k in range(24)) + f" : {a} {b}")
+    path = tmp_path / "wide.mpfilt"
+    path.write_text("\n".join(lines) + "\n")
+    for command in ("decompose", "export-pres"):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, command, str(path), "--dim", "1")
+        assert time.perf_counter() - t0 < 1.0, command
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: kernel sweep of 94143178827 grade slices is more than the limit "
+            "of 1000000\n"
+        )
 
 
 def test_readme_names_exactly_the_cli_flags():

@@ -3,10 +3,16 @@
 Columns are arbitrary-precision integers, bit i = row i, so a column
 addition is one XOR and the pivot of a column is its highest set bit.
 Storage is column-major; a row addition walks every column.
+
+``reduce_into`` is the one elimination loop: every reduction of the
+package, here and in the presentation and invariants layers, calls it.  A
+caller that needs the combination a vector stands for packs it into the
+bits below ``low``, the vector itself above them, so the combination rides
+along and the pivot is still the vector's own highest bit.
 """
 from __future__ import annotations
 
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InputError
 
@@ -110,34 +116,41 @@ class F2Matrix:
         return f"F2Matrix({self.n_rows}x{self.n_cols}:{body})"
 
 
+def reduce_into(pivots: Dict[int, int], c: int, low: int = 0) -> int:
+    """Reduce c against pivots, a dict from a highest set bit to its owner.
+
+    What is left of c at or above bit ``low`` is reduced until its highest
+    bit is owned by no pivot; a nonzero leftover there becomes a new pivot.
+    Returns the residue.  Bits below ``low`` never choose a pivot, so the
+    residue is zero at and above ``low`` exactly when c lies in the span of
+    the pivots, and its bits below ``low`` then hold what was packed there.
+    """
+    lw = c.bit_length() - 1
+    while lw >= low:
+        p = pivots.get(lw)
+        if p is None:
+            pivots[lw] = c
+            break
+        c ^= p
+        lw = c.bit_length() - 1
+    return c
+
+
 def col_reduce(S: F2Matrix, c: int) -> Optional[int]:
     """Express c in the span of S's columns: the combination, or None.
 
     None means c is independent of S.  Otherwise the returned bitmask b
-    satisfies c == XOR of S.cols[j] for the set bits j of b.  The columns
-    of S are reduced left to right, each against the ones before it and
-    each carrying its combination over the original columns, and then c
-    against them; with dependent columns in S this picks one combination.
+    satisfies c == XOR of S.cols[j] for the set bits j of b.  With n
+    columns, column j is reduced as ``(S.cols[j] << n) | (1 << j)``, its
+    combination over the original columns in the low n bits, left to right,
+    and then ``c << n`` against them; with dependent columns in S this picks
+    one combination.
     """
     if c < 0 or c >> S.n_rows:
         raise InputError(f"target column has bits outside {S.n_rows} rows")
-    owner: dict = {}  # low -> (reduced column, its combination)
-    for j, cur in enumerate(S.cols):
-        comb = 1 << j
-        while cur:
-            lw = cur.bit_length() - 1
-            if lw not in owner:
-                owner[lw] = (cur, comb)
-                break
-            pcol, pcomb = owner[lw]
-            cur ^= pcol
-            comb ^= pcomb
-    comb = 0
-    while c:
-        lw = c.bit_length() - 1
-        if lw not in owner:
-            return None
-        pcol, pcomb = owner[lw]
-        c ^= pcol
-        comb ^= pcomb
-    return comb
+    n = len(S.cols)
+    pivots: Dict[int, int] = {}
+    for j, col in enumerate(S.cols):
+        reduce_into(pivots, (col << n) | (1 << j), n)
+    comb = reduce_into(pivots, c << n, n)
+    return None if comb.bit_length() > n else comb

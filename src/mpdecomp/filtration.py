@@ -7,11 +7,12 @@ File format, one simplex per line after two header lines::
     s <g1> ... <gd> : <facet_id> <facet_id> ...
 
 Simplices are implicitly numbered 0, 1, 2, ... in file order and must be
-declared after their facets.  A vertex lists no facets.  Grades must be
-monotone along face relations.  Each simplex appears once; multi-critical
-input (the same facet set declared at several grades) is rejected, such a
-filtration has to be converted to a one-critical one first (for instance
-by a mapping-telescope construction).
+declared after their facets.  A vertex lists no facets.  The facets of a
+simplex must close up: their own boundaries cancel, as those of a
+simplex's faces do.  Grades must be monotone along face relations.  Each
+simplex appears once; multi-critical input (the same facet set declared at
+several grades) is rejected, such a filtration has to be converted to a
+one-critical one first (for instance by a mapping-telescope construction).
 """
 from __future__ import annotations
 
@@ -36,8 +37,8 @@ class Filtration:
     top dimension.
 
     The parser establishes what the format above asks (facets declared
-    first, grades monotone along faces) and that every grade has ``d``
-    coordinates that ``check_grade`` accepts.  ``boundary_matrix`` trusts
+    first and closing up, grades monotone along faces) and that every grade
+    has ``d`` coordinates that ``check_grade`` accepts.  ``boundary_matrix`` trusts
     this and checks nothing again, so build a filtration through the parser.
     """
 
@@ -100,6 +101,7 @@ def parse_filtration(text: str) -> Filtration:
                     f"a {dim}-simplex needs {dim + 1} facets, got {len(facets)}",
                 )
             below = F.grades[dim - 1]
+            closure = 0  # the boundary of the boundary, zero in a complex
             for f in facets:
                 pos = where[f][1]
                 if not all(map(le, below[pos], g)):
@@ -109,6 +111,13 @@ def parse_filtration(text: str) -> Filtration:
                         f"{fmt(below[pos])} of its facet {f}",
                     )
                 boundary |= 1 << pos
+                closure ^= F.boundaries[dim - 1][pos]
+            if closure:
+                _fail(
+                    line_no,
+                    f"facets {list(facets)} of simplex {next_id} do not close up: "
+                    "their own boundaries do not cancel",
+                )
             if facets in seen_facet_sets:
                 _fail(
                     line_no,

@@ -4,8 +4,9 @@ The dimension function of a cokernel at a grade u is (generators born by
 u) minus (rank of the relations born by u).  Both change only where u
 crosses a grade coordinate of the presentation, so they are computed on
 the grid of its distinct coordinates: generator counts by cumulative sums,
-relation ranks by one left-to-right reduction per slice of that grid (a
-value of every coordinate after the first), never one rank per point.
+relation ranks by one left-to-right reduction per slice of that grid that
+the box meets (a value of every coordinate after the first), never one rank
+per point.
 ``minimize`` returns a minimal presentation, so its row and
 column grades are exactly the graded Betti numbers in degrees 0 and 1, and
 each summand of its decomposition is minimal too.  With two parameters the
@@ -24,7 +25,7 @@ before any per-point work starts.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, product
 from operator import le
@@ -32,6 +33,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .diagonalize import IndexBlock
 from .errors import InputError
+from .f2 import reduce_into
 from .graded import GradedMatrix, _reindexed
 from .grades import fmt, topo_order
 from .presentation import kernel_gens
@@ -99,15 +101,15 @@ def dimension_function(M: GradedMatrix, box: GradeBox) -> List[int]:
     Which grades lie below a point u depends, on each axis k, only on how
     many of the presentation's distinct k-th coordinates are <= u_k.  So
     the module is constant on the cells of the grid those coordinates span,
-    plus a zero cell below the lowest one on each axis.  The dimension at a
-    cell is the number of generators below it minus the rank of the
-    relations below it; the box is filled by repeating each cell's value
-    over the run of box points that falls in it, axis by axis, so a box
-    point below or above every grade takes the value of its cell too.
+    plus a zero cell below the lowest one on each axis.  Each box
+    coordinate is mapped to its cell, so a box point below or above every
+    grade takes the value of its cell too.  The dimension at a cell is the
+    number of generators below it minus the rank of the relations below it.
 
-    The grid is swept one slice at a time, a slice ``s`` being a cell index
-    on every axis after the first (a slice through a zero cell is all
-    zero).  Each row whose tail cell is ``<= s`` adds one at its head cell.
+    A slice ``s`` is a cell index on every axis after the first (a slice
+    through a zero cell is all zero), and only the slices that the box's
+    coordinates fall in are swept, so the work follows the box, not the
+    grid.  Each row whose tail cell is ``<= s`` adds one at its head cell.
     The columns whose tail cell is ``<= s`` are reduced left to right in
     topo order, and each column that claims a new pivot subtracts one at
     its head cell.  Topo order is lexicographic, so the columns with head
@@ -118,53 +120,31 @@ def dimension_function(M: GradedMatrix, box: GradeBox) -> List[int]:
     """
     if len(box.axes) != M.d:
         raise InputError(f"box has {len(box.axes)} axes but M has {M.d} parameters")
-    points = math.prod(box.shape)
     grades = M.row_grades + M.col_grades
-    if not grades or not points:
-        return [0] * points
+    if not grades:
+        return [0] * math.prod(box.shape)
     axes = [sorted(set(col)) for col in zip(*grades)]
 
     def cell(g: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(map(bisect_right, axes, g))
 
-    shape = [len(axis) + 1 for axis in axes]
-    stride = math.prod(shape[1:])  # of the first axis; the rest is a slice
     rows = [cell(g) for g in M.row_grades]
     cols = [(cell(M.col_grades[j]), M.mat.cols[j]) for j in topo_order(M.col_grades)]
-    out = [0] * (shape[0] * stride)
-    for offset, s in enumerate(product(*(range(n) for n in shape[1:]))):
-        if not all(s):
-            continue
-        dims = [0] * shape[0]
-        for rc in rows:
-            if all(map(le, rc[1:], s)):
-                dims[rc[0]] += 1
-        owner: Dict[int, int] = {}
-        for cc, cur in cols:
-            if not all(map(le, cc[1:], s)):
-                continue
-            while cur:
-                lw = cur.bit_length() - 1
-                if lw not in owner:
-                    owner[lw] = cur
+    cells = [[bisect_right(a, x) for x in coords] for a, coords in zip(axes, box.axes)]
+    values: Dict[Tuple[int, ...], List[int]] = {}  # per slice, along the first axis
+    for s in product(*map(set, cells[1:])):
+        dims = [0] * (len(axes[0]) + 1)
+        if all(s):
+            for rc in rows:
+                if all(map(le, rc[1:], s)):
+                    dims[rc[0]] += 1
+            pivots: Dict[int, int] = {}
+            for cc, c in cols:
+                if all(map(le, cc[1:], s)) and reduce_into(pivots, c):
                     dims[cc[0]] -= 1
-                    break
-                cur ^= owner[lw]
-        out[offset::stride] = accumulate(dims)
-
-    # the box's coordinates on an axis fall in its cells in runs: those
-    # below axis[c] and not below axis[c - 1] lie in cell c
-    for k in reversed(range(len(shape))):
-        coords = box.axes[k]
-        ends = [bisect_left(coords, x) for x in axes[k]] + [len(coords)]
-        runs = [b - a for a, b in zip([0] + ends, ends)]
-        chunk = len(out) // math.prod(shape[: k + 1])
-        filled: List[int] = []
-        for c0 in range(0, len(out), shape[k] * chunk):
-            for c, run in enumerate(runs):
-                filled += out[c0 + c * chunk : c0 + (c + 1) * chunk] * run
-        out = filled
-    return out
+        values[s] = list(accumulate(dims))
+    tails = [values[s] for s in product(*cells[1:])]
+    return [v[x] for x in cells[0] for v in tails]
 
 
 def persistent_betti(

@@ -27,7 +27,7 @@ from operator import le
 from typing import Dict, List, Tuple
 
 from .errors import InputError, InternalCheckError
-from .f2 import F2Matrix, bits, remap
+from .f2 import F2Matrix, bits, reduce_into, remap
 from .graded import GradedMatrix, _reindexed, _trusted
 from .grades import fmt, read_grade, read_int, read_lines, read_params, topo_order
 
@@ -61,7 +61,9 @@ def kernel_gens(M: GradedMatrix) -> GradedMatrix:
     meets a slice above one where it died in an earlier row.  So only the
     (column, slice) pairs where the column is live are visited, and only
     one row's pivots are held at a time: at most the chain length times
-    the rank of M.
+    the rank of M.  Column j is reduced as ``(cols[j] << m) | (1 << j)``
+    with ``reduce_into``, m being M's column count, so a column dies where
+    nothing is left at or above bit m and the residue is its combination.
 
     What is left is one generator per minimal death grade of each column,
     Z's columns in (grade, topo position) order.  With two parameters the
@@ -83,13 +85,14 @@ def kernel_gens(M: GradedMatrix) -> GradedMatrix:
             f"kernel sweep of {slices} grade slices is more than the limit of "
             f"{MAX_KERNEL_SLICES}"
         )
-    rows = product(*axes)
+    m = len(cols)
+    packed = [(c << m) | (1 << j) for j, c in enumerate(cols)]
     died: List[List[Tuple[Tuple[int, ...], int]]] = [[] for _ in grades]  # (row, k)
     found: List[Tuple[Tuple[int, ...], int, int]] = []
     order = topo_order(grades)
 
-    for row in rows:
-        pivots: List[Dict[int, Tuple[int, int]]] = [{} for _ in chain]  # per slice
+    for row in product(*axes):
+        pivots: List[Dict[int, int]] = [{} for _ in chain]  # per slice
         for pos, j in enumerate(order):
             g = grades[j]
             if not all(map(le, g[1:-1], row)):
@@ -98,19 +101,8 @@ def kernel_gens(M: GradedMatrix) -> GradedMatrix:
                 (k for r, k in died[j] if all(map(le, r, row))), default=len(chain)
             )
             for k in range(bisect_left(chain, g[-1]), end):
-                at = pivots[k]
-                cur = cols[j]
-                comb = 1 << j
-                while cur:
-                    lw = cur.bit_length() - 1
-                    if lw in at:
-                        pcol, pcomb = at[lw]
-                        cur ^= pcol
-                        comb ^= pcomb
-                    else:
-                        at[lw] = (cur, comb)
-                        break
-                if not cur:
+                comb = reduce_into(pivots[k], packed[j], m)
+                if comb.bit_length() <= m:
                     died[j].append((row, k))
                     found.append((((g[0],) + row + (chain[k],))[:d], pos, comb))
                     break
@@ -293,15 +285,7 @@ def minimize(M: GradedMatrix) -> GradedMatrix:
             tail = tails[pos]
             if not all(map(le, tail, s)):
                 continue
-            cur = cols[order[pos]]
-            while cur:
-                lw = cur.bit_length() - 1
-                if lw in pivots:
-                    cur ^= pivots[lw]
-                else:
-                    pivots[lw] = cur
-                    break
-            if not cur and tail == s:
+            if not reduce_into(pivots, cols[order[pos]]) and tail == s:
                 redundant.add(order[pos])
 
     keep_rows = sorted(live_rows)

@@ -1,10 +1,10 @@
 """Certificates and minimal presentations stay the same on generated complexes.
 
-40 seeded random filtrations with d = 2 and 3 and coordinates in a small
-range, so that grades tie.  Each also carries a planted chain of vertices
-and edges at one grade and a triangle at the grade of its edges: same-grade
-unit pivots in degrees 0 and 1, which ``minimize`` splits off one after
-another.  ``decompose --format text --perturb`` spells out the certificate
+40 seeded random filtrations with d = 2 and 3, and 4 more with d = 4, all
+with coordinates in a small range, so that grades tie.  Each also carries
+a planted chain of vertices and edges at one grade and a triangle at the
+grade of its edges: same-grade unit pivots in degrees 0 and 1, which
+``minimize`` splits off one after another.  ``decompose --format text --perturb`` spells out the certificate
 as the final bases over the input bases, and ``export-pres`` prints the
 minimal presentation, each for ``--dim 0`` and ``--dim 1``.
 ``data/certificate_outputs.json`` holds the SHA-256 of every exit code and
@@ -28,7 +28,8 @@ from pathlib import Path
 from mpdecomp.cli import main
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "certificate_outputs.json"
-N_CASES = 40
+N_CASES = 40  # d = 2 and 3 in turn
+N_D4 = 4  # then d = 4, drawn from a generator of their own
 COMMANDS = [
     ["decompose", "--format", "text", "--perturb", "--dim", "0"],
     ["decompose", "--format", "text", "--perturb", "--dim", "1"],
@@ -83,10 +84,12 @@ def digest(argv: list) -> str:
 def case_digests(directory: Path) -> list:
     """One list per case: a digest per entry of COMMANDS, in that order."""
     rng = random.Random(20261019)
+    cases = [(rng, 2 + case % 2) for case in range(N_CASES)]
+    cases += [(random.Random(4), 4)] * N_D4
     out = []
-    for case in range(N_CASES):
+    for case, (r, d) in enumerate(cases):
         path = directory / f"case{case}.mpfilt"
-        path.write_text(random_mpfilt(rng, 2 + case % 2))
+        path.write_text(random_mpfilt(r, d))
         out.append([digest([argv[0], str(path)] + argv[1:]) for argv in COMMANDS])
     return out
 
@@ -94,8 +97,8 @@ def case_digests(directory: Path) -> list:
 def test_certificate_outputs_match_recorded_digests(tmp_path):
     want = json.loads(DIGESTS.read_text())
     got = case_digests(tmp_path)
-    assert len(got) == len(want) == N_CASES
-    bad = [case for case in range(N_CASES) if got[case] != want[case]]
+    assert len(got) == len(want) == N_CASES + N_D4
+    bad = [case for case in range(len(got)) if got[case] != want[case]]
     assert not bad, f"outputs changed for cases {bad[:10]}"
 
 

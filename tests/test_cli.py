@@ -704,6 +704,12 @@ def test_mppres_counts_and_coordinates_fail_with_line_numbers(tmp_path, capsys, 
             "input is not supported, convert to a one-critical filtration first "
             "(e.g. by a mapping telescope)",
         ),
+        (
+            "mpfilt 1\nparams 2\n" + "s 0 0 :\n" * 4
+            + "s 1 1 : 0 1\ns 1 1 : 1 2\ns 1 1 : 2 3\ns 2 2 : 4 5 6\n",
+            "line 10: facets [4, 5, 6] of simplex 7 do not close up: their own "
+            "boundaries do not cancel",
+        ),
     ],
     ids=[
         "header",
@@ -730,6 +736,7 @@ def test_mppres_counts_and_coordinates_fail_with_line_numbers(tmp_path, capsys, 
         "facet-count",
         "grade-not-above-facet",
         "multi-critical",
+        "facets-do-not-close-up",
     ],
 )
 def test_mpfilt_refusals_name_the_line(tmp_path, capsys, text, message):

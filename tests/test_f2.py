@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mpdecomp import F2Matrix, col_reduce
 from mpdecomp.errors import InputError
+from mpdecomp.f2 import bits, reduce_into
 from reference import from_dense, matmul, rank, row_echelon_rank
 
 
@@ -156,6 +157,28 @@ def test_col_reduce_combination_reproduces_result(dense, mask):
         if (comb >> j) & 1:
             acc ^= M.cols[j]
     assert acc == 0
+
+
+@given(dense_strategy(max_n=6, max_m=7), st.integers(0, 3))
+def test_reduce_into_carries_the_combination_below_low(dense, pad):
+    # column j goes in as (col << low) | (1 << j), one at a time; pad adds
+    # bits below low that no column uses
+    S = from_dense(dense)
+    low = S.n_cols + pad
+    pivots: dict = {}
+    for j, col in enumerate(S.cols):
+        r = reduce_into(pivots, (col << low) | (1 << j), low)
+        left, comb = r >> low, r & ((1 << low) - 1)
+        acc = left
+        for i in bits(comb):
+            acc ^= S.cols[i]
+        assert acc == 0  # what is left is the sum of the combination's columns
+        assert comb >> (j + 1) == 0 and (comb >> j) & 1
+        prefix = [row[: j + 1] for row in dense]
+        rises = row_echelon_rank(prefix) > row_echelon_rank([row[:j] for row in dense])
+        assert (left == 0) == (not rises)
+        assert len(pivots) == row_echelon_rank(prefix)
+    assert all(p.bit_length() - 1 == lw for lw, p in pivots.items())
 
 
 @given(dense_strategy(max_n=6, max_m=7), st.integers(0, 63))

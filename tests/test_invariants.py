@@ -29,6 +29,7 @@ from mpdecomp import (
 )
 from mpdecomp.cli import main
 from mpdecomp.errors import InputError
+from mpdecomp import invariants
 from mpdecomp.invariants import MAX_BOX_POINTS
 from reference import betti_euler_function, dim_oracle, from_dense, merge_tables, rank
 
@@ -259,13 +260,33 @@ def widened(P):
     return GradeBox.span(tuple(a[0] - 1 for a in axes), tuple(a[-1] + 1 for a in axes))
 
 
-def test_dimension_function_on_wide_grid_matches_oracle():
+def partial_boxes(P):
+    """Boxes that meet only part of P's grid: a single point, a box strictly
+    inside the grades, one wholly below them and one wholly above."""
+    axes = default_box(P).axes
+    lo = [a[0] for a in axes]
+    hi = [a[-1] for a in axes]
+    mid = [a[len(a) // 2] for a in axes]
+    return [
+        GradeBox.span(mid, mid),
+        GradeBox.span([x + 1 for x in lo], [x - 1 for x in hi]),
+        GradeBox.span([x - 3 for x in lo], [x - 1 for x in lo]),
+        GradeBox.span([x + 1 for x in hi], [x + 3 for x in hi]),
+    ]
+
+
+def wide_grid_presentation():
     # 42 grades with pairwise distinct coordinates on both axes: every
     # column opens a slice of its own
     rng = random.Random(11)
-    P = random_presentation(rng, 2, 12, 30, lambda k: rng.sample(range(50), 42))
+    return random_presentation(rng, 2, 12, 30, lambda k: rng.sample(range(50), 42))
+
+
+def test_dimension_function_on_wide_grid_matches_oracle():
+    P = wide_grid_presentation()
     assert len({g[1] for g in P.col_grades}) == 30
-    assert_matches_oracle(P, widened(P))
+    for box in [widened(P)] + partial_boxes(P):
+        assert_matches_oracle(P, box)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -276,7 +297,26 @@ def test_dimension_function_matches_oracle_in_one_and_three_parameters(d):
         P = random_presentation(
             rng, d, n, m, lambda k: [rng.randint(0, 4) for _ in range(n + m)]
         )
-        assert_matches_oracle(P, widened(P))
+        for box in [widened(P)] + partial_boxes(P):
+            assert_matches_oracle(P, box)
+
+
+def test_one_point_box_sweeps_one_slice(monkeypatch):
+    P = wide_grid_presentation()
+    calls = []
+    real = invariants.reduce_into
+
+    def counted(pivots, c, low=0):
+        calls.append(c)
+        return real(pivots, c, low)
+
+    monkeypatch.setattr(invariants, "reduce_into", counted)
+    top = [a[-1] for a in default_box(P).axes]
+    assert_matches_oracle(P, GradeBox.span(top, top))
+    assert len(calls) <= P.n_cols  # one slice: each column at most once
+    calls.clear()
+    dimension_function(P, default_box(P))
+    assert len(calls) > 10 * P.n_cols  # the whole grid sweeps every slice
 
 
 def test_dimension_function_at_the_64_bit_edge():

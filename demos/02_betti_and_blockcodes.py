@@ -19,6 +19,7 @@ from mpdecomp import (
     persistent_betti,
     pres_2param,
     sort_by_grade,
+    summands,
     tot_diagonalize,
 )
 from mpdecomp.grades import fmt
@@ -40,9 +41,11 @@ def main() -> None:
     final = diag.matrix
     print(f"{len(diag.blocks)} indecomposable summands\n")
 
-    for block, table in persistent_betti(final, diag.blocks):
-        gens = [final.row_labels[i] for i in block.rows]
-        print(f"summand generated by {gens}:")
+    # one presentation per block with rows, in block order
+    blocks = [b for b in diag.blocks if b.rows]
+    subs = summands(final, blocks)
+    for sub, table in zip(subs, persistent_betti(subs)):
+        print(f"summand generated by {list(sub.row_labels)}:")
         for deg, grades in enumerate(table):  # the sorted grades of each degree
             print(f"  beta_{deg} supported at {[fmt(g) for g in grades]}")
 
@@ -54,7 +57,7 @@ def main() -> None:
           "(x1 grows downwards, x2 to the right; a grade between grid points\n"
           "takes the value of the grid point at or below it):")
     width = box.shape[-1]  # values are flat, last coordinate fastest
-    for block, values in blockcodes(final, diag.blocks, box):
+    for block, values in zip(blocks, blockcodes(subs, box)):
         print(f"  block rows={list(block.rows)}:")
         for start in range(0, len(values), width):
             print("    " + " ".join(str(v) for v in values[start : start + width]))

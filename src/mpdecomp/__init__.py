@@ -27,6 +27,7 @@ from .invariants import (
     default_box,
     dimension_function,
     persistent_betti,
+    summands,
 )
 from .presentation import (
     format_presentation,
@@ -73,6 +74,7 @@ __all__ = [
     "replay_certificate",
     "rewrite_in_basis",
     "sort_by_grade",
+    "summands",
     "tied_pairs",
     "topo_order",
     "tot_diagonalize",

@@ -17,18 +17,19 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from operator import sub
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .diagonalize import Diagonalization, IndexBlock, Op, replay_certificate, tot_diagonalize
+from .diagonalize import Diagonalization, Op, replay_certificate, tot_diagonalize
 from .errors import InputError, InternalCheckError, TiedGradesError
 from .f2 import bits
 from .filtration import parse_filtration
 from .graded import GradedMatrix, sort_by_grade
 from .grades import check_grade, fmt, leq, read_int, read_lines
-from .invariants import GradeBox, blockcodes, default_box, persistent_betti
+from .invariants import GradeBox, blockcodes, default_box, persistent_betti, summands
 from .presentation import (
     format_presentation,
     minimize,
@@ -198,22 +199,20 @@ def _decompose_text(case: str, diag: Diagonalization) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _betti_text(diag: Diagonalization) -> str:
-    M = diag.matrix
+def _betti_text(subs: List[GradedMatrix]) -> str:
     lines = []
-    for pos, (block, table) in enumerate(persistent_betti(M, diag.blocks)):
-        labels = ",".join(M.row_labels[i] for i in block.rows)
-        lines.append(f"block {pos} (generators {labels}):")
+    for pos, (sub, table) in enumerate(zip(subs, persistent_betti(subs))):
+        lines.append(f"block {pos} (generators {','.join(sub.row_labels)}):")
         for deg, grades in enumerate(table):
             lines.append(f"  beta_{deg}: {' '.join(map(fmt, grades))}".rstrip())
     return "\n".join(lines) + "\n"
 
 
-def _blockcode_csv(codes: List[Tuple[IndexBlock, List[int]]], box: GradeBox) -> str:
+def _blockcode_csv(codes: List[List[int]], box: GradeBox) -> str:
     header = ",".join(f"x{k + 1}" for k in range(len(box.axes))) + ",block_id,dim"
     lines = [header]
     for pos, u in enumerate(box.grades()):
-        for block_id, (_, values) in enumerate(codes):
+        for block_id, values in enumerate(codes):
             lines.append(",".join(map(str, u)) + f",{block_id},{values[pos]}")
     return "\n".join(lines) + "\n"
 
@@ -255,20 +254,19 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
     case, diag, _ = _pipeline(args)
     if args.format == "text":
         return _decompose_text(case, diag)
+    subs = summands(diag.matrix, diag.blocks)
     if args.format == "betti":
-        return _betti_text(diag)
-    M = diag.matrix
-    box = GradeBox.span(*args.box) if args.box else default_box(M)
+        return _betti_text(subs)
+    box = GradeBox.span(*args.box) if args.box else default_box(diag.matrix)
     if args.format == "csv":
-        return _blockcode_csv(blockcodes(M, diag.blocks, box), box)
+        return _blockcode_csv(blockcodes(subs, box), box)
     payload = _diagonalize_payload(case, diag)
     payload["grid"] = [list(axis) for axis in box.axes]
-    tables = dict(persistent_betti(M, diag.blocks))
-    codes = dict(blockcodes(M, diag.blocks, box))
-    for b, entry in zip(diag.blocks, payload["blocks"]):
-        if b.rows:
-            entry["betti"] = _betti_payload(tables[b])
-            entry["dim_function"] = codes[b]
+    # the blocks with rows come first, in the order of their summands
+    tables, codes = persistent_betti(subs), blockcodes(subs, box)
+    for entry, table, values in zip(payload["blocks"], tables, codes):
+        entry["betti"] = _betti_payload(table)
+        entry["dim_function"] = values
     return _dump_json(payload)
 
 
@@ -364,6 +362,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse would read a negative first --box coordinate as an option
+    for k in reversed(range(len(argv) - 1)):
+        if argv[k] == "--box" and re.match(r"-\d", argv[k + 1]):
+            argv[k : k + 2] = ["--box=" + argv[k + 1]]
     args = _build_parser().parse_args(argv)
     try:
         if args.box is not None:

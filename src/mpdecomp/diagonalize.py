@@ -19,13 +19,11 @@ The region starts clear on the columns before t and ends clear on all of
 them, so those columns end up as they were: the already-diagonalized
 prefix stays untouched.  Row additions act on whole rows, so columns after
 t pick up their side effects.  Those columns are reduced later, when the
-loop reaches them.
+loop reaches them.  Blocks come out as ``IndexBlock`` pairs of index tuples.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from operator import lt
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import InputError, TiedGradesError
@@ -34,17 +32,11 @@ from .graded import AdmissibleOps, GradedMatrix, admissible_ops
 from .grades import tied_pairs, topo_order
 
 
-@dataclass(frozen=True)
-class IndexBlock:
+class IndexBlock(NamedTuple):
     """A paired set of row and column indices, each strictly increasing."""
 
     rows: Tuple[int, ...]
     cols: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        rows, cols = self.rows, self.cols
-        if not (all(map(lt, rows, rows[1:])) and all(map(lt, cols, cols[1:]))):
-            raise InputError("block index sets must be strictly increasing")
 
 
 class Op(NamedTuple):
@@ -53,8 +45,7 @@ class Op(NamedTuple):
     target: int
 
 
-@dataclass
-class Diagonalization:
+class Diagonalization(NamedTuple):
     matrix: GradedMatrix
     blocks: List[IndexBlock]
     certificate: List[Op]
@@ -171,7 +162,8 @@ def tot_diagonalize(A: GradedMatrix, *, perturb_ties: bool = False) -> Diagonali
     are refused unless perturb_ties is set, in which case the earlier index
     is treated as strictly smaller and the result is flagged perturbed.
     The certificate lists every realized operation in application order;
-    replaying it on the input reproduces the returned matrix.
+    replaying it on the input reproduces the returned matrix.  The blocks
+    with rows come first, by lowest row, then one block per zero column.
     """
     if topo_order(A.row_grades) != list(range(A.n_rows)):
         raise InputError("rows are not in topo order; sort before diagonalizing")

@@ -1,4 +1,4 @@
-"""Invariants read off a decomposed presentation.
+"""Invariants read off the summand presentations of a decomposition (``summands``).
 
 The dimension function of a cokernel at a grade u is (generators born by
 u) minus (rank of the relations born by u).  Both change only where u
@@ -6,8 +6,7 @@ crosses a grade coordinate of the presentation, so they are computed on
 the grid of its distinct coordinates: generator counts by cumulative sums,
 relation ranks by one left-to-right reduction per slice of that grid that
 the box meets (a value of every coordinate after the first), never one rank
-per point.
-``minimize`` returns a minimal presentation, so its row and
+per point.  ``minimize`` returns a minimal presentation, so its row and
 column grades are exactly the graded Betti numbers in degrees 0 and 1, and
 each summand of its decomposition is minimal too.  With two parameters the
 kernel of that presentation is free, so its generators are the whole of
@@ -29,9 +28,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, product
 from operator import le
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .diagonalize import IndexBlock
 from .errors import InputError
 from .f2 import reduce_into
 from .graded import GradedMatrix, _reindexed
@@ -147,36 +145,33 @@ def dimension_function(M: GradedMatrix, box: GradeBox) -> List[int]:
     return [v[x] for x in cells[0] for v in tails]
 
 
-def persistent_betti(
-    M: GradedMatrix, blocks: Sequence[IndexBlock]
-) -> List[Tuple[IndexBlock, List[List[Tuple[int, ...]]]]]:
-    """One Betti table per generator-carrying block of a decomposition.
+def summands(
+    M: GradedMatrix, blocks: Iterable[Tuple[Sequence[int], Sequence[int]]]
+) -> List[GradedMatrix]:
+    """The presentation of each (rows, cols) block with rows, in block order.
 
-    M is ``minimize``'s output, diagonalized.  A table lists, by degree,
-    the sorted grades of that degree with multiplicity: the rows, the
-    columns and, with two parameters, the generators of the free kernel,
-    so the table is complete.  Blocks without rows present the zero module
-    and are skipped (a minimal presentation has none); every kept block has
-    a nonempty degree 0.
+    Blocks without rows present the zero module and are skipped (a minimal
+    presentation has none).
+    """
+    return [_reindexed(M, rows, cols) for rows, cols in blocks if rows]
+
+
+def persistent_betti(subs: Sequence[GradedMatrix]) -> List[List[List[Tuple[int, ...]]]]:
+    """One Betti table per summand of a minimal presentation, from ``summands``.
+
+    A table lists, by degree, the sorted grades of that degree with
+    multiplicity: the rows, the columns and, with two parameters, the
+    generators of the free kernel, so the table is complete.
     """
     out = []
-    for block in blocks:
-        if not block.rows:
-            continue
-        sub = _reindexed(M, block.rows, block.cols)
+    for sub in subs:
         table = [sorted(sub.row_grades), sorted(sub.col_grades)]
-        if M.d == 2:
+        if sub.d == 2:
             table.append(sorted(kernel_gens(sub).col_grades))
-        out.append((block, table))
+        out.append(table)
     return out
 
 
-def blockcodes(
-    M: GradedMatrix, blocks: Sequence[IndexBlock], box: GradeBox
-) -> List[Tuple[IndexBlock, List[int]]]:
-    """(block, dimension function over the box) per block with rows."""
-    return [
-        (block, dimension_function(_reindexed(M, block.rows, block.cols), box))
-        for block in blocks
-        if block.rows
-    ]
+def blockcodes(subs: Sequence[GradedMatrix], box: GradeBox) -> List[List[int]]:
+    """Each summand's dimension function; ``perfbench/spans.py`` times it by name."""
+    return [dimension_function(sub, box) for sub in subs]

@@ -16,8 +16,6 @@ from .errors import InputError, InternalCheckError
 from .f2 import F2Matrix, bits
 from .graded import AdmissibleOps, GradedMatrix, admissible_ops
 
-Partition = FrozenSet[Tuple[Tuple[int, ...], Tuple[int, ...]]]
-
 
 def block_partition(M: F2Matrix) -> List[IndexBlock]:
     """Connected components of the row/column incidence of nonzero entries.
@@ -56,10 +54,6 @@ def block_partition(M: F2Matrix) -> List[IndexBlock]:
     blocks.extend(IndexBlock((i,), ()) for i in range(n) if i not in touched_rows)
     blocks.extend(IndexBlock((), (j,)) for j in range(m) if j not in touched_cols)
     return sorted(blocks, key=_block_key)
-
-
-def _as_partition(blocks: List[IndexBlock]) -> Partition:
-    return frozenset((b.rows, b.cols) for b in blocks)
 
 
 def op_pairs(ops: AdmissibleOps) -> Tuple[FrozenSet, FrozenSet]:
@@ -103,7 +97,7 @@ def brute_force_finest(M: GradedMatrix, budget: int = 20) -> List[IndexBlock]:
         pa_variants.append(pa)
 
     best_count = -1
-    best_partitions: Set[Partition] = set()
+    best_partitions: Set[FrozenSet[IndexBlock]] = set()
     seen: Set[Tuple[Tuple[int, ...], ...]] = set()
     for pa in pa_variants:
         pa_cols = [tuple(r[j] for r in pa) for j in range(m)]
@@ -121,9 +115,9 @@ def brute_force_finest(M: GradedMatrix, budget: int = 20) -> List[IndexBlock]:
             blocks = block_partition(F2Matrix(n, cols))
             if len(blocks) > best_count:
                 best_count = len(blocks)
-                best_partitions = {_as_partition(blocks)}
+                best_partitions = {frozenset(blocks)}
             elif len(blocks) == best_count:
-                best_partitions.add(_as_partition(blocks))
+                best_partitions.add(frozenset(blocks))
     # partial diagonalizations may tie each other, but the true maximum
     # must be achieved by a single partition when grades are distinct
     if len(best_partitions) != 1:
@@ -131,7 +125,4 @@ def brute_force_finest(M: GradedMatrix, budget: int = 20) -> List[IndexBlock]:
             "two maximizers disagree on the finest partition; "
             "tied grades were probably not broken"
         )
-    return sorted(
-        (IndexBlock(rows, cols) for rows, cols in best_partitions.pop()),
-        key=_block_key,
-    )
+    return sorted(best_partitions.pop(), key=_block_key)

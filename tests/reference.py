@@ -5,6 +5,7 @@ part of the program needs them.
 """
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
 from operator import xor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -16,8 +17,13 @@ from mpdecomp import (
     GradedMatrix,
     IndexBlock,
     Op,
+    blockcodes,
     col_reduce,
+    default_box,
     leq,
+    persistent_betti,
+    summands,
+    tot_diagonalize,
 )
 
 
@@ -107,6 +113,47 @@ def betti_euler_function(table: Table, box: GradeBox) -> List[int]:
         )
         for u in box.grades()
     ]
+
+
+def random_additions(M: GradedMatrix, k: int, rng: random.Random) -> GradedMatrix:
+    """M after k seeded random admissible row and column additions.
+
+    Each addition is drawn from every pair that ``GradedMatrix.add_row`` or
+    ``add_col`` allows.  They test grades with ``leq``, so of two rows or
+    columns at the same grade either may be added into the other.  The
+    result presents a module isomorphic to coker M, with M's grades in
+    M's order, so a minimized, sorted M stays minimized and sorted.
+    """
+    out = M.copy()
+    rg, cg = M.row_grades, M.col_grades
+    pairs = [
+        (out.add_row, l, r) for r in range(M.n_rows) for l in range(M.n_rows)
+        if l != r and leq(rg[r], rg[l])
+    ] + [
+        (out.add_col, i, j) for j in range(M.n_cols) for i in range(M.n_cols)
+        if i != j and leq(cg[i], cg[j])
+    ]
+    for add, src, dst in rng.choices(pairs, k=k) if pairs else ():
+        add(src, dst)
+    return out
+
+
+def summand_types(M: GradedMatrix) -> List[Tuple]:
+    """The sorted multiset of summand types of a minimized, sorted M.
+
+    A type is a summand's Betti-0 grades, its Betti-1 grades and its
+    dimension function on the grid of M's distinct coordinates, so
+    isomorphic summands have one type.  By the Krull-Schmidt theorem the
+    multiset depends only on the isomorphism class of coker M.  Tied grades
+    are broken by index, as ``--perturb`` does.
+    """
+    diag = tot_diagonalize(M, perturb_ties=True)
+    subs = summands(diag.matrix, diag.blocks)
+    codes = blockcodes(subs, default_box(M))
+    return sorted(
+        (tuple(table[0]), tuple(table[1]), tuple(values))
+        for table, values in zip(persistent_betti(subs), codes, strict=True)
+    )
 
 
 def row_echelon_rank(a) -> int:

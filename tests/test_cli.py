@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import mpdecomp
-from mpdecomp import cli
+from mpdecomp import cli, invariants
 from mpdecomp.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,7 +133,7 @@ def test_betti_tables_are_sorted_grade_lists(capsys, path, dim):
     )
     _, diag, _ = cli._pipeline(args)
     d = diag.matrix.d
-    tables = [table for _, table in mpdecomp.persistent_betti(diag.matrix, diag.blocks)]
+    tables = mpdecomp.persistent_betti(mpdecomp.summands(diag.matrix, diag.blocks))
     assert tables
     for table in tables:
         assert type(table) is list and len(table) == (3 if d == 2 else 2)
@@ -365,6 +365,34 @@ def test_bad_box_flag(capsys):
     code5, out5, err5 = run_cli(capsys, "decompose", TRIANGLE, "--box", "1,1:0,2")
     assert (code5, out5) == (2, "")
     assert err5 == "error: empty box: (1,1) is not <= (0,2)\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_box_with_negative_first_coordinate_as_its_own_argument(capsys, fmt):
+    joined = run_cli(capsys, "decompose", TRIANGLE, "--format", fmt, "--box=-1,-1:1,1")
+    split = run_cli(capsys, "decompose", TRIANGLE, "--format", fmt, "--box", "-1,-1:1,1")
+    assert joined[0] == 0 and split[:2] == joined[:2]
+    # without a value --box is still argparse's error
+    with pytest.raises(SystemExit) as info:
+        main(["decompose", TRIANGLE, "--box"])
+    assert info.value.code == 2
+    assert "argument --box: expected one argument" in capsys.readouterr().err
+
+
+def test_decompose_builds_each_summand_once(capsys, monkeypatch):
+    calls = []
+    reindexed = invariants._reindexed
+
+    def counting(M, rows, cols, *rest):
+        calls.append(rows)
+        return reindexed(M, rows, cols, *rest)
+
+    monkeypatch.setattr(invariants, "_reindexed", counting)
+    code, out, _ = run_cli(capsys, "decompose", SUSPENSION, "--dim", "1")
+    assert code == 0
+    with_rows = [b["rows"] for b in json.loads(out)["blocks"] if b["rows"]]
+    assert len(with_rows) > 1
+    assert [list(rows) for rows in calls] == with_rows
 
 
 @pytest.mark.parametrize("flag", ["1_0,0:3,3", "+1,0:3,3", "0,0:3, 3"])

@@ -17,6 +17,7 @@ from mpdecomp import (
     pres_h0,
     replay_certificate,
     sort_by_grade,
+    summands,
     tot_diagonalize,
 )
 from mpdecomp import diagonalize
@@ -123,6 +124,26 @@ def test_zero_matrix_gives_singletons():
     assert diag.certificate == []
 
 
+def test_blocks_with_rows_by_lowest_row_then_zero_columns():
+    # rows 0 and 2 join at column 2, after row 1's block formed at column 1;
+    # columns 0 and 3 are zero.  The invariants pair the blocks with rows,
+    # in this order, with their summand presentations
+    M = GradedMatrix(
+        from_dense([[0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
+        [(0, 1), (0, 2), (1, 0)],
+        [(0, 0), (0, 3), (1, 1), (5, 5)],
+    )
+    diag = tot_diagonalize(M)
+    assert diag.blocks == [
+        IndexBlock((0, 2), (2,)),
+        IndexBlock((1,), (1,)),
+        IndexBlock((), (0,)),
+        IndexBlock((), (3,)),
+    ]
+    subs = summands(diag.matrix, diag.blocks)
+    assert [sub.row_grades for sub in subs] == [[(0, 1), (1, 0)], [(0, 2)]]
+
+
 def test_incomparable_column_cannot_split():
     # single relation involving three incomparable generators stays whole
     M = GradedMatrix(
@@ -132,15 +153,6 @@ def test_incomparable_column_cannot_split():
     )
     diag = tot_diagonalize(M)
     assert diag.blocks == [IndexBlock((0, 1, 2), (0,))]
-
-
-def test_index_block_sets_strictly_increase():
-    assert IndexBlock((0, 2), (1,)).rows == (0, 2)
-    IndexBlock((), ())
-    # a repeated index used to pass the check, which compared a sorted copy
-    for rows, cols in [((1, 1), ()), ((), (3, 3)), ((2, 1), ()), ((0,), (4, 5, 1))]:
-        with pytest.raises(InputError, match="strictly increasing"):
-            IndexBlock(rows, cols)
 
 
 def test_unsorted_input_rejected():

@@ -25,6 +25,7 @@ from mpdecomp import (
     persistent_betti,
     pres_h0,
     sort_by_grade,
+    summands,
     tot_diagonalize,
 )
 from mpdecomp.cli import main
@@ -126,9 +127,10 @@ def test_box_over_point_cap_rejected():
 
 def test_persistent_betti_reproduces_reference_table():
     final, diag = triangle_pipeline()
-    tables = persistent_betti(final, diag.blocks)
+    subs = summands(final, diag.blocks)
+    tables = persistent_betti(subs)
     assert len(tables) == 2
-    (b1, t1), (b2, t2) = tables
+    (b1, t1), (b2, t2) = zip(diag.blocks, tables)
     assert b1.rows == (0, 1) and b2.rows == (2,)
     assert t1[0] == [(0, 1), (1, 0)]
     assert t1[1] == [(1, 1)]
@@ -141,7 +143,7 @@ def test_persistent_betti_reproduces_reference_table():
 def test_global_betti_is_sum_of_blocks():
     final, diag = triangle_pipeline()
     whole = [final.row_grades, final.col_grades]
-    merged = merge_tables(table for _, table in persistent_betti(final, diag.blocks))
+    merged = merge_tables(persistent_betti(summands(final, diag.blocks)))
     for deg in (0, 1):
         assert merged[deg] == sorted(whole[deg])
     b2_whole = kernel_gens(final).col_grades
@@ -151,9 +153,9 @@ def test_global_betti_is_sum_of_blocks():
 def test_blockcode_reference_values():
     final, diag = triangle_pipeline()
     box = GradeBox.span((0, 0), (3, 3))
-    codes = blockcodes(final, diag.blocks, box)
+    codes = blockcodes(summands(final, diag.blocks), box)
     assert len(codes) == 2
-    (_, m1), (_, m2) = codes
+    m1, m2 = codes
     for u, v1, v2 in zip(box.grades(), m1, m2, strict=True):
         assert v1 == (1 if (leq((1, 0), u) or leq((0, 1), u)) else 0)
         assert v2 == (1 if u == (1, 1) else 0)
@@ -164,7 +166,7 @@ def test_dimension_function_additive_over_blocks():
     box = default_box(final)
     total = dimension_function(final, box)
     acc = [0] * len(total)
-    for _, values in blockcodes(final, diag.blocks, box):
+    for values in blockcodes(summands(final, diag.blocks), box):
         acc = list(map(add, acc, values))
     assert acc == total
 
@@ -172,10 +174,9 @@ def test_dimension_function_additive_over_blocks():
 def test_hilbert_consistency_betti_vs_dimension():
     final, diag = triangle_pipeline()
     box = default_box(final)
-    codes = dict(blockcodes(final, diag.blocks, box))
-    for block in diag.blocks:
-        table = dict(persistent_betti(final, [block]))[block]
-        assert betti_euler_function(table, box) == codes[block]
+    subs = summands(final, diag.blocks)
+    for table, values in zip(persistent_betti(subs), blockcodes(subs, box), strict=True):
+        assert betti_euler_function(table, box) == values
 
 
 def test_persistent_betti_skips_free_columns_only_blocks():
@@ -189,8 +190,9 @@ def test_persistent_betti_skips_free_columns_only_blocks():
     diag = tot_diagonalize(M)
     rowless = [b for b in diag.blocks if not b.rows]
     assert rowless
-    tables = persistent_betti(M, diag.blocks)
-    assert all(block.rows for block, _ in tables)
+    subs = summands(M, diag.blocks)
+    assert all(sub.n_rows for sub in subs)
+    assert len(persistent_betti(subs)) == len(diag.blocks) - len(rowless)
 
 
 def test_betti_table_merge_and_counts():

@@ -6,8 +6,10 @@ output is byte-deterministic: keys sorted, arrays in canonical index order.
 ``decompose`` gives each summand's Betti table and its dimension function
 on a grid: by default the distinct grade coordinates on each axis, where
 the function is constant on the cells between them, or every integer of a
-``--box``.  Its ``csv`` and ``betti`` formats are views of that result;
-``text`` and ``betti`` print no dimension function and refuse ``--box``.
+``--box``, which is refused when its points times the summands exceed
+``MAX_BOX_POINTS`` values.  Its ``csv`` and ``betti`` formats are views of
+that result; ``text`` and ``betti`` print no dimension function and refuse
+``--box``.
 
 Exit codes: 0 success, 2 bad input, 3 tied grades without the perturbation
 flag, 4 internal consistency failure.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from operator import sub
@@ -29,7 +32,14 @@ from .f2 import bits
 from .filtration import parse_filtration
 from .graded import GradedMatrix, sort_by_grade
 from .grades import check_grade, fmt, leq, read_int, read_lines
-from .invariants import GradeBox, blockcodes, default_box, persistent_betti, summands
+from .invariants import (
+    MAX_BOX_POINTS,
+    GradeBox,
+    blockcodes,
+    default_box,
+    persistent_betti,
+    summands,
+)
 from .presentation import (
     format_presentation,
     minimize,
@@ -257,7 +267,17 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
     subs = summands(diag.matrix, diag.blocks)
     if args.format == "betti":
         return _betti_text(subs)
-    box = GradeBox.span(*args.box) if args.box else default_box(diag.matrix)
+    if args.box:
+        box = GradeBox.span(*args.box)
+        # every summand gets a value per point, all of them held at once
+        points = math.prod(box.shape)
+        if points * len(subs) > MAX_BOX_POINTS:
+            raise InputError(
+                f"--box of {points} grade points for {len(subs)} summands asks for "
+                f"{points * len(subs)} values, more than the limit of {MAX_BOX_POINTS}"
+            )
+    else:
+        box = default_box(diag.matrix)
     if args.format == "csv":
         return _blockcode_csv(blockcodes(subs, box), box)
     payload = _diagonalize_payload(case, diag)

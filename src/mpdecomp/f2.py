@@ -4,11 +4,13 @@ Columns are arbitrary-precision integers, bit i = row i, so a column
 addition is one XOR and the pivot of a column is its highest set bit.
 Storage is column-major; a row addition walks every column.
 
-``reduce_into`` is the one elimination loop: every reduction of the
-package, here and in the presentation and invariants layers, calls it.  A
-caller that needs the combination a vector stands for packs it into the
-bits below ``low``, the vector itself above them, so the combination rides
-along and the pivot is still the vector's own highest bit.
+``reduce_into`` is the elimination loop of every reduction that adds
+columns in a fixed order: here, in ``minimize`` and in the invariants
+layer.  A caller that needs the combination a vector stands for packs it
+into the bits below ``low``, the vector itself above them, so the
+combination rides along and the pivot is still the vector's own highest
+bit.  ``kernel_gens`` packs its columns the same way but keeps an echelon
+that columns join out of order, so it has a loop of its own.
 """
 from __future__ import annotations
 

@@ -19,58 +19,71 @@ such builder's output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import le
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .f2 import F2Matrix, bits
 from .grades import check_grade, fmt, leq, topo_order
 
 
-@dataclass
 class GradedMatrix:
     """A binary matrix with a grade per row and column, all in Z^d.
 
     Grades are checked with ``check_grade`` and stored as tuples.  ``d``
     may be left out when there is at least one grade; a matrix without
-    grades keeps the parameter count it is given.
+    grades keeps the parameter count it is given.  Labels left out are
+    ``r0, r1, ...`` and ``c0, c1, ...``.  Two matrices are equal when all
+    six fields are.
     """
 
-    mat: F2Matrix
-    row_grades: List[Tuple[int, ...]]
-    col_grades: List[Tuple[int, ...]]
-    row_labels: List[str] = field(default_factory=list)
-    col_labels: List[str] = field(default_factory=list)
-    d: Optional[int] = None
+    __slots__ = ("mat", "row_grades", "col_grades", "row_labels", "col_labels", "d")
 
-    def __post_init__(self) -> None:
-        if len(self.row_grades) != self.mat.n_rows:
-            raise InputError(
-                f"{self.mat.n_rows} rows but {len(self.row_grades)} row grades"
-            )
-        if len(self.col_grades) != self.mat.n_cols:
-            raise InputError(
-                f"{self.mat.n_cols} columns but {len(self.col_grades)} column grades"
-            )
-        self.row_grades = [check_grade(g) for g in self.row_grades]
-        self.col_grades = [check_grade(g) for g in self.col_grades]
+    def __init__(
+        self,
+        mat: F2Matrix,
+        row_grades: Sequence[Tuple[int, ...]],
+        col_grades: Sequence[Tuple[int, ...]],
+        row_labels: Sequence[str] = (),
+        col_labels: Sequence[str] = (),
+        d: Optional[int] = None,
+    ) -> None:
+        if len(row_grades) != mat.n_rows:
+            raise InputError(f"{mat.n_rows} rows but {len(row_grades)} row grades")
+        if len(col_grades) != mat.n_cols:
+            raise InputError(f"{mat.n_cols} columns but {len(col_grades)} column grades")
+        self.mat = mat
+        self.row_grades = [check_grade(g) for g in row_grades]
+        self.col_grades = [check_grade(g) for g in col_grades]
         grades = self.row_grades + self.col_grades
-        if self.d is None:
+        if d is None:
             if not grades:
                 raise InputError("a matrix without grades needs its parameter count d")
-            self.d = len(grades[0])
-        if any(len(g) != self.d for g in grades):
+            d = len(grades[0])
+        self.d = d
+        if any(len(g) != d for g in grades):
             raise InputError("mixed grade dimensions in one matrix")
-        if not self.row_labels:
-            self.row_labels = [f"r{i}" for i in range(self.mat.n_rows)]
-        if not self.col_labels:
-            self.col_labels = [f"c{j}" for j in range(self.mat.n_cols)]
-        if len(self.row_labels) != self.mat.n_rows:
+        self.row_labels = list(row_labels) or [f"r{i}" for i in range(mat.n_rows)]
+        self.col_labels = list(col_labels) or [f"c{j}" for j in range(mat.n_cols)]
+        if len(self.row_labels) != mat.n_rows:
             raise InputError("row label count does not match rows")
-        if len(self.col_labels) != self.mat.n_cols:
+        if len(self.col_labels) != mat.n_cols:
             raise InputError("column label count does not match columns")
         self.validate_homogeneity()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GradedMatrix:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"GradedMatrix({fields})"
 
     @property
     def n_rows(self) -> int:
@@ -82,7 +95,7 @@ class GradedMatrix:
 
     def validate_homogeneity(self) -> None:
         """Every nonzero entry must satisfy row grade <= column grade."""
-        # __post_init__ has checked that all grades share one d
+        # the constructor has checked that all grades share one d
         rows, cols = self.row_grades, self.col_grades
         for i, j in self.mat.entries():
             if not all(map(le, rows[i], cols[j])):
@@ -115,8 +128,7 @@ class GradedMatrix:
         return _reindexed(self, range(self.n_rows), range(self.n_cols), self.mat.copy())
 
 
-@dataclass(frozen=True)
-class AdmissibleOps:
+class AdmissibleOps(NamedTuple):
     """The strictly-ordered operation menu of one graded matrix, as bitmasks.
 
     Bit i of col_mask[j] is set when column i may be added into column j,
@@ -190,8 +202,8 @@ def _reindexed(
     ``mat`` holds the picked entries, by default ``M.mat.submatrix(rows,
     cols)``.  A caller may pass grade-compatible column sums of M's
     entries instead, as ``minimize`` does.  Either way the result is
-    homogeneous because M is, and the checks of ``__post_init__`` would
-    only repeat what M passed.
+    homogeneous because M is, and the checks of the constructor would only
+    repeat what M passed.
     """
     return _trusted(
         M.mat.submatrix(rows, cols) if mat is None else mat,
@@ -213,7 +225,7 @@ def _trusted(
 ) -> GradedMatrix:
     """A graded matrix its builder knows to be valid, without the checks.
 
-    The caller vouches for everything ``__post_init__`` would check: one
+    The caller vouches for everything the constructor would check: one
     grade and one label per row and column, grades that ``check_grade``
     accepts and that all have ``d`` coordinates, and homogeneity.  The
     lists are stored as given, not copied.

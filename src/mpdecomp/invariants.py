@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, product
 from operator import le
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -40,18 +39,18 @@ from .presentation import kernel_gens
 MAX_BOX_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
 class GradeBox:
     """The grades of a product of increasing per-axis coordinate lists.
 
     A box of more than MAX_BOX_POINTS grades is refused: with three or more
     parameters even the grid of distinct coordinates grows as a power of
-    the number of grades.
+    the number of grades.  Two boxes are equal when their axes are.
     """
 
-    axes: Tuple[Sequence[int], ...]
+    __slots__ = ("axes",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, axes: Tuple[Sequence[int], ...]) -> None:
+        self.axes = axes
         points = math.prod(self.shape)
         if points > MAX_BOX_POINTS:
             raise InputError(
@@ -73,6 +72,17 @@ class GradeBox:
                 f"more than the limit of {MAX_BOX_POINTS}"
             )
         return cls(tuple(range(l, h + 1) for l, h in zip(lo, hi)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GradeBox:
+            return NotImplemented
+        return self.axes == other.axes
+
+    def __hash__(self) -> int:
+        return hash(self.axes)
+
+    def __repr__(self) -> str:
+        return f"GradeBox(axes={self.axes!r})"
 
     @property
     def shape(self) -> Tuple[int, ...]:

@@ -11,12 +11,12 @@ relations.
 Cycle generators are found by ``kernel_gens``, a sweep over the grid
 spanned by the column grades.  A slice fixes every coordinate but the
 first; a row fixes every one but the first and the last, and its slices
-form a chain.  The sweep walks one row at a time, column by column in
-lexicographic topo order, and reduces each column at the slices of the
-chain from its own grade up until it dies, so only the pairs where a column
-is live cost work and only one row's pivots are held at once.  With two
-parameters each column dies at a unique minimal grade; in general it can
-die along an antichain and every minimal grade is kept.
+form a chain.  The sweep walks one row at a time and climbs its chain
+once, keeping one echelon of the live columns in lexicographic topo order:
+each column joins it at its own slice and leaves when it dies, so a column
+is reduced once per row and only one row's pivots are held at once.  With
+two parameters each column dies at a unique minimal grade; in general it
+can die along an antichain and every minimal grade is kept.
 """
 from __future__ import annotations
 
@@ -47,30 +47,44 @@ def kernel_gens(M: GradedMatrix) -> GradedMatrix:
     ``(x, s)`` with ``x >= g_j[0]`` the active columns before ``j`` are
     exactly these; the reduction of ``j`` does not depend on ``x``.  A
     column that reduces to zero therefore dies at ``(g_j[0],) + s`` and at
-    every point above it in the slice, with the same combination, and one
-    reduction per slice finds every death.
+    every point above it in the slice, with the same combination, and the
+    reduction at each slice finds every death.  A column that died at a
+    slice ``s' <= s`` dies again at ``s``, above a grade already recorded,
+    so it is left out: only the columns live at ``s`` are reduced there.
 
-    A column that died at a slice ``s' <= s`` dies again at ``s``, above a
-    grade already recorded, and adds no pivot there, so it is left out: the
-    reduction at ``s`` depends only on the columns live there.  The slices
-    are walked one row at a time, a row being a value of every tail
-    coordinate but the last.  Along the last one the row's slices form a
-    chain, each with its own pivots, and every slice ``<= s`` lies in a row
-    no later than that of ``s``.  Each column, in topo order, climbs the
-    chain from its own tail, reduced afresh at every slice, until it dies or
-    meets a slice above one where it died in an earlier row.  So only the
-    (column, slice) pairs where the column is live are visited, and only
-    one row's pivots are held at a time: at most the chain length times
-    the rank of M.  Column j is reduced as ``(cols[j] << m) | (1 << j)``
-    with ``reduce_into``, m being M's column count, so a column dies where
-    nothing is left at or above bit m and the residue is its combination.
+    The slices are walked one row at a time, a row being a value of every
+    tail coordinate but the last; along the last one the row's slices form
+    a chain.  One echelon per row holds the live columns, column j as
+    ``(cols[j] << m) | (1 << j)`` reduced against live columns before it in
+    topo order, m being M's column count, so a pivot is a bit at or above m
+    and the bits below m carry the combination.  The chain is climbed once,
+    and each column joins the echelon at its own slice:
+
+    - A column reduces against the pivots of columns before it.  Where a
+      later column owns the pivot bit, the earlier one takes that bit and
+      the later owner is reduced by it in turn.
+    - A column left with nothing at or above bit m dies at that slice; its
+      residue is its relation.
+    - A column that died in an earlier row at slice k leaves the echelon
+      at slice k, before that slice's columns join.
+    - At the end of a slice, each death recorded there is cleaned of the
+      columns that have left the sweep by then: each such column, the
+      latest first, is replaced by its own relation.
+
+    Lows distinct and each vector a column plus earlier ones make the
+    echelon a reduction of the slice's live columns in topo order, whatever
+    order they joined in, so a column dies exactly where the reduction
+    from scratch at that slice kills it.  Its cleaned relation is its
+    unique expression over the independent live columns before it, which
+    is what that reduction returns.  So each column is inserted once per
+    row instead of once per slice it stays live at.
 
     What is left is one generator per minimal death grade of each column,
     Z's columns in (grade, topo position) order.  With two parameters the
-    grid is one row whose slices are totally ordered, each column gives at
-    most one generator, and Z is a basis of the free kernel.  With one
-    parameter the grid is a single slice.  A grid of more than
-    MAX_KERNEL_SLICES slices is refused before the sweep starts.
+    grid is one row, each column gives at most one generator, and Z is a
+    basis of the free kernel.  With one parameter the grid is a single
+    slice.  A grid of more than MAX_KERNEL_SLICES slices is refused before
+    the sweep starts.
     """
     d = M.d
     cols = M.mat.cols
@@ -86,30 +100,72 @@ def kernel_gens(M: GradedMatrix) -> GradedMatrix:
             f"{MAX_KERNEL_SLICES}"
         )
     m = len(cols)
-    packed = [(c << m) | (1 << j) for j, c in enumerate(cols)]
-    died: List[List[Tuple[Tuple[int, ...], int]]] = [[] for _ in grades]  # (row, k)
+    order = topo_order(grades)  # columns are named by topo position below
+    at = [0] * m  # column -> its topo position
+    for pos, j in enumerate(order):
+        at[j] = pos
+    packed = [(cols[j] << m) | (1 << j) for j in order]
+    tg = [grades[j] for j in order]
+    own = [bisect_left(chain, g[-1]) for g in tg]  # the slice a column joins at
+    died: List[List[Tuple[int, Tuple[int, ...], int]]] = [[] for _ in order]  # (k, row, relation)
     found: List[Tuple[Tuple[int, ...], int, int]] = []
-    order = topo_order(grades)
 
     for row in product(*axes):
-        pivots: List[Dict[int, int]] = [{} for _ in chain]  # per slice
-        for pos, j in enumerate(order):
-            g = grades[j]
+        joins: List[List[int]] = [[] for _ in chain]
+        leaves: List[List[Tuple[int, int]]] = [[] for _ in chain]
+        for pos, g in enumerate(tg):
             if not all(map(le, g[1:-1], row)):
                 continue
-            end = min(
-                (k for r, k in died[j] if all(map(le, r, row))), default=len(chain)
-            )
-            for k in range(bisect_left(chain, g[-1]), end):
-                comb = reduce_into(pivots[k], packed[j], m)
-                if comb.bit_length() <= m:
-                    died[j].append((row, k))
-                    found.append((((g[0],) + row + (chain[k],))[:d], pos, comb))
-                    break
+            earlier = [(k, r) for k, rw, r in died[pos] if all(map(le, rw, row))]
+            if earlier:
+                k, r = min(earlier)
+                leaves[k].append((pos, r))
+                if k == own[pos]:
+                    continue
+            joins[own[pos]].append(pos)
+        owner: Dict[int, int] = {}  # pivot bit -> the column owning it
+        reduced = [0] * m  # each owner's vector, 0 for every other column
+        relation: Dict[int, int] = {}  # a relation of each column that left
+        gone = 0  # the columns that left the sweep, as bits of M's columns
+        for k in range(len(chain)):
+            for pos, r in leaves[k]:
+                if reduced[pos]:
+                    del owner[reduced[pos].bit_length() - 1]
+                    reduced[pos] = 0
+                relation[pos] = r
+                gone |= 1 << order[pos]
+            deaths = []
+            for pos in joins[k]:
+                cur, v = pos, packed[pos]
+                while True:
+                    lw = v.bit_length() - 1
+                    if lw < m:  # nothing left at or above bit m: cur dies
+                        reduced[cur] = 0
+                        relation[cur] = v
+                        gone |= 1 << order[cur]
+                        deaths.append(cur)
+                        break
+                    held = owner.get(lw)
+                    if held is None:
+                        owner[lw] = cur
+                        reduced[cur] = v
+                        break
+                    if held < cur:
+                        v ^= reduced[held]
+                    else:  # cur takes the bit; the later owner goes on in its place
+                        owner[lw] = cur
+                        reduced[cur], cur, v = v, held, reduced[held] ^ v
+            for pos in deaths:
+                r = relation[pos]
+                others = gone ^ (1 << order[pos])
+                while r & others:
+                    r ^= relation[max(map(at.__getitem__, bits(r & others)))]
+                died[pos].append((k, row, r))
+                found.append((((tg[pos][0],) + row + (chain[k],))[:d], pos, r))
     found.sort()
     # a generator sums columns born at or below its grade: Z is homogeneous
     return _trusted(
-        F2Matrix(len(cols), [comb for _, _, comb in found]),
+        F2Matrix(len(cols), [r for _, _, r in found]),
         list(M.col_grades),
         [z for z, _, _ in found],
         list(M.col_labels),

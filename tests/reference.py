@@ -6,8 +6,9 @@ part of the program needs them.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from operator import xor
+from bisect import bisect_left, bisect_right
+from itertools import product
+from operator import le, xor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mpdecomp import (
@@ -23,8 +24,10 @@ from mpdecomp import (
     leq,
     persistent_betti,
     summands,
+    topo_order,
     tot_diagonalize,
 )
+from mpdecomp.f2 import reduce_into
 
 
 def from_dense(rows: Sequence[Sequence[int]]) -> F2Matrix:
@@ -277,3 +280,51 @@ def block_reduce_lin(
                 A.mat.add_row(op.source, op.target)
             certificate.append(op)
     return True
+
+
+def slice_kernel_gens(M: GradedMatrix) -> GradedMatrix:
+    """``kernel_gens`` restated as a fresh reduction at every slice.
+
+    The grid spanned by the column grades is cut into slices, a value of
+    every coordinate after the first, walked one row (every tail
+    coordinate but the last) at a time.  Each column, in topo order, is
+    reduced afresh against the live columns before it at every slice of
+    the row from its own tail up, until it dies or meets a slice above one
+    where it died in an earlier row.  Returns Z as ``kernel_gens`` builds
+    it: rows and labels from M's columns, one column per minimal death
+    grade of a column of M, in (grade, topo position) order.
+    """
+    d = M.d
+    cols = M.mat.cols
+    grades = M.col_grades if d > 1 else [g + (0,) for g in M.col_grades]
+    chain = sorted({g[-1] for g in grades})
+    axes = [sorted({g[k] for g in grades}) for k in range(1, max(d, 2) - 1)]
+    m = len(cols)
+    packed = [(c << m) | (1 << j) for j, c in enumerate(cols)]
+    died: List[List[Tuple[Tuple[int, ...], int]]] = [[] for _ in grades]  # (row, k)
+    found: List[Tuple[Tuple[int, ...], int, int]] = []
+    order = topo_order(grades)
+    for row in product(*axes):
+        pivots: List[Dict[int, int]] = [{} for _ in chain]  # per slice
+        for pos, j in enumerate(order):
+            g = grades[j]
+            if not all(map(le, g[1:-1], row)):
+                continue
+            end = min(
+                (k for r, k in died[j] if all(map(le, r, row))), default=len(chain)
+            )
+            for k in range(bisect_left(chain, g[-1]), end):
+                comb = reduce_into(pivots[k], packed[j], m)
+                if comb.bit_length() <= m:
+                    died[j].append((row, k))
+                    found.append((((g[0],) + row + (chain[k],))[:d], pos, comb))
+                    break
+    found.sort()
+    return GradedMatrix(
+        F2Matrix(m, [comb for _, _, comb in found]),
+        list(M.col_grades),
+        [z for z, _, _ in found],
+        list(M.col_labels),
+        [f"z{i}" for i in range(len(found))],
+        d,
+    )

@@ -484,6 +484,32 @@ def test_runaway_box_exits_2_quickly(tmp_path, capsys):
     assert run_cli(capsys, "decompose", str(path), "--format", "betti")[0] == 0
 
 
+def test_box_values_are_capped_over_all_summands(monkeypatch, capsys):
+    # suspension in degree 1 has three summands, triangle one
+    monkeypatch.setattr(cli, "MAX_BOX_POINTS", 30)
+
+    def unreachable(subs, box):
+        raise AssertionError("blockcodes ran on a refused box")
+
+    def run(path, fmt, box):
+        return run_cli(capsys, "decompose", path, "--dim", "1", "--format", fmt, "--box", box)
+
+    for fmt in ("json", "csv"):
+        assert run(SUSPENSION, fmt, "0,0:2,2")[0] == 0  # 9 points x 3 summands
+        assert run(TRIANGLE, fmt, "0,0:3,2")[0] == 0  # 12 points x 1 summand
+        with monkeypatch.context() as m:
+            m.setattr(cli, "blockcodes", unreachable)
+            code, out, err = run(SUSPENSION, fmt, "0,0:3,2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --box of 12 grade points for 3 summands asks for 36 values, "
+            "more than the limit of 30\n"
+        )
+    # the default grid is not capped by summands: 9 points x 3 summands here
+    monkeypatch.setattr(cli, "MAX_BOX_POINTS", 5)
+    assert run_cli(capsys, "decompose", SUSPENSION, "--dim", "1")[0] == 0
+
+
 def test_far_grades_decompose_on_their_grid(tmp_path, capsys):
     # a dense box from the lowest to the highest grade would hold 10**10 points
     path = tmp_path / "far.mppres"

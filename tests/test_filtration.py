@@ -193,3 +193,70 @@ def test_empty_text_is_refused_by_both_parsers():
         with pytest.raises(InputError) as info:
             parse("  # nothing\n")
         assert str(info.value) == message
+
+
+# Line-level corners of the reader: what each input gave before plain ASCII
+# lines got a reader of their own, kept so that both readers agree.
+EDGE = [[(0, 0), (1, 0)], [(1, 1)]], [["0", "1"], ["2"]], [[0, 0], [0b11]]
+H2 = "mpfilt 1\nparams 2\n"
+READER_TABLE = {
+    "crlf": ("mpfilt 1\r\nparams 2\r\ns 0 0 :\r\ns 1 0 :\r\ns 1 1 : 0 1\r\n", EDGE),
+    "tabs": (H2 + "s\t0\t0\t:\ns 1 0\t:\ns\t1 1 :\t0\t1\n", EDGE),
+    "comments": (H2 + "s 0 0 :\ns 1 0 : # a vertex\ns 1 1 : 0 1# an edge\n", EDGE),
+    "blank lines": (H2 + "\n\ns 0 0 :\n   \n\t\ns 1 0 :\n\ns 1 1 : 0 1\n\n", EDGE),
+    "no final newline": (H2 + "s 0 0 :\ns 1 0 :\ns 1 1 : 0 1", EDGE),
+    "19-digit facet id": (H2 + "s 0 0 :\ns 1 0 :\ns 1 1 : 0000000000000000000 1\n", EDGE),
+    "empty body": (H2, ([], [], [])),
+    # \x0c breaks a line for splitlines, so the grade loses its ':'
+    "form feed in a line": (
+        H2 + "s 0 0 :\ns 1\x0c0 :\n", "line 4: missing ':' between grade and facet list"
+    ),
+    "form feed between lines": (
+        H2 + "s 0 0 :\x0cs 1 0 :\n", ([[(0, 0), (1, 0)]], [["0", "1"]], [[0, 0]])
+    ),
+    "no-break space": (H2 + "s 0\xa00 :\n", ([[(0, 0)]], [["0"]], [[0]])),
+    "arabic-indic three": (H2 + "s \u0663 0 :\n", ([[(3, 0)]], [["0"]], [[0]])),
+    "19 digits": (H2 + "s 0000000000000000007 1 :\n", ([[(7, 1)]], [["0"]], [[0]])),
+    "64-bit ends": (
+        H2 + f"s {2**63 - 1} {-2**63} :\n", ([[(2**63 - 1, -2**63)]], [["0"]], [[0]])
+    ),
+    "2^63": (
+        H2 + f"s {2**63} 0 :\n",
+        "line 3: grade coordinate 9223372036854775808 outside 64-bit range",
+    ),
+    "-2^63-1": (
+        H2 + f"s {-2**63 - 1} 0 :\n",
+        "line 3: grade coordinate -9223372036854775809 outside 64-bit range",
+    ),
+    "-0": (
+        H2 + "s -0 0 :\ns 0 -0 :\ns 0 0 : -0 1\n",
+        ([[(0, 0), (0, 0)], [(0, 0)]], EDGE[1], EDGE[2]),
+    ),
+    "+1": (H2 + "s +1 0 :\n", "line 3: non-integer grade in ['+1', '0']"),
+    "1_0": (H2 + "s 1_0 0 :\n", "line 3: non-integer grade in ['1_0', '0']"),
+    "+0 facet": (
+        H2 + "s 0 0 :\ns 1 0 :\ns 1 1 : +0 1\n", "line 5: non-integer facet id in ['+0', '1']"
+    ),
+    "-1 facet": (
+        H2 + "s 0 0 :\ns 1 0 :\ns 1 1 : -1 1\n", "line 5: facet -1 not declared before simplex 2"
+    ),
+    "glued ':'": (H2 + "s 0 0:\n", "line 3: missing ':' between grade and facet list"),
+    "short grade": (H2 + "s 0 :\n", "line 3: expected 2 grade coordinates, got 1"),
+    "repeated facet": (H2 + "s 0 0 :\ns 1 0 :\ns 1 1 : 1 1\n", "line 5: facet listed twice"),
+    "comment, then not monotone": (
+        H2 + "s 0 0 :\n# note\ns 1 0 :\ns 0 0 : 0 1\n",
+        "line 6: grade (0,0) of simplex 2 is not above grade (1,0) of its facet 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(READER_TABLE))
+def test_reader_boundary_table(name):
+    text, expected = READER_TABLE[name]
+    if isinstance(expected, str):
+        with pytest.raises(InputError) as info:
+            parse_filtration(text)
+        assert str(info.value) == expected
+    else:
+        filt = parse_filtration(text)
+        assert (filt.d, filt.grades, filt.labels, filt.boundaries) == (2, *expected)

@@ -27,7 +27,8 @@ from mpdecomp.errors import InputError, InternalCheckError
 from mpdecomp.f2 import bits
 from mpdecomp.grades import check_grade
 from mpdecomp.presentation import _cycles
-from reference import from_dense, rewrite_by_elimination, row_echelon_rank
+from reference import from_dense, rewrite_by_elimination, row_echelon_rank, slice_kernel_gens
+from test_certificate_output_identity import random_mpfilt
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -239,6 +240,30 @@ def test_kernel_slice_sweep_equals_per_point_sweep_on_graphs():
         assert got == per_point_kernel_gens(M)
         on_antichain += len(got) > len(per_point_kernel_gens(M, first_only=True))
     assert on_antichain
+
+
+def test_kernel_gens_equals_the_slice_sweep():
+    # the echelon kept along each row against a fresh reduction per slice:
+    # the same columns, grades and labels, ties and antichains included
+    rng = random.Random(127)
+    for _ in range(1500):
+        d = rng.choice((1, 2, 3, 4))
+        span = rng.randint(0, 3)
+        n, m = rng.randint(1, 8), rng.randint(0, 14)
+        rows = [tuple(rng.randint(0, span) for _ in range(d)) for _ in range(n)]
+        cols = [tuple(rng.randint(0, span) for _ in range(d)) for _ in range(m)]
+        dense = [
+            [rng.randint(0, 1) if leq(rows[i], cols[j]) else 0 for j in range(m)]
+            for i in range(n)
+        ]
+        M = GradedMatrix(from_dense(dense), rows, cols)
+        assert kernel_gens(M) == slice_kernel_gens(M)
+    for _ in range(8):
+        for d in (2, 3, 4):
+            filt = parse_filtration(random_mpfilt(rng, d))
+            for p in (1, 2):
+                M = boundary_matrix(filt, p)
+                assert kernel_gens(M) == slice_kernel_gens(M)
 
 
 # -- rewriting ----------------------------------------------------------------

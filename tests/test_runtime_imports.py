@@ -2,8 +2,10 @@
 
 A fresh interpreter imports ``mpdecomp`` and ``mpdecomp.cli``, runs every
 subcommand on ``data/*`` through ``cli.main``, and reports whether numpy
-was loaded on the way.  It matters for cold start: importing numpy alone
-takes longer than a whole small ``decompose`` run.  The brute-force oracle
+or ``dataclasses`` was loaded on the way.  It matters for cold start:
+importing numpy alone takes longer than a whole small ``decompose`` run,
+and ``dataclasses`` (with the ``inspect`` it imports) plus the classes it
+builds cost several milliseconds of every start.  The brute-force oracle
 is loaded only by ``check``, the one command that uses it.
 """
 from __future__ import annotations
@@ -40,7 +42,12 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(mpdecomp.cli.main(argv))
     oracle.append("mpdecomp.oracle" in sys.modules)
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules, "oracle": oracle}))
+print(json.dumps({
+    "codes": codes,
+    "numpy": "numpy" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
+    "oracle": oracle,
+}))
 """
 
 
@@ -66,6 +73,10 @@ def run_all():
 
 def test_cli_runs_without_loading_numpy():
     assert run_all()["numpy"] is False
+
+
+def test_cli_runs_without_loading_dataclasses():
+    assert run_all()["dataclasses"] is False
 
 
 def test_only_check_loads_the_oracle():

@@ -49,16 +49,18 @@ def main() -> None:
         for deg, grades in enumerate(table):  # the sorted grades of each degree
             print(f"  beta_{deg} supported at {[fmt(g) for g in grades]}")
 
-    # each dimension function is constant on the cells of the grid of
-    # distinct grade coordinates, so its values at the grid points are all
-    box = default_box(final)
-    xs, ys = (list(axis) for axis in box.axes)
-    print(f"\ndimension functions on the grade grid x1 in {xs}, x2 in {ys}\n"
+    # a summand's dimension function is constant on the cells of the grid
+    # of its own distinct grade coordinates, so its values at those grid
+    # points are all, as ``decompose`` writes them
+    print("\ndimension functions, each on its summand's own grade grid\n"
           "(x1 grows downwards, x2 to the right; a grade between grid points\n"
-          "takes the value of the grid point at or below it):")
-    width = box.shape[-1]  # values are flat, last coordinate fastest
-    for block, values in zip(blocks, blockcodes(subs, box)):
-        print(f"  block rows={list(block.rows)}:")
+          "takes the value of the grid point at or below it, and a grade\n"
+          "below the grid on some axis the value 0):")
+    boxes = [default_box(sub) for sub in subs]
+    for block, box, values in zip(blocks, boxes, blockcodes(subs, boxes)):
+        xs, ys = (list(axis) for axis in box.axes)
+        print(f"  block rows={list(block.rows)}, x1 in {xs}, x2 in {ys}:")
+        width = box.shape[-1]  # values are flat, last coordinate fastest
         for start in range(0, len(values), width):
             print("    " + " ".join(str(v) for v in values[start : start + width]))
 

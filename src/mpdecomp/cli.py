@@ -4,12 +4,13 @@ Subcommands: decompose, diagonalize, check, export-pres.
 Input files are recognized by their header line (mpfilt or mppres).  JSON
 output is byte-deterministic: keys sorted, arrays in canonical index order.
 ``decompose`` gives each summand's Betti table and its dimension function
-on a grid: by default the distinct grade coordinates on each axis, where
-the function is constant on the cells between them, or every integer of a
-``--box``, which is refused when its points times the summands exceed
+on a grid of its own, written beside it: by default the summand's distinct
+grade coordinates on each axis, where its function is constant on the
+cells between them and zero below them, or every integer of a ``--box``,
+which is refused when its points times the summands exceed
 ``MAX_BOX_POINTS`` values.  Its ``csv`` and ``betti`` formats are views of
-that result; ``text`` and ``betti`` print no dimension function and refuse
-``--box``.
+that result, the CSV grouped by block; ``text`` and ``betti`` print no
+dimension function and refuse ``--box``.
 
 Exit codes: 0 success, 2 bad input, 3 tied grades without the perturbation
 flag, 4 internal consistency failure.
@@ -218,12 +219,12 @@ def _betti_text(subs: List[GradedMatrix]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _blockcode_csv(codes: List[List[int]], box: GradeBox) -> str:
-    header = ",".join(f"x{k + 1}" for k in range(len(box.axes))) + ",block_id,dim"
+def _blockcode_csv(d: int, boxes: List[GradeBox], codes: List[List[int]]) -> str:
+    header = ",".join(f"x{k + 1}" for k in range(d)) + ",block_id,dim"
     lines = [header]
-    for pos, u in enumerate(box.grades()):
-        for block_id, values in enumerate(codes):
-            lines.append(",".join(map(str, u)) + f",{block_id},{values[pos]}")
+    for block_id, (box, values) in enumerate(zip(boxes, codes)):
+        for u, v in zip(box.grades(), values):
+            lines.append(",".join(map(str, u)) + f",{block_id},{v}")
     return "\n".join(lines) + "\n"
 
 
@@ -276,16 +277,17 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
                 f"--box of {points} grade points for {len(subs)} summands asks for "
                 f"{points * len(subs)} values, more than the limit of {MAX_BOX_POINTS}"
             )
+        boxes = [box] * len(subs)
     else:
-        box = default_box(diag.matrix)
+        boxes = [default_box(sub) for sub in subs]
+    codes = blockcodes(subs, boxes)
     if args.format == "csv":
-        return _blockcode_csv(blockcodes(subs, box), box)
+        return _blockcode_csv(diag.matrix.d, boxes, codes)
     payload = _diagonalize_payload(case, diag)
-    payload["grid"] = [list(axis) for axis in box.axes]
     # the blocks with rows come first, in the order of their summands
-    tables, codes = persistent_betti(subs), blockcodes(subs, box)
-    for entry, table, values in zip(payload["blocks"], tables, codes):
+    for entry, table, box, values in zip(payload["blocks"], persistent_betti(subs), boxes, codes):
         entry["betti"] = _betti_payload(table)
+        entry["grid"] = [list(axis) for axis in box.axes]
         entry["dim_function"] = values
     return _dump_json(payload)
 

@@ -16,10 +16,14 @@ lists, sorted and indexed by degree.
 A dimension function lists one value per grade of a ``GradeBox``, a
 product of per-axis coordinate lists, as a flat list of ints in the C order
 of ``GradeBox.grades()``.  ``default_box`` is the grid of a presentation's
-distinct coordinates, whose values determine the function everywhere;
-``GradeBox.span`` is every integer grade between two corners.  A box of
-more than ``MAX_BOX_POINTS`` grades is refused with an ``InputError``
-before any per-point work starts.
+distinct coordinates, whose values determine the function everywhere: at a
+grade u it is 0 when u lies below the grid on some axis, and otherwise its
+value at the greatest grid point <= u.  So each summand is evaluated on its
+own grid, ``default_box(sub)``, which holds far fewer points than the grid
+of the whole presentation.  ``GradeBox.span`` is every integer grade
+between two corners.  A box of more than ``MAX_BOX_POINTS`` grades is
+refused with an ``InputError`` before any per-point work starts; a
+summand's own grid is capped the same way, one summand at a time.
 """
 from __future__ import annotations
 
@@ -182,6 +186,9 @@ def persistent_betti(subs: Sequence[GradedMatrix]) -> List[List[List[Tuple[int, 
     return out
 
 
-def blockcodes(subs: Sequence[GradedMatrix], box: GradeBox) -> List[List[int]]:
-    """Each summand's dimension function; ``perfbench/spans.py`` times it by name."""
-    return [dimension_function(sub, box) for sub in subs]
+def blockcodes(subs: Sequence[GradedMatrix], boxes: Sequence[GradeBox]) -> List[List[int]]:
+    """Each summand's dimension function on its own box, one box per summand.
+
+    ``perfbench/spans.py`` times it by name.
+    """
+    return [dimension_function(sub, box) for sub, box in zip(subs, boxes, strict=True)]

@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from mpdecomp import (
     AdmissibleOps,
     F2Matrix,
+    Filtration,
     GradeBox,
     GradedMatrix,
     IndexBlock,
@@ -27,7 +28,7 @@ from mpdecomp import (
     topo_order,
     tot_diagonalize,
 )
-from mpdecomp.f2 import reduce_into
+from mpdecomp.f2 import bits, reduce_into
 
 
 def from_dense(rows: Sequence[Sequence[int]]) -> F2Matrix:
@@ -152,7 +153,7 @@ def summand_types(M: GradedMatrix) -> List[Tuple]:
     """
     diag = tot_diagonalize(M, perturb_ties=True)
     subs = summands(diag.matrix, diag.blocks)
-    codes = blockcodes(subs, default_box(M))
+    codes = blockcodes(subs, [default_box(M)] * len(subs))
     return sorted(
         (tuple(table[0]), tuple(table[1]), tuple(values))
         for table, values in zip(persistent_betti(subs), codes, strict=True)
@@ -328,3 +329,38 @@ def slice_kernel_gens(M: GradedMatrix) -> GradedMatrix:
         [f"z{i}" for i in range(len(found))],
         d,
     )
+
+
+Bar = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]  # (birth, death or None)
+
+
+def barcode(F: Filtration, p: int) -> List[Bar]:
+    """The degree-p barcode of a one-parameter filtration, sorted.
+
+    The textbook persistence algorithm: simplices are ordered by (grade,
+    dimension, index within the dimension), and each boundary column, in
+    that order, is reduced by the earlier column with the same lowest
+    entry until its lowest entry is new or it is zero.  A nonzero column
+    pairs its lowest simplex, a birth, with its own simplex, a death; bars
+    of length zero are dropped.  A birth that no column pairs gives a bar
+    without death.
+    """
+    order = sorted((g, dim, i) for dim, gs in enumerate(F.grades) for i, g in enumerate(gs))
+    pos = {(dim, i): n for n, (_, dim, i) in enumerate(order)}
+    low_owner: Dict[int, int] = {}  # lowest entry -> its reduced column
+    paired = set()
+    bars: List[Bar] = []
+    for j, (g, dim, i) in enumerate(order):
+        c = 0
+        for k in bits(F.boundaries[dim][i]) if dim else ():
+            c |= 1 << pos[(dim - 1, k)]
+        while c and c.bit_length() - 1 in low_owner:
+            c ^= low_owner[c.bit_length() - 1]
+        if c:
+            low = c.bit_length() - 1
+            low_owner[low] = c
+            paired |= {low, j}
+            if order[low][1] == p and order[low][0] != g:
+                bars.append((order[low][0], g))
+    bars += [(g, None) for n, (g, dim, _) in enumerate(order) if dim == p and n not in paired]
+    return sorted(bars, key=lambda bar: (bar[0], bar[1] is None, bar[1] or ()))

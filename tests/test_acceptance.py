@@ -116,7 +116,7 @@ def test_3_blockcodes_closed_form():
         blocks = [b for b in diag.blocks if b.rows]
         codes = {
             tuple(block.rows): values
-            for block, values in zip(blocks, blockcodes(summands(final, blocks), box))
+            for block, values in zip(blocks, blockcodes(summands(final, blocks), [box] * 2))
         }
         m1, m2 = codes[(0, 1)], codes[(2,)]
         for u, v1, v2 in zip(box.grades(), m1, m2, strict=True):
@@ -334,7 +334,7 @@ def test_7_property_suites():
             total = dimension_function(final, box)
             acc = [0] * len(total)
             subs = summands(final, diag.blocks)
-            for values in blockcodes(subs, box):
+            for values in blockcodes(subs, [box] * len(subs)):
                 acc = list(map(add, acc, values))
             assert acc == total
             merged = merge_tables(persistent_betti(subs))
@@ -346,15 +346,16 @@ def test_7_property_suites():
             assert merged[1] == sorted(final.col_grades)
             assert merged[2] == sorted(kernel_gens(final).col_grades)
 
-        # alternating Betti sums reproduce the dimension function (d = 2)
+        # alternating Betti sums reproduce the dimension function (d = 2),
+        # on the grid of the whole presentation and on each summand's own
         rng = random.Random(76)
         for _ in range(500):
             final, diag = random_pipeline(rng)
-            box = default_box(final)
             subs = summands(final, diag.blocks)
-            for table, values in zip(persistent_betti(subs), blockcodes(subs, box), strict=True):
-                euler = betti_euler_function(table, box)
-                assert euler == values
+            tables = persistent_betti(subs)
+            for boxes in ([default_box(final)] * len(subs), list(map(default_box, subs))):
+                for table, box, values in zip(tables, boxes, blockcodes(subs, boxes), strict=True):
+                    assert betti_euler_function(table, box) == values
 
 
 # -- 8: runtime envelope on a doubling family ------------------------------------

@@ -45,13 +45,13 @@ def test_decompose_json_worked_example(capsys):
     ]
     assert sorted(blocks) == [(("0", "1"), ("3",)), (("2",), ("4", "5"))]
     assert payload["matrix"]["columns"] == [[0, 1], [2], [2]]
-    # dimension functions on the grid of distinct coordinates, C order
-    assert payload["grid"] == [[0, 1, 2], [0, 1, 2]]
-    assert [b["dim_function"] for b in payload["blocks"]] == [
-        [0, 1, 1, 1, 1, 1, 1, 1, 1],
-        [0, 0, 0, 0, 1, 0, 0, 0, 0],
+    # each dimension function on its summand's own grid of distinct
+    # coordinates, C order
+    assert [(b["grid"], b["dim_function"]) for b in payload["blocks"]] == [
+        ([[0, 1], [0, 1]], [0, 1, 1, 1]),
+        ([[1, 2], [1, 2]], [1, 0, 0, 0]),
     ]
-    assert "box" not in payload
+    assert "box" not in payload and "grid" not in payload
 
 
 @pytest.mark.parametrize(
@@ -174,12 +174,15 @@ def test_blockcode_csv_header_and_rows(capsys):
     assert "2,2,1,0" in lines
     assert "0,0,0,0" in lines
     assert "3,3,0,1" in lines  # past the grades, in the top cell
-    # without --box, one row per point of the 3x3 grade grid and block
+    # grouped by block: block 0's 16 points, then block 1's
+    assert lines[1:3] == ["0,0,0,0", "0,1,0,1"] and lines[16:18] == ["3,3,0,1", "0,0,1,0"]
+    # without --box, one row per point of each block's own 2x2 grid
     code, out, _ = run_cli(capsys, "decompose", TRIANGLE, "--format", "csv")
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 1 + 9 * 2
-    assert lines[1:3] == ["0,0,0,0", "0,0,1,0"] and lines[-2:] == ["2,2,0,1", "2,2,1,0"]
+    assert out.splitlines()[1:] == [
+        "0,0,0,0", "0,1,0,1", "1,0,0,1", "1,1,0,1",
+        "1,1,1,1", "1,2,1,0", "2,1,1,0", "2,2,1,0",
+    ]
 
 
 def test_check_reports_agreement(capsys):
@@ -468,13 +471,18 @@ def test_runaway_box_exits_2_quickly(tmp_path, capsys):
         assert "grade points" in err
     err = run_cli(capsys, "decompose", str(path), "--box", "0,0:3001,3001")[2]
     assert "9012004" in err  # 3002 x 3002
-    # the grade grid is 2x3, and the text report walks no box
+    # the summands' own grids are 1x1 and 2x2, and the text report walks no box
     for fmt in ("json", "csv", "text", "betti"):
         code, _, _ = run_cli(capsys, "decompose", str(path), "--format", fmt)
         assert code == 0, fmt
-    # with three parameters the grid of distinct coordinates is capped too
-    rows = "".join(f"r {i} {i} {i}\n" for i in range(101))
-    path.write_text(f"mppres 1\nparams 3\nrows 101\n{rows}cols 0\n")
+    # with three parameters each summand's own grid is capped: 101
+    # incomparable generators of one relation stay one summand, whose grid
+    # has 101 coordinates on each axis
+    rows = "".join(f"r {i} {100 - i} {37 * i % 101}\n" for i in range(101))
+    path.write_text(
+        f"mppres 1\nparams 3\nrows 101\n{rows}cols 1\n"
+        f"c 100 100 100 : {' '.join(map(str, range(101)))}\n"
+    )
     code, out, err = run_cli(capsys, "decompose", str(path))
     assert (code, out) == (2, "")
     assert err == (
@@ -482,6 +490,15 @@ def test_runaway_box_exits_2_quickly(tmp_path, capsys):
         "more than the limit of 1000000\n"
     )
     assert run_cli(capsys, "decompose", str(path), "--format", "betti")[0] == 0
+    # 101 free generators on a diagonal span the same 101x101x101 grid of
+    # distinct coordinates, but each summand's own grid is one point
+    rows = "".join(f"r {i} {i} {i}\n" for i in range(101))
+    path.write_text(f"mppres 1\nparams 3\nrows 101\n{rows}cols 0\n")
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert code == 0, err
+    assert [(b["grid"], b["dim_function"]) for b in json.loads(out)["blocks"]] == [
+        ([[i], [i], [i]], [1]) for i in range(101)
+    ]
 
 
 def test_box_values_are_capped_over_all_summands(monkeypatch, capsys):
@@ -505,7 +522,7 @@ def test_box_values_are_capped_over_all_summands(monkeypatch, capsys):
             "error: --box of 12 grade points for 3 summands asks for 36 values, "
             "more than the limit of 30\n"
         )
-    # the default grid is not capped by summands: 9 points x 3 summands here
+    # the default grids are not capped by summands: 4 + 4 + 1 points here
     monkeypatch.setattr(cli, "MAX_BOX_POINTS", 5)
     assert run_cli(capsys, "decompose", SUSPENSION, "--dim", "1")[0] == 0
 
@@ -519,9 +536,10 @@ def test_far_grades_decompose_on_their_grid(tmp_path, capsys):
     code, out, err = run_cli(capsys, "decompose", str(path))
     assert code == 0, err
     payload = json.loads(out)
-    assert payload["grid"] == [[0, 100000], [0, 100000]]
-    values = [b["dim_function"] for b in payload["blocks"] if b["rows"]]
-    assert [sum(vs) for vs in zip(*values)] == [1, 1, 2, 1]
+    assert [(b["grid"], b["dim_function"]) for b in payload["blocks"]] == [
+        ([[0], [0]], [1]),
+        ([[100000], [0, 100000]], [1, 0]),
+    ]
 
 
 def test_text_exponents_may_leave_the_grade_range(tmp_path, capsys):
@@ -550,7 +568,7 @@ def test_grades_at_the_top_of_the_64_bit_range(tmp_path, capsys):
         assert code == 0, (fmt, err)
     # the grid is the grade's own coordinate, with no margin past it
     code, out, _ = run_cli(capsys, "decompose", str(path))
-    assert json.loads(out)["grid"] == [[top]]
+    assert json.loads(out)["blocks"][0]["grid"] == [[top]]
     code, out, _ = run_cli(capsys, "decompose", str(path), "--format", "csv")
     assert code == 0
     assert out == f"x1,block_id,dim\n{top},0,1\n"
@@ -566,7 +584,9 @@ def test_presentation_without_grades_keeps_its_parameter_count(tmp_path, capsys)
     code, out, _ = run_cli(capsys, "decompose", str(point), "--dim", "1")
     assert code == 0
     payload = json.loads(out)
-    assert payload["d"] == 2 and payload["grid"] == [[], []]
+    assert payload["d"] == 2 and payload["blocks"] == []
+    code, out, _ = run_cli(capsys, "decompose", str(point), "--dim", "1", "--format", "csv")
+    assert (code, out) == (0, "x1,x2,block_id,dim\n")
 
 
 def test_box_fits_an_empty_presentation_of_its_parameter_count(tmp_path, capsys):

@@ -16,7 +16,7 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 # unchanged; a change that means to alter it updates the digest with it.
 STDOUT_SHA256 = {
     "01_total_diagonalization.py": "541722f6462feb6d701229971d5d3390d0727f79175820c85ca5811f86b07605",
-    "02_betti_and_blockcodes.py": "021ab927497af9c04a2b5c695138b077f42c105625c92507ccce4bb261d637ce",
+    "02_betti_and_blockcodes.py": "3b7b408bfaaca169048d29ebc2b0cf9df3b0a55494b9d4e4fc7d6806b13b7207",
     "03_three_parameters.py": "ec1fc0426629b613fd1e17094429e9e3c39a5f7792ceaedcc93767e5b61d09f9",
     "04_brute_force_check.py": "7fe33fc8a1030e08832e4239be7067fa4e0d93cecc26f1abc6c2f097562185fb",
 }

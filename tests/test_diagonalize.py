@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -21,11 +23,12 @@ from mpdecomp import (
     tot_diagonalize,
 )
 from mpdecomp import diagonalize
+from mpdecomp.cli import main
 from mpdecomp.errors import InputError, TiedGradesError
 from mpdecomp.graded import admissible_ops
 from mpdecomp.grades import tied_pairs
 from mpdecomp.oracle import brute_force_finest, op_pairs
-from reference import block_reduce_lin, from_dense, lin
+from reference import barcode, block_reduce_lin, from_dense, lin
 from test_acceptance import merge_chain, random_filtration_text
 from test_graded_matrix import random_graded
 from test_presentation import graph_filtration, random_graph_boundary
@@ -248,6 +251,110 @@ def test_replay_certificate_rejects_illegal_ops():
     M = triangle_matrix()
     with pytest.raises(InputError):
         replay_certificate(M, [Op("col", 1, 2)])  # (1,2) onto (2,1)
+
+
+# -- refusing a target that no source reaches -----------------------------------
+
+
+def two_source_block(row_1_in_t: bool = True) -> GradedMatrix:
+    """Rows 0 and 2 with columns 0 and 1 form a block B; column 2 is t.
+
+    In column t, the entry of row 2 can only be cleared by adding column 1,
+    B's column below t, and the entry of row 0 only by adding row 1, the row
+    outside B above row 0, which needs row 1's own entry in column t.
+    """
+    return GradedMatrix(
+        from_dense([[1, 0, 1], [0, 0, int(row_1_in_t)], [1, 1, 1]]),
+        [(0, 1), (0, 2), (1, 0)],
+        [(1, 3), (2, 0), (4, 2)],
+    )
+
+
+def test_block_reduce_clears_entries_each_reached_by_one_kind_of_source():
+    M = two_source_block()
+    certificate: list = []
+    assert block_reduce(M, admissible_ops(M), IndexBlock((0, 2), (2,)), 2, certificate)
+    assert certificate == [Op("col", 1, 2), Op("row", 1, 0)]
+    assert M.mat.cols[2] == 0b010
+    assert replay_certificate(two_source_block(), certificate).mat == M.mat
+    diag = tot_diagonalize(two_source_block())
+    assert diag.blocks == [IndexBlock((0, 2), (0, 1)), IndexBlock((1,), (2,))]
+    assert blocks_of(diag) == {(b.rows, b.cols) for b in brute_force_finest(diag.matrix)}
+
+
+def test_block_reduce_refuses_an_unreachable_entry_before_building_the_system(monkeypatch):
+    def no_system(S, c):
+        raise AssertionError("col_reduce called for an unreachable target")
+
+    T = IndexBlock((0, 2), (2,))
+    ref = two_source_block(row_1_in_t=False)
+    assert not block_reduce_lin(ref, admissible_ops(ref), T, 2, [])
+    monkeypatch.setattr(diagonalize, "col_reduce", no_system)
+    M = two_source_block(row_1_in_t=False)
+    before = list(M.mat.cols)
+    certificate = [Op("row", 1, 0)]
+    assert not block_reduce(M, admissible_ops(M), T, 2, certificate)
+    assert M.mat.cols == before
+    assert certificate == [Op("row", 1, 0)]
+
+
+# -- d = 1: the decomposition is the barcode ---------------------------------------
+
+
+def d1_filtration_text(rng: random.Random, nv: int, ties: bool) -> str:
+    """A random one-parameter clique complex up to triangles.
+
+    Each simplex enters at the latest base grade of its facets plus a step of
+    0 to 2.  With ties the grade is that base, so grades tie often; without,
+    it is the base scaled past the simplex count plus the simplex's id, so
+    no two grades tie and faces still come first.
+    """
+    lines = ["mpfilt 1", "params 1"]
+    bases: list = []
+
+    def add(facets) -> int:
+        base = max((bases[f] for f in facets), default=0) + rng.randint(0, 2)
+        grade = base if ties else base * 1000 + len(bases)
+        lines.append(" ".join(["s", str(grade), ":", *map(str, facets)]))
+        bases.append(base)
+        return len(bases) - 1
+
+    for _ in range(nv):
+        add(())
+    edge = {e: add(e) for e in combinations(range(nv), 2) if rng.random() < 0.6}
+    for a, b, c in combinations(range(nv), 3):
+        facets = [edge.get(e) for e in ((a, b), (a, c), (b, c))]
+        if None not in facets and rng.random() < 0.5:
+            add(facets)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+def test_d1_decompositions_are_the_barcode(tmp_path, capsys, ties):
+    # at d = 1 every summand is an interval: one row, its birth, and at
+    # most one column, its death; the multiset of intervals is the barcode
+    # of the textbook persistence algorithm
+    rng = random.Random(71 + ties)
+    path = tmp_path / "d1.mpfilt"
+    n_bars = n_finite = 0
+    for _ in range(40):
+        text = d1_filtration_text(rng, rng.randint(4, 10), ties)
+        path.write_text(text)
+        F = parse_filtration(text)
+        for p in (0, 1):
+            argv = ["decompose", str(path), "--dim", str(p)] + ["--perturb"] * ties
+            assert main(argv) == 0
+            blocks = [b for b in json.loads(capsys.readouterr().out)["blocks"] if b["rows"]]
+            assert all(len(b["rows"]) == 1 and len(b["cols"]) <= 1 for b in blocks)
+            bars = [
+                (tuple(b["row_grades"][0]), tuple(b["col_grades"][0]) if b["cols"] else None)
+                for b in blocks
+            ]
+            want = barcode(F, p)
+            assert sorted(bars, key=lambda bar: (bar[0], bar[1] is None, bar[1] or ())) == want
+            n_bars += len(want)
+            n_finite += sum(1 for _, death in want if death is not None)
+    assert n_bars > 300 and n_finite > 200
 
 
 # -- cost of the per-column BlockReduce ------------------------------------------

@@ -9,12 +9,14 @@ numpy implementation wrote it: ``decompose`` (JSON and CSV) and the
 ``blockcode`` command (JSON and CSV), each on the grades' bounding box plus
 one and on the ``--box``.
 
-The dense outputs are rebuilt from today's ``decompose`` JSON alone.  A
-dense point takes the value of the grid point that has, on each axis, the
-largest grid coordinate at or below it; the old default box ran from each
-axis's smallest coordinate to its largest plus one.  Every rebuilt digest
-must match the recorded one, and the CSV that ``decompose`` writes must
-equal the CSV of its own JSON.
+The dense outputs are rebuilt from today's ``decompose`` JSON alone, and
+the ``--box`` corners.  Each block carries its own grid; a dense point
+takes the value of the point of that grid that has, on each axis, the
+largest grid coordinate at or below it, and 0 where some axis has none.
+The old default box ran from each axis's smallest coordinate, over all the
+presentation's grades, to its largest plus one.  Every rebuilt digest must
+match the recorded one, and the CSV that ``decompose`` writes must equal
+the CSV of its own JSON.
 
 To re-record after a deliberate change of the function (and only then)::
 
@@ -81,8 +83,8 @@ def dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def csv(axes: list, codes: list) -> str:
-    """The CSV of ``decompose``: one row per grade of the axes and block with rows."""
+def dense_csv(axes: list, codes: list) -> str:
+    """The earlier CSV: one row per grade of the axes and block with rows."""
     lines = [",".join(f"x{k + 1}" for k in range(len(axes))) + ",block_id,dim"]
     for pos, u in enumerate(product(*axes)):
         for block_id, values in enumerate(codes):
@@ -90,37 +92,51 @@ def csv(axes: list, codes: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def densified(grid: list, codes: list, lo: list, hi: list) -> list:
-    """Each grid function's values at every integer grade of lo..hi, in C order."""
+def csv(d: int, with_rows: list) -> str:
+    """The CSV of ``decompose``: each block with rows over its own grid."""
+    lines = [",".join(f"x{k + 1}" for k in range(d)) + ",block_id,dim"]
+    for block_id, b in enumerate(with_rows):
+        for u, v in zip(product(*b["grid"]), b["dim_function"], strict=True):
+            lines.append(",".join(map(str, u)) + f",{block_id},{v}")
+    return "\n".join(lines) + "\n"
+
+
+def densified(grid: list, values: list, lo: list, hi: list) -> list:
+    """A grid function's values at every integer grade of lo..hi, in C order."""
     strides = [1] * len(grid)
     for k in reversed(range(len(grid) - 1)):
         strides[k] = strides[k + 1] * len(grid[k + 1])
-    cells = []  # flat grid index of each dense point, None below the grid
+    out = []
     for u in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
         idx = [bisect_right(axis, x) - 1 for axis, x in zip(grid, u)]
-        cells.append(None if min(idx) < 0 else sum(map(int.__mul__, idx, strides)))
-    return [[0 if c is None else values[c] for c in cells] for values in codes]
+        out.append(0 if min(idx) < 0 else values[sum(map(int.__mul__, idx, strides))])
+    return out
 
 
-def dense_outputs(code: int, out: str, default: bool) -> list:
-    """The earlier ``decompose`` JSON and CSV and ``blockcode`` JSON and CSV."""
+def dense_outputs(code: int, out: str, box) -> list:
+    """The earlier ``decompose`` JSON and CSV and ``blockcode`` JSON and CSV.
+
+    box is the ``--box`` flag, or None for the default grid.
+    """
     if code != 0:
         return [(code, "")] * 4
     payload = json.loads(out)
-    grid = payload.pop("grid")
-    if default:  # min to max + 1, the margin stopping at the top
-        lo = [axis[0] if axis else 0 for axis in grid]
-        hi = [min(axis[-1] + 1, TOP) if axis else 1 for axis in grid]
+    if box is None:  # min to max + 1 of all grades, the margin stopping at the top
+        M = payload["matrix"]
+        grades = M["row_grades"] + M["col_grades"]
+        axes = [sorted(set(axis)) for axis in zip(*grades)] if grades else [[]] * payload["d"]
+        lo = [axis[0] if axis else 0 for axis in axes]
+        hi = [min(axis[-1] + 1, TOP) if axis else 1 for axis in axes]
     else:
-        lo, hi = [axis[0] for axis in grid], [axis[-1] for axis in grid]
+        lo, hi = ([int(x) for x in part.split(",")] for part in box.split(":"))
     with_rows = [b for b in payload["blocks"] if b["rows"]]
-    codes = densified(grid, [b["dim_function"] for b in with_rows], lo, hi)
+    codes = [densified(b.pop("grid"), b["dim_function"], lo, hi) for b in with_rows]
     box = {"lo": lo, "hi": hi}
     shape = [h - l + 1 for l, h in zip(lo, hi)]
     for b, values in zip(with_rows, codes):
         b["dim_function"] = {"origin": lo, "shape": shape, "values": values}
     payload["box"] = box
-    dense_csv = csv([range(l, h + 1) for l, h in zip(lo, hi)], codes)
+    dense = dense_csv([range(l, h + 1) for l, h in zip(lo, hi)], codes)
     blockcode = {
         "box": box,
         "blocks": [
@@ -128,7 +144,7 @@ def dense_outputs(code: int, out: str, default: bool) -> list:
             for b, v in zip(with_rows, codes)
         ],
     }
-    return [(0, dump(payload)), (0, dense_csv), (0, dump(blockcode)), (0, dense_csv)]
+    return [(0, dump(payload)), (0, dense), (0, dump(blockcode)), (0, dense)]
 
 
 def case_digests(directory: Path) -> list:
@@ -142,15 +158,16 @@ def case_digests(directory: Path) -> list:
         path = directory / f"case{case}.mppres"
         path.write_text(text)
         dense = []
-        for extra in ([], [f"--box={box}"]):
+        for flag in (None, box):
+            extra = [] if flag is None else [f"--box={flag}"]
             code, out_json = run(["decompose", str(path), "--perturb"] + extra)
             csv_code, out_csv = run(["decompose", str(path), "--perturb", "--format", "csv"] + extra)
             assert csv_code == code, case
             if code == 0:
                 payload = json.loads(out_json)
-                codes = [b["dim_function"] for b in payload["blocks"] if b["rows"]]
-                assert out_csv == csv(payload["grid"], codes), case
-            dense.append(dense_outputs(code, out_json, default=not extra))
+                with_rows = [b for b in payload["blocks"] if b["rows"]]
+                assert out_csv == csv(payload["d"], with_rows), case
+            dense.append(dense_outputs(code, out_json, flag))
         # recorded order: each output form on the default box, then the --box
         out.append([digest(*outputs[i]) for i in range(4) for outputs in dense])
     return out

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 from itertools import product
 from operator import add, le
 from pathlib import Path
@@ -33,6 +34,7 @@ from mpdecomp.errors import InputError
 from mpdecomp import invariants
 from mpdecomp.invariants import MAX_BOX_POINTS
 from reference import betti_euler_function, dim_oracle, from_dense, merge_tables, rank
+from test_dimension_output_identity import random_mppres
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -107,11 +109,59 @@ def test_box_off_the_grades_matches_oracle(capsys, flag):
     assert main(["decompose", str(DATA / "triangle.mpfilt"), f"--box={flag}"]) == 0
     payload = json.loads(capsys.readouterr().out)
     lo, hi = (tuple(map(int, part.split(","))) for part in flag.split(":"))
-    assert payload["grid"] == [list(range(l, h + 1)) for l, h in zip(lo, hi)]
-    values = [b["dim_function"] for b in payload["blocks"] if b["rows"]]
-    points = list(product(*payload["grid"]))
-    for u, *vs in zip(points, *values, strict=True):
+    grid = [list(range(l, h + 1)) for l, h in zip(lo, hi)]
+    with_rows = [b for b in payload["blocks"] if b["rows"]]
+    assert with_rows and all(b["grid"] == grid for b in with_rows)
+    values = [b["dim_function"] for b in with_rows]
+    for u, *vs in zip(product(*grid), *values, strict=True):
         assert sum(vs) == dim_oracle(final, u), u
+
+
+def off_grid_value(grid, values, u) -> int:
+    """The value at u of a function given on a grid, by the rule of the README.
+
+    0 when u lies below the grid on some axis, else the value at the
+    greatest grid point <= u.
+    """
+    flat = 0
+    for axis, x in zip(grid, u):
+        k = bisect_right(axis, x) - 1
+        if k < 0:
+            return 0
+        flat = flat * len(axis) + k
+    return values[flat]
+
+
+def test_values_off_a_summands_grid_follow_the_readme_rule(tmp_path, capsys):
+    # each block's grid is its summand's own coordinates; every integer grade
+    # from one below the whole presentation's grades to one above them,
+    # on or off that grid, takes the value the rule reads off it
+    rng = random.Random(83)
+    path = tmp_path / "case.mppres"
+    n_off = 0
+    for case in range(60):
+        path.write_text(random_mppres(rng, 1 + case % 3)[0])
+        assert main(["decompose", str(path), "--perturb"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        m = payload["matrix"]
+        M = GradedMatrix(
+            F2Matrix(m["n_rows"], [sum(1 << i for i in c) for c in m["columns"]]),
+            [tuple(g) for g in m["row_grades"]],
+            [tuple(g) for g in m["col_grades"]],
+            d=payload["d"],
+        )
+        with_rows = [b for b in payload["blocks"] if b["rows"]]
+        if not with_rows:  # minimizing cancelled every generator
+            continue
+        subs = summands(M, [(b["rows"], b["cols"]) for b in with_rows])
+        around = widened(M)
+        for b, sub in zip(with_rows, subs, strict=True):
+            assert b["grid"] == [list(axis) for axis in default_box(sub).axes]
+            on_grid = set(product(*b["grid"]))
+            for u in around.grades():
+                n_off += u not in on_grid
+                assert off_grid_value(b["grid"], b["dim_function"], u) == dim_oracle(sub, u)
+    assert n_off > 5000
 
 
 def test_box_over_point_cap_rejected():
@@ -153,7 +203,7 @@ def test_global_betti_is_sum_of_blocks():
 def test_blockcode_reference_values():
     final, diag = triangle_pipeline()
     box = GradeBox.span((0, 0), (3, 3))
-    codes = blockcodes(summands(final, diag.blocks), box)
+    codes = blockcodes(summands(final, diag.blocks), [box] * 2)
     assert len(codes) == 2
     m1, m2 = codes
     for u, v1, v2 in zip(box.grades(), m1, m2, strict=True):
@@ -166,17 +216,20 @@ def test_dimension_function_additive_over_blocks():
     box = default_box(final)
     total = dimension_function(final, box)
     acc = [0] * len(total)
-    for values in blockcodes(summands(final, diag.blocks), box):
+    subs = summands(final, diag.blocks)
+    for values in blockcodes(subs, [box] * len(subs)):
         acc = list(map(add, acc, values))
     assert acc == total
 
 
 def test_hilbert_consistency_betti_vs_dimension():
     final, diag = triangle_pipeline()
-    box = default_box(final)
     subs = summands(final, diag.blocks)
-    for table, values in zip(persistent_betti(subs), blockcodes(subs, box), strict=True):
-        assert betti_euler_function(table, box) == values
+    tables = persistent_betti(subs)
+    # on the whole presentation's grid and on each summand's own grid
+    for boxes in ([default_box(final)] * len(subs), list(map(default_box, subs))):
+        for table, box, values in zip(tables, boxes, blockcodes(subs, boxes), strict=True):
+            assert betti_euler_function(table, box) == values
 
 
 def test_persistent_betti_skips_free_columns_only_blocks():

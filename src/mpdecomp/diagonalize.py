@@ -7,12 +7,21 @@ At column t a block whose rows are zero in column t therefore stays as it
 is, and the loop only visits the blocks that own a row column t meets.
 For any such block B the question is whether B's rows can be cleared on
 the columns up to t outside B, as in the per-column BlockReduce of Dey and
-Xin.  The answer is found by linearizing that region into one bit vector
-and reducing it against one vector per admissible operation that feeds
-it.  Building the region and the vectors costs about one step per set
-bit of the columns up to t: admissibility is read from bitmasks, and an
-Op is made only for an operation that is applied.  Blocks that fail merge
-with column t, by OR of their masks, and nothing is applied to them.
+Xin.  The answer is found by linearizing a region into one bit vector and
+reducing it against one vector per admissible operation that feeds it.
+The region is B's rows over the columns of the other met blocks and
+column t, not over every column outside B.  That is exact: the row of a
+block C that column t does not meet is zero in column t and outside C's
+columns, so the row additions from C and the column additions into C's
+columns only have bits on C's columns, where the target is zero.  They
+form a subsystem of their own, which no solution needs.  Dropping those
+columns keeps the other slots in their order, so every highest-bit
+comparison of the reduction is the same and it finds the same
+combination.  Building the region and the vectors costs about one step
+per set bit of the region's columns and of B's: admissibility is read
+from bitmasks, and an Op is made only for an operation that is applied.
+Blocks that fail merge with column t, by OR of their masks, and nothing
+is applied to them.
 
 Before any of that, each entry of B's rows in column t is checked for a
 source vector with a bit there: a row outside B that may be added into its
@@ -71,11 +80,14 @@ def block_reduce(
     T: IndexBlock,
     t: int,
     certificate: List[Op],
+    b_cols: int,
 ) -> bool:
     """Try to clear A on T's rows over T's columns up to column t.
 
     T pairs the rows of one block B, built from columns before t, with
-    columns outside B; only those at or before t are read.  The region is
+    columns outside B; only those at or before t are read.  b_cols is the
+    bitmask of B's columns.  ``tot_diagonalize`` passes the columns of the
+    other blocks that column t meets, and t.  The region is
     flattened last column first, rows ascending, so each column of T has a
     slot of len(T.rows) bits and the pivot under reduction lies in the
     earliest column.  One source vector is built per admissible operation
@@ -102,9 +114,6 @@ def block_reduce(
     mask = 0  # T's rows
     for i in rows_t:
         mask |= 1 << i
-    t_mask = 0
-    for j in cols_t:
-        t_mask |= 1 << j
     cols = A.mat.cols
 
     # each target entry (k, j) in the last column needs a row outside T
@@ -117,7 +126,7 @@ def block_reduce(
             continue
         if reach is None:
             reach = 0
-            for i in bits(ops.col_mask[j] & ~t_mask & ((1 << t) - 1)):
+            for i in bits(ops.col_mask[j] & b_cols):
                 reach |= cols[i]
         if not reach >> k & 1:
             return False
@@ -146,10 +155,10 @@ def block_reduce(
             for l in bits(rest):
                 traces[l] = traces.get(l, 0) | bit
         col_feeders |= ops.col_mask[j]
-    # B's columns (the others before t) that may feed one of T's, on T's rows
+    # B's columns that may feed one of T's, on T's rows
     b_vecs: Dict[int, int] = {}
     b_mask = 0
-    for i in bits(col_feeders & ~t_mask & ((1 << t) - 1)):
+    for i in bits(col_feeders & b_cols):
         if cols[i] & mask:
             b_vecs[i] = remap(cols[i] & mask, slot_bit)
             b_mask |= 1 << i
@@ -215,12 +224,16 @@ def tot_diagonalize(A: GradedMatrix, *, perturb_ties: bool = False) -> Diagonali
 
     for t in range(work.n_cols):
         # earlier columns outside a block are already clear on its rows, so
-        # only the blocks whose rows column t meets need work, by lowest row
+        # only the blocks whose rows column t meets need work, by lowest row,
+        # and only their columns and t can take part in clearing them
         met = {owner[i] for i in bits(work.mat.cols[t])}
+        met_cols = 1 << t
+        for _, cmask in met:
+            met_cols |= cmask
         merged_rows, merged_cols = 0, 1 << t
         for rmask, cmask in sorted(met, key=lambda b: b[0] & -b[0]):
-            T = IndexBlock(tuple(bits(rmask)), tuple(bits(((2 << t) - 1) & ~cmask)))
-            if not block_reduce(work, ops, T, t, certificate):
+            T = IndexBlock(tuple(bits(rmask)), tuple(bits(met_cols & ~cmask)))
+            if not block_reduce(work, ops, T, t, certificate, cmask):
                 merged_rows |= rmask
                 merged_cols |= cmask
         for i in bits(merged_rows):

@@ -211,9 +211,9 @@ def test_earlier_columns_never_regress(monkeypatch):
     real = diagonalize.block_reduce
     seen = []
 
-    def watched(A, ops, T, t, certificate=None):
+    def watched(A, ops, T, t, certificate, b_cols):
         before = A.mat.cols[:t]
-        ok = real(A, ops, T, t, certificate)
+        ok = real(A, ops, T, t, certificate, b_cols)
         seen.append((t, before, A.mat.cols[:t]))
         return ok
 
@@ -241,7 +241,7 @@ def test_block_reduce_splits_worked_example_block():
     ops = admissible_ops(M)
     T = IndexBlock((0, 1), (1, 2))
     certificate: list = []
-    ok = block_reduce(M, ops, T, 1, certificate)
+    ok = block_reduce(M, ops, T, 1, certificate, 0b1)
     assert ok
     assert M.mat.cols[1] & 0b011 == 0
     assert replay_certificate(triangle_matrix(), certificate).mat == M.mat
@@ -273,7 +273,7 @@ def two_source_block(row_1_in_t: bool = True) -> GradedMatrix:
 def test_block_reduce_clears_entries_each_reached_by_one_kind_of_source():
     M = two_source_block()
     certificate: list = []
-    assert block_reduce(M, admissible_ops(M), IndexBlock((0, 2), (2,)), 2, certificate)
+    assert block_reduce(M, admissible_ops(M), IndexBlock((0, 2), (2,)), 2, certificate, 0b11)
     assert certificate == [Op("col", 1, 2), Op("row", 1, 0)]
     assert M.mat.cols[2] == 0b010
     assert replay_certificate(two_source_block(), certificate).mat == M.mat
@@ -293,7 +293,7 @@ def test_block_reduce_refuses_an_unreachable_entry_before_building_the_system(mo
     M = two_source_block(row_1_in_t=False)
     before = list(M.mat.cols)
     certificate = [Op("row", 1, 0)]
-    assert not block_reduce(M, admissible_ops(M), T, 2, certificate)
+    assert not block_reduce(M, admissible_ops(M), T, 2, certificate, 0b11)
     assert M.mat.cols == before
     assert certificate == [Op("row", 1, 0)]
 
@@ -301,24 +301,31 @@ def test_block_reduce_refuses_an_unreachable_entry_before_building_the_system(mo
 # -- d = 1: the decomposition is the barcode ---------------------------------------
 
 
-def d1_filtration_text(rng: random.Random, nv: int, ties: bool) -> str:
-    """A random one-parameter clique complex up to triangles.
+def d1_grader(rng: random.Random, ties: bool):
+    """The lines of a one-parameter mpfilt file, and a function adding a simplex.
 
-    Each simplex enters at the latest base grade of its facets plus a step of
-    0 to 2.  With ties the grade is that base, so grades tie often; without,
-    it is the base scaled past the simplex count plus the simplex's id, so
-    no two grades tie and faces still come first.
+    Each simplex enters at the latest base grade of its facets (or at
+    ``lo`` for a vertex) plus a step of 0 to 2.  With ties the grade is that
+    base, so grades tie often; without, it is the base scaled past the
+    simplex count plus the simplex's id, so no two grades tie and faces
+    still come first.  ``add`` returns the simplex's id.
     """
     lines = ["mpfilt 1", "params 1"]
     bases: list = []
 
-    def add(facets) -> int:
-        base = max((bases[f] for f in facets), default=0) + rng.randint(0, 2)
-        grade = base if ties else base * 1000 + len(bases)
+    def add(facets, lo: int = 0) -> int:
+        base = max((bases[f] for f in facets), default=lo) + rng.randint(0, 2)
+        grade = base if ties else base * 100_000 + len(bases)
         lines.append(" ".join(["s", str(grade), ":", *map(str, facets)]))
         bases.append(base)
         return len(bases) - 1
 
+    return lines, add
+
+
+def d1_filtration_text(rng: random.Random, nv: int, ties: bool) -> str:
+    """A random one-parameter clique complex up to triangles."""
+    lines, add = d1_grader(rng, ties)
     for _ in range(nv):
         add(())
     edge = {e: add(e) for e in combinations(range(nv), 2) if rng.random() < 0.6}
@@ -329,11 +336,56 @@ def d1_filtration_text(rng: random.Random, nv: int, ties: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sparse_d1_filtration_text(rng: random.Random, nv: int, ties: bool) -> str:
+    """A random one-parameter complex with 3 nv edges and its 3-cycles filled.
+
+    Vertices enter at bases in [0, nv / 8), so with ties about eight share
+    each grade.  Each edge joins two vertices at most four apart in index,
+    so the graph has many short cycles; every 3-cycle is filled, up to
+    4 nv triangles.
+    """
+    lines, add = d1_grader(rng, ties)
+    for _ in range(nv):
+        add((), rng.randrange(nv // 8))
+    edge = {}
+    while len(edge) < 3 * nv:
+        u = rng.randrange(nv - 1)
+        e = (u, min(nv - 1, u + rng.randint(1, 4)))
+        if e not in edge:
+            edge[e] = add(e)
+    cycles = []
+    for a in range(nv):
+        for b, c in combinations(range(a + 1, min(nv, a + 9)), 2):
+            facets = [edge.get(e) for e in ((a, b), (a, c), (b, c))]
+            if None not in facets:
+                cycles.append(facets)
+    rng.shuffle(cycles)
+    for facets in cycles[: 4 * nv]:
+        add(facets)
+    return "\n".join(lines) + "\n"
+
+
+def decomposed_bars(path, p: int, ties: bool, capsys) -> list:
+    """The (birth, death or None) of every summand of ``decompose`` at d = 1.
+
+    Each summand must be an interval: one row, its birth, and at most one
+    column, its death.
+    """
+    argv = ["decompose", str(path), "--dim", str(p)] + ["--perturb"] * ties
+    assert main(argv) == 0
+    blocks = [b for b in json.loads(capsys.readouterr().out)["blocks"] if b["rows"]]
+    assert all(len(b["rows"]) == 1 and len(b["cols"]) <= 1 for b in blocks)
+    bars = [
+        (tuple(b["row_grades"][0]), tuple(b["col_grades"][0]) if b["cols"] else None)
+        for b in blocks
+    ]
+    return sorted(bars, key=lambda bar: (bar[0], bar[1] is None, bar[1] or ()))
+
+
 @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
 def test_d1_decompositions_are_the_barcode(tmp_path, capsys, ties):
-    # at d = 1 every summand is an interval: one row, its birth, and at
-    # most one column, its death; the multiset of intervals is the barcode
-    # of the textbook persistence algorithm
+    # at d = 1 every summand is an interval; the multiset of intervals is
+    # the barcode of the textbook persistence algorithm
     rng = random.Random(71 + ties)
     path = tmp_path / "d1.mpfilt"
     n_bars = n_finite = 0
@@ -342,19 +394,27 @@ def test_d1_decompositions_are_the_barcode(tmp_path, capsys, ties):
         path.write_text(text)
         F = parse_filtration(text)
         for p in (0, 1):
-            argv = ["decompose", str(path), "--dim", str(p)] + ["--perturb"] * ties
-            assert main(argv) == 0
-            blocks = [b for b in json.loads(capsys.readouterr().out)["blocks"] if b["rows"]]
-            assert all(len(b["rows"]) == 1 and len(b["cols"]) <= 1 for b in blocks)
-            bars = [
-                (tuple(b["row_grades"][0]), tuple(b["col_grades"][0]) if b["cols"] else None)
-                for b in blocks
-            ]
             want = barcode(F, p)
-            assert sorted(bars, key=lambda bar: (bar[0], bar[1] is None, bar[1] or ())) == want
+            assert decomposed_bars(path, p, ties, capsys) == want
             n_bars += len(want)
             n_finite += sum(1 for _, death in want if death is not None)
     assert n_bars > 300 and n_finite > 200
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+def test_d1_decomposition_at_size_is_the_barcode(tmp_path, capsys, ties):
+    # one complex of 320 vertices, past the brute-force oracle's reach by far
+    rng = random.Random(f"d1-size:{ties}")
+    text = sparse_d1_filtration_text(rng, 320, ties)
+    path = tmp_path / "d1.mpfilt"
+    path.write_text(text)
+    F = parse_filtration(text)
+    n_finite = []
+    for p in (0, 1):
+        want = barcode(F, p)
+        assert decomposed_bars(path, p, ties, capsys) == want
+        n_finite.append(sum(1 for _, death in want if death is not None))
+    assert n_finite[0] > 100 and n_finite[1] > 300
 
 
 # -- cost of the per-column BlockReduce ------------------------------------------
@@ -384,11 +444,11 @@ def test_block_reduce_skips_blocks_clear_in_column_t(monkeypatch):
     real = diagonalize.block_reduce
     calls = []
 
-    def watched(A, ops, T, t, certificate=None):
+    def watched(A, ops, T, t, certificate, b_cols):
         mask = sum(1 << i for i in T.rows)
         assert A.mat.cols[t] & mask, f"rows {T.rows} are clear in column {t}"
         calls.append(t)
-        return real(A, ops, T, t, certificate)
+        return real(A, ops, T, t, certificate, b_cols)
 
     monkeypatch.setattr(diagonalize, "block_reduce", watched)
     for M in cost_cases():
@@ -403,10 +463,10 @@ def test_col_reduce_sees_only_columns_up_to_t(monkeypatch):
     region_bits = []
     sizes = []
 
-    def block_reduce_spy(A, ops, T, t, certificate=None):
+    def block_reduce_spy(A, ops, T, t, certificate, b_cols):
         region_bits.append(len(T.rows) * sum(1 for j in T.cols if j <= t))
         try:
-            return real_block_reduce(A, ops, T, t, certificate)
+            return real_block_reduce(A, ops, T, t, certificate, b_cols)
         finally:
             region_bits.pop()
 
@@ -454,13 +514,13 @@ def test_block_reduce_matches_lin_reference(monkeypatch):
     real = diagonalize.block_reduce
     calls = 0
 
-    def checked(A, ops, T, t, certificate=None):
+    def checked(A, ops, T, t, certificate, b_cols):
         nonlocal calls
         ref = A.copy()
         ref_cert = []
         expected = block_reduce_lin(ref, ops, T, t, ref_cert)
         start = len(certificate)
-        ok = real(A, ops, T, t, certificate)
+        ok = real(A, ops, T, t, certificate, b_cols)
         assert ok == expected
         assert A.mat.cols == ref.mat.cols
         assert certificate[start:] == ref_cert
@@ -475,6 +535,60 @@ def test_block_reduce_matches_lin_reference(monkeypatch):
         n_inputs += 1
     assert n_inputs >= 300
     assert calls > 2000
+
+
+def test_block_reduce_over_met_blocks_matches_full_region(monkeypatch):
+    # the region of each call, the met blocks' columns and t, gives what
+    # the full region gives: every column up to t that is clear on B's rows
+    real = diagonalize.block_reduce
+    calls = narrower = 0
+
+    def checked(A, ops, T, t, certificate, b_cols):
+        nonlocal calls, narrower
+        assert all(a < b for a, b in zip(T.rows, T.rows[1:]))
+        assert all(a < b for a, b in zip(T.cols, T.cols[1:]))
+        mask = sum(1 << i for i in T.rows)
+        clear = [not A.mat.cols[j] & mask for j in range(t)]
+        full = IndexBlock(T.rows, tuple(j for j in range(t) if clear[j]) + (t,))
+        meeting = sum(1 << j for j in range(t) if not clear[j])
+        ref = A.copy()
+        ref_cert = []
+        expected = real(ref, ops, full, t, ref_cert, meeting)
+        start = len(certificate)
+        ok = real(A, ops, T, t, certificate, b_cols)
+        assert ok == expected
+        assert A.mat.cols == ref.mat.cols
+        assert certificate[start:] == ref_cert
+        calls += 1
+        narrower += len(T.cols) < len(full.cols)
+        return ok
+
+    monkeypatch.setattr(diagonalize, "block_reduce", checked)
+    for M in equivalence_cases():
+        tot_diagonalize(M, perturb_ties=True)
+    assert calls > 2000 and narrower > 2000
+
+
+def test_block_reduce_systems_stay_the_size_of_the_met_blocks(monkeypatch):
+    # an H0 presentation of 80 vertices, like the benchmark's scale inputs:
+    # over every column reduction, the source vectors and their bits; the
+    # full region of every other column before t takes 50 223 sources and
+    # 37.6 million bits here
+    M = sort_by_grade(minimize(random_graph_boundary(random.Random(89), 80, 240, span=120)))
+    real = diagonalize.col_reduce
+    sources = vector_bits = 0
+
+    def counted(S, c):
+        nonlocal sources, vector_bits
+        sources += S.n_cols
+        vector_bits += S.n_cols * S.n_rows
+        return real(S, c)
+
+    monkeypatch.setattr(diagonalize, "col_reduce", counted)
+    diag = tot_diagonalize(M, perturb_ties=True)
+    assert replay_certificate(M, diag.certificate).mat == diag.matrix.mat
+    assert 1000 < sources <= 10_000
+    assert vector_bits <= 1_000_000
 
 
 def test_ops_built_only_for_applied_operations(monkeypatch):

@@ -4,13 +4,13 @@ Columns are arbitrary-precision integers, bit i = row i, so a column
 addition is one XOR and the pivot of a column is its highest set bit.
 Storage is column-major; a row addition walks every column.
 
-``reduce_into`` is the elimination loop of every reduction that adds
-columns in a fixed order: here, in ``minimize`` and in the invariants
-layer.  A caller that needs the combination a vector stands for packs it
-into the bits below ``low``, the vector itself above them, so the
-combination rides along and the pivot is still the vector's own highest
-bit.  ``kernel_gens`` packs its columns the same way but keeps an echelon
-that columns join out of order, so it has a loop of its own.
+There are two elimination loops.  ``reduce_into`` serves every reduction
+that adds columns in a fixed order: here and in the invariants layer.
+``echelon_insert`` serves the chain sweeps of ``kernel_gens`` and
+``minimize``, whose columns join one echelon out of order.  A caller that
+needs the combination a vector stands for packs it into the bits below
+``low``, the vector itself above them, so the combination rides along and
+the pivot is still the vector's own highest bit.
 """
 from __future__ import annotations
 
@@ -136,6 +136,40 @@ def reduce_into(pivots: Dict[int, int], c: int, low: int = 0) -> int:
         c ^= p
         lw = c.bit_length() - 1
     return c
+
+
+def echelon_insert(
+    owner: Dict[int, int], reduced: List[int], pos: int, v: int, low: int = 0
+) -> Optional[Tuple[int, int]]:
+    """Insert column pos, as vector v, into an echelon ordered by position.
+
+    ``owner`` maps a pivot bit (at or above ``low``) to the column owning it
+    and ``reduced[p]`` holds column p's vector, 0 for a column owning none.
+    A column reduces against the owners before it; where a later column
+    owns the pivot bit, the earlier one takes that bit and the later owner
+    goes on in its place.  So the echelon stays the reduction of its
+    columns in position order, whatever order they join in.
+
+    Returns None, or the ``(column, residue)`` of the one column left with
+    nothing at or above ``low``: it lies in the span of the columns before
+    it, and its residue holds what was packed below ``low``.
+    """
+    cur = pos
+    while True:
+        lw = v.bit_length() - 1
+        if lw < low:
+            reduced[cur] = 0
+            return cur, v
+        held = owner.get(lw)
+        if held is None:
+            owner[lw] = cur
+            reduced[cur] = v
+            return None
+        if held < cur:
+            v ^= reduced[held]
+        else:  # cur takes the bit; the later owner goes on in its place
+            owner[lw] = cur
+            reduced[cur], cur, v = v, held, reduced[held] ^ v
 
 
 def col_reduce(S: F2Matrix, c: int) -> Optional[int]:

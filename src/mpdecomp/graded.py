@@ -24,7 +24,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .f2 import F2Matrix, bits
-from .grades import check_grade, fmt, leq, topo_order
+from .grades import check_grade, fmt, leq, threshold_masks, topo_order
 
 
 class GradedMatrix:
@@ -138,6 +138,14 @@ class AdmissibleOps(NamedTuple):
     index (the virtual perturbation), so both relations are irreflexive,
     transitively closed and acyclic.  A caller intersects a mask with the
     indices it can use and walks the set bits of the result.
+
+    ``admissible_ops`` builds each mask without comparing pairs of grades.
+    Topo order is lexicographic with ties by index, so a column that
+    precedes j in it has a first coordinate no larger than j's; AND that
+    prefix with, for every later axis, the columns whose coordinate there
+    is <= j's, and what is left is exactly the columns strictly below j.
+    Rows take the suffix of row k and the coordinates >= k's.  That is one
+    cumulative mask per position and per distinct value of each axis.
     """
 
     col_mask: Tuple[int, ...]
@@ -152,34 +160,27 @@ class AdmissibleOps(NamedTuple):
         return tuple(bits(self.row_mask[k]))
 
 
-def _below_masks(grades: Sequence[Tuple[int, ...]]) -> List[int]:
-    """For each index, the indices strictly below it, as a bitmask.
-
-    Strictly below means lower in the product order, with equal grades
-    broken by index (the earlier one acts as smaller).  That implies
-    earlier in topo order (lexicographic, ties by index), so each index
-    only scans the ones that precede it there.
-    """
+def _strict_masks(grades: Sequence[Tuple[int, ...]], d: int, up: bool) -> List[int]:
+    """Per index, the indices strictly below it (above if up): see AdmissibleOps."""
     order = topo_order(grades)
-    below = [0] * len(order)
-    for pos, b in enumerate(order):
-        gb = grades[b]
-        m = 0
-        for a in order[:pos]:
-            if all(map(le, grades[a], gb)):
-                m |= 1 << a
-        below[b] = m
-    return below
+    masks = [0] * len(order)
+    seen = 0
+    for i in reversed(order) if up else order:
+        masks[i] = seen
+        seen |= 1 << i
+    for k in range(1, d):
+        within = threshold_masks([g[k] for g in grades], up)
+        for i, g in enumerate(grades):
+            masks[i] &= within[g[k]]
+    return masks
 
 
 def admissible_ops(M: GradedMatrix) -> AdmissibleOps:
     # row l feeds row k when row k lies strictly below row l
-    row_mask = [0] * M.n_rows
-    for l, below in enumerate(_below_masks(M.row_grades)):
-        for k in bits(below):
-            row_mask[k] |= 1 << l
-    col_mask = _below_masks(M.col_grades)
-    return AdmissibleOps(col_mask=tuple(col_mask), row_mask=tuple(row_mask))
+    return AdmissibleOps(
+        col_mask=tuple(_strict_masks(M.col_grades, M.d, up=False)),
+        row_mask=tuple(_strict_masks(M.row_grades, M.d, up=True)),
+    )
 
 
 def sort_by_grade(M: GradedMatrix) -> GradedMatrix:

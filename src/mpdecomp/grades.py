@@ -12,7 +12,7 @@ is exactly the virtual perturbation used when ties are tolerated.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from .errors import InputError
 
@@ -117,6 +117,23 @@ def topo_order(grades: Sequence[Tuple[int, ...]]) -> list:
         for g in gs[1:]:
             _same_d(gs[0], g)  # raises at the first mismatch
     return sorted(range(len(gs)), key=gs.__getitem__)  # stable: ties by index
+
+
+def threshold_masks(values: Sequence[int], up: bool = False) -> Dict[int, int]:
+    """Each distinct value -> the indices whose value is <= it (>= it if up).
+
+    The indices are bits of one int, so a caller cuts a set of indices down
+    to one threshold per axis by AND, without comparing pairs.
+    """
+    at: Dict[int, int] = {}  # value -> the indices holding it
+    for i, x in enumerate(values):
+        at[x] = at.get(x, 0) | 1 << i
+    out: Dict[int, int] = {}
+    seen = 0
+    for x in sorted(at, reverse=up):
+        seen |= at[x]
+        out[x] = seen
+    return out
 
 
 def tied_pairs(grades: Sequence[Tuple[int, ...]]) -> list:

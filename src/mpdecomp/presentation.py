@@ -27,9 +27,11 @@ from operator import le
 from typing import Dict, List, Tuple
 
 from .errors import InputError, InternalCheckError
-from .f2 import F2Matrix, bits, reduce_into, remap
+from .f2 import F2Matrix, bits, echelon_insert, remap
 from .graded import GradedMatrix, _reindexed, _trusted
-from .grades import fmt, read_grade, read_int, read_lines, read_params, topo_order
+from .grades import (
+    fmt, read_grade, read_int, read_lines, read_params, threshold_masks, topo_order
+)
 
 MAX_KERNEL_SLICES = 1_000_000  # rows times chain slices; more is refused
 
@@ -60,11 +62,11 @@ def kernel_gens(M: GradedMatrix) -> GradedMatrix:
     and the bits below m carry the combination.  The chain is climbed once,
     and each column joins the echelon at its own slice:
 
-    - A column reduces against the pivots of columns before it.  Where a
-      later column owns the pivot bit, the earlier one takes that bit and
-      the later owner is reduced by it in turn.
-    - A column left with nothing at or above bit m dies at that slice; its
-      residue is its relation.
+    - A column joins by ``f2.echelon_insert``: it reduces against the
+      pivots of columns before it, and where a later column owns the pivot
+      bit it takes that bit and the later owner goes on in its place.
+    - The column that insertion leaves with nothing at or above bit m dies
+      at that slice; its residue is its relation.
     - A column that died in an earlier row at slice k leaves the echelon
       at slice k, before that slice's columns join.
     - At the end of a slice, each death recorded there is cleaned of the
@@ -136,25 +138,12 @@ def kernel_gens(M: GradedMatrix) -> GradedMatrix:
                 gone |= 1 << order[pos]
             deaths = []
             for pos in joins[k]:
-                cur, v = pos, packed[pos]
-                while True:
-                    lw = v.bit_length() - 1
-                    if lw < m:  # nothing left at or above bit m: cur dies
-                        reduced[cur] = 0
-                        relation[cur] = v
-                        gone |= 1 << order[cur]
-                        deaths.append(cur)
-                        break
-                    held = owner.get(lw)
-                    if held is None:
-                        owner[lw] = cur
-                        reduced[cur] = v
-                        break
-                    if held < cur:
-                        v ^= reduced[held]
-                    else:  # cur takes the bit; the later owner goes on in its place
-                        owner[lw] = cur
-                        reduced[cur], cur, v = v, held, reduced[held] ^ v
+                dead = echelon_insert(owner, reduced, pos, packed[pos], m)
+                if dead is not None:
+                    cur, r = dead
+                    relation[cur] = r
+                    gone |= 1 << order[cur]
+                    deaths.append(cur)
             for pos in deaths:
                 r = relation[pos]
                 others = gone ^ (1 << order[pos])
@@ -300,12 +289,19 @@ def minimize(M: GradedMatrix) -> GradedMatrix:
     grade is dropped (the minimization step of Lesnick and Wright,
     arXiv:1902.05708); of tied columns the later one goes.  As in
     ``kernel_gens``, topo order is lexicographic, so the columns before j
-    with a grade tail <= tail(j) are exactly those with grade <= grade(j):
-    one left-to-right reduction per distinct tail s, over the columns whose
-    tail is <= s, tests every column whose tail is s.  ``kernel_gens`` on the
-    sorted columns would find the same ones, but it visits every slice of
-    the grid the tails span, not only the tails that occur: for m relations
-    about m times the work with three parameters and m^2 times with four.
+    with a grade tail <= tail(j) are exactly those with grade <= grade(j).
+    So the test is ``kernel_gens``' sweep without its relations: each grid
+    row that some column occupies climbs its chain once, with one echelon
+    that the columns at or below the row join by ``f2.echelon_insert``,
+    slice by slice and in topo order within a slice.  A column is redundant
+    exactly when it dies as it joins at its own slice of its own row, where
+    the columns before it in the echelon are those below its grade.  A row
+    stops after its own columns' highest slice and last topo position,
+    since what joins later cannot reach them.  Its joiners are picked by
+    AND of threshold masks whose bits are in joining order, so no pair of
+    grades is compared.  A column joins once per occupied row at or above
+    its own, not once per distinct tail, and only the rows that occur are
+    swept, not every slice of the grid they span.
 
     The row and column grades left are the module's graded Betti numbers
     in degrees 0 and 1.  Kept rows and columns stay in input order.
@@ -331,17 +327,31 @@ def minimize(M: GradedMatrix) -> GradedMatrix:
         live_cols.remove(j)
         units.remove(j)
 
+    # topo position -> column; a tail is (row, slice on the chain), and
+    # with one parameter a constant slice makes the grid a single slice
     order = sorted(live_cols, key=col_grades.__getitem__)  # stable: ties by index
-    tails = [col_grades[j][1:] for j in order]
-    last = {t: pos for pos, t in enumerate(tails)}  # last position per tail
+    tails = [col_grades[j][1:] or (0,) for j in order]
+    joining = sorted(range(len(order)), key=lambda pos: (tails[pos][-1], pos))
+    # sets of columns as bits in joining order, so a set's bits come out in
+    # the order its columns join: those at or before a topo position, at or
+    # below a slice, and at or below a coordinate on each axis of a row
+    upto_pos = threshold_masks(joining)
+    upto_slice = threshold_masks([tails[pos][-1] for pos in joining])
+    upto_row = [threshold_masks([tails[pos][k] for pos in joining]) for k in range(M.d - 2)]
+    stop: Dict[Tuple[int, ...], Tuple[int, int]] = {}  # row -> (last slice, last position)
+    for pos, tail in enumerate(tails):
+        last_slice, _ = stop.get(tail[:-1], (tail[-1], pos))
+        stop[tail[:-1]] = (max(last_slice, tail[-1]), pos)
     redundant = set()
-    for s, end in last.items():
-        pivots: Dict[int, int] = {}
-        for pos in range(end + 1):
-            tail = tails[pos]
-            if not all(map(le, tail, s)):
-                continue
-            if not reduce_into(pivots, cols[order[pos]]) and tail == s:
+    for row, (last_slice, last_pos) in stop.items():
+        joins = upto_pos[last_pos] & upto_slice[last_slice]
+        for within, x in zip(upto_row, row):
+            joins &= within[x]
+        owner: Dict[int, int] = {}
+        reduced = [0] * len(order)
+        for pos in map(joining.__getitem__, bits(joins)):
+            dead = echelon_insert(owner, reduced, pos, cols[order[pos]])
+            if dead is not None and dead[0] == pos and tails[pos][:-1] == row:
                 redundant.add(order[pos])
 
     keep_rows = sorted(live_rows)

@@ -283,6 +283,59 @@ def block_reduce_lin(
     return True
 
 
+def minimize_per_tail(M: GradedMatrix) -> GradedMatrix:
+    """``minimize`` with its span test restated as one reduction per tail.
+
+    The unit pivots are split off as ``minimize`` does it: row by row in
+    topo order, the first live column at the row's grade that meets it.
+    Then for each distinct grade tail s, the columns whose tail is <= s
+    are reduced left to right in topo order, from scratch, and a column
+    whose tail is s and that reduces to zero is redundant: it lies in the
+    span of the columns of lower or equal grade before it.  Kept rows and
+    columns stay in input order.
+    """
+    col_grades = M.col_grades
+    cols = list(M.mat.cols)
+    live_rows = set(range(M.n_rows))
+    live_cols = list(range(M.n_cols))
+    for i in topo_order(M.row_grades):
+        j = next(
+            (j for j in live_cols if col_grades[j] == M.row_grades[i] and (cols[j] >> i) & 1),
+            None,
+        )
+        if j is None:
+            continue
+        for j2 in live_cols:
+            if j2 != j and (cols[j2] >> i) & 1:
+                cols[j2] ^= cols[j]
+        live_rows.discard(i)
+        live_cols.remove(j)
+
+    order = sorted(live_cols, key=col_grades.__getitem__)  # stable: ties by index
+    tails = [col_grades[j][1:] for j in order]
+    last = {t: pos for pos, t in enumerate(tails)}  # last position per tail
+    redundant = set()
+    for s, end in last.items():
+        pivots: Dict[int, int] = {}
+        for pos in range(end + 1):
+            tail = tails[pos]
+            if not leq(tail, s):
+                continue
+            if not reduce_into(pivots, cols[order[pos]]) and tail == s:
+                redundant.add(order[pos])
+
+    keep_rows = sorted(live_rows)
+    keep_cols = [j for j in live_cols if j not in redundant]
+    return GradedMatrix(
+        F2Matrix(M.n_rows, cols).submatrix(keep_rows, keep_cols),
+        [M.row_grades[i] for i in keep_rows],
+        [col_grades[j] for j in keep_cols],
+        [M.row_labels[i] for i in keep_rows],
+        [M.col_labels[j] for j in keep_cols],
+        M.d,
+    )
+
+
 def slice_kernel_gens(M: GradedMatrix) -> GradedMatrix:
     """``kernel_gens`` restated as a fresh reduction at every slice.
 

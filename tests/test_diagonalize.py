@@ -27,7 +27,7 @@ from mpdecomp.cli import main
 from mpdecomp.errors import InputError, TiedGradesError
 from mpdecomp.graded import admissible_ops
 from mpdecomp.grades import tied_pairs
-from mpdecomp.oracle import brute_force_finest, op_pairs
+from mpdecomp.oracle import block_partition, brute_force_finest, op_pairs
 from reference import barcode, block_reduce_lin, from_dense, lin
 from test_acceptance import merge_chain, random_filtration_text
 from test_graded_matrix import random_graded
@@ -403,9 +403,9 @@ def test_d1_decompositions_are_the_barcode(tmp_path, capsys, ties):
 
 @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
 def test_d1_decomposition_at_size_is_the_barcode(tmp_path, capsys, ties):
-    # one complex of 320 vertices, past the brute-force oracle's reach by far
+    # one complex of 1000 vertices, past the brute-force oracle's reach by far
     rng = random.Random(f"d1-size:{ties}")
-    text = sparse_d1_filtration_text(rng, 320, ties)
+    text = sparse_d1_filtration_text(rng, 1000, ties)
     path = tmp_path / "d1.mpfilt"
     path.write_text(text)
     F = parse_filtration(text)
@@ -414,7 +414,7 @@ def test_d1_decomposition_at_size_is_the_barcode(tmp_path, capsys, ties):
         want = barcode(F, p)
         assert decomposed_bars(path, p, ties, capsys) == want
         n_finite.append(sum(1 for _, death in want if death is not None))
-    assert n_finite[0] > 100 and n_finite[1] > 300
+    assert n_finite[0] > 300 and n_finite[1] > 900
 
 
 # -- cost of the per-column BlockReduce ------------------------------------------
@@ -506,6 +506,27 @@ def equivalence_cases():
         for P in (pres_h0(F), pres_dparam(F, 1)):
             yield sort_by_grade(P)
             yield sort_by_grade(minimize(P))
+
+
+def test_final_blocks_strictly_increase():
+    # IndexBlock's rows and columns strictly increase in every final block:
+    # tot_diagonalize's, the oracle's components of its output, and the
+    # brute-force finest partition where the operations are few enough
+    def increasing(xs):
+        return all(a < b for a, b in zip(xs, xs[1:]))
+
+    n_blocks = n_brute = 0
+    for M in equivalence_cases():
+        diag = tot_diagonalize(M, perturb_ties=True)
+        blocks = diag.blocks + block_partition(diag.matrix.mat)
+        colop, rowop = op_pairs(admissible_ops(M))
+        if not diag.perturbed and len(colop) + len(rowop) <= 12:
+            blocks += brute_force_finest(M)
+            n_brute += 1
+        for b in blocks:
+            assert increasing(b.rows) and increasing(b.cols), b
+        n_blocks += sum(len(b.rows) > 1 or len(b.cols) > 1 for b in blocks)
+    assert n_blocks > 500 and n_brute > 50, (n_blocks, n_brute)
 
 
 def test_block_reduce_matches_lin_reference(monkeypatch):

@@ -27,11 +27,13 @@ def triangle_matrix() -> GradedMatrix:
     )
 
 
-def random_graded(rng: random.Random, n_max=5, m_max=5, coord_max=4) -> GradedMatrix:
+def random_graded(
+    rng: random.Random, n_max=5, m_max=5, coord_max=4, d=2
+) -> GradedMatrix:
     n = rng.randint(1, n_max)
     m = rng.randint(1, m_max)
-    rows = [(rng.randint(0, coord_max), rng.randint(0, coord_max)) for _ in range(n)]
-    cols = [(rng.randint(0, coord_max), rng.randint(0, coord_max)) for _ in range(m)]
+    rows = [tuple(rng.randint(0, coord_max) for _ in range(d)) for _ in range(n)]
+    cols = [tuple(rng.randint(0, coord_max) for _ in range(d)) for _ in range(m)]
     dense = [
         [rng.randint(0, 1) if leq(rows[i], cols[j]) else 0 for j in range(m)]
         for i in range(n)
@@ -156,38 +158,43 @@ def _strictly_below(a, ia, b, ib) -> bool:
 
 
 def test_admissible_ops_match_pairwise_definition_with_ties():
-    # small coordinate range, so exact ties between rows and between
-    # columns are common; the indexed lists must equal the pairwise rule
+    # small coordinate ranges, so exact ties between rows and between
+    # columns are common; the indexed lists must equal the pairwise rule.
+    # The masks are built from one threshold per axis after the first, so
+    # every parameter count from one to four is drawn, sorted or not
     rng = random.Random(41)
-    ties = 0
-    for _ in range(300):
-        M = random_graded(rng, n_max=6, m_max=6, coord_max=2)
-        if rng.random() < 0.5:
-            M = sort_by_grade(M)
-        ties += len(set(M.col_grades)) < M.n_cols
-        ops = admissible_ops(M)
-        for j in range(M.n_cols):
-            assert ops.col_sources(j) == tuple(
-                i
-                for i in range(M.n_cols)
-                if i != j and _strictly_below(M.col_grades[i], i, M.col_grades[j], j)
-            )
-            # bit i of column j's mask is set iff column i may be added into j
-            assert ops.col_mask[j] >> M.n_cols == 0
-            for i in range(M.n_cols):
-                assert bool((ops.col_mask[j] >> i) & 1) == (
-                    i != j and _strictly_below(M.col_grades[i], i, M.col_grades[j], j)
+    for d, coord_max in ((1, 3), (2, 2), (3, 1), (4, 1)):
+        col_ties = row_ties = unsorted = 0
+        for _ in range(300):
+            M = random_graded(rng, n_max=7, m_max=7, coord_max=coord_max, d=d)
+            if rng.random() < 0.5:
+                M = sort_by_grade(M)
+            col_ties += len(set(M.col_grades)) < M.n_cols
+            row_ties += len(set(M.row_grades)) < M.n_rows
+            unsorted += topo_order(M.col_grades) != list(range(M.n_cols))
+            ops = admissible_ops(M)
+            for j in range(M.n_cols):
+                assert ops.col_sources(j) == tuple(
+                    i
+                    for i in range(M.n_cols)
+                    if i != j and _strictly_below(M.col_grades[i], i, M.col_grades[j], j)
                 )
-        for k in range(M.n_rows):
-            assert ops.row_sources(k) == tuple(
-                l
-                for l in range(M.n_rows)
-                if l != k and _strictly_below(M.row_grades[k], k, M.row_grades[l], l)
-            )
-            # bit l of row k's mask is set iff row l may be added into k
-            assert ops.row_mask[k] >> M.n_rows == 0
-            for l in range(M.n_rows):
-                assert bool((ops.row_mask[k] >> l) & 1) == (
-                    l != k and _strictly_below(M.row_grades[k], k, M.row_grades[l], l)
+                # bit i of column j's mask is set iff column i may be added into j
+                assert ops.col_mask[j] >> M.n_cols == 0
+                for i in range(M.n_cols):
+                    assert bool((ops.col_mask[j] >> i) & 1) == (
+                        i != j and _strictly_below(M.col_grades[i], i, M.col_grades[j], j)
+                    )
+            for k in range(M.n_rows):
+                assert ops.row_sources(k) == tuple(
+                    l
+                    for l in range(M.n_rows)
+                    if l != k and _strictly_below(M.row_grades[k], k, M.row_grades[l], l)
                 )
-    assert ties > 50
+                # bit l of row k's mask is set iff row l may be added into k
+                assert ops.row_mask[k] >> M.n_rows == 0
+                for l in range(M.n_rows):
+                    assert bool((ops.row_mask[k] >> l) & 1) == (
+                        l != k and _strictly_below(M.row_grades[k], k, M.row_grades[l], l)
+                    )
+        assert min(col_ties, row_ties, unsorted) > 50, (d, col_ties, row_ties, unsorted)

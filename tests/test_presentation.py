@@ -27,7 +27,13 @@ from mpdecomp.errors import InputError, InternalCheckError
 from mpdecomp.f2 import bits
 from mpdecomp.grades import check_grade
 from mpdecomp.presentation import _cycles
-from reference import from_dense, rewrite_by_elimination, row_echelon_rank, slice_kernel_gens
+from reference import (
+    from_dense,
+    minimize_per_tail,
+    rewrite_by_elimination,
+    row_echelon_rank,
+    slice_kernel_gens,
+)
 from test_certificate_output_identity import random_mpfilt
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -607,6 +613,41 @@ def test_minimize_work_is_bounded_by_tails_times_relations(monkeypatch):
     P = minimize(M)
     assert P.n_cols < m  # some relation was redundant
     assert calls <= 3 * m * m  # d - 1 tail comparisons per (tail, relation)
+
+
+def test_minimize_equals_the_per_tail_reduction():
+    # the chain sweep drops exactly the relations one fresh reduction per
+    # grade tail drops, at every parameter count; few coordinates make
+    # ties, unit pivots and redundant relations common, and zero columns
+    # are mixed in
+    rng = random.Random(113)
+    for d, coord_max in ((1, 6), (2, 3), (3, 2), (4, 1)):
+        dropped = units = 0
+        for _ in range(150):
+            n, m = rng.randint(1, 8), rng.randint(1, 14)
+            rows = [tuple(rng.randint(0, coord_max) for _ in range(d)) for _ in range(n)]
+            cols = [tuple(rng.randint(0, coord_max) for _ in range(d)) for _ in range(m)]
+            vecs = []
+            for g in cols:
+                below = [i for i in range(n) if all(a <= b for a, b in zip(rows[i], g))]
+                v = 0
+                if rng.random() < 0.85:
+                    for i in below:
+                        v |= rng.randint(0, 1) << i
+                vecs.append(v)
+            M = GradedMatrix(F2Matrix(n, vecs), rows, cols, d=d)
+            want = minimize_per_tail(M)
+            assert minimize(M) == want
+            nonzero = sum(1 for v in vecs if v)
+            dropped += want.n_cols < nonzero - (n - want.n_rows)
+            units += want.n_rows < n
+        assert dropped > 40 and units > 40, (d, dropped, units)
+    # larger inputs, where a row's echelon holds columns of many rows below
+    for d in (2, 3, 4):
+        for _ in range(4):
+            F = graph_filtration(rng, 8, 18, span=6, d=d, tets=True)
+            for P in (pres_h0(F), pres_dparam(F, 1)):
+                assert minimize(P) == minimize_per_tail(P)
 
 
 # -- file format --------------------------------------------------------------

@@ -13,16 +13,15 @@ from pathlib import Path
 
 from mpdecomp import (
     blockcodes,
-    default_box,
     minimize,
     parse_filtration,
     persistent_betti,
     pres_2param,
     sort_by_grade,
-    summands,
     tot_diagonalize,
 )
 from mpdecomp.grades import fmt
+from mpdecomp.invariants import grade_grid
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "suspension.mpfilt"
 
@@ -41,23 +40,25 @@ def main() -> None:
     final = diag.matrix
     print(f"{len(diag.blocks)} indecomposable summands\n")
 
-    # one presentation per block with rows, in block order
+    # one Betti table per block with rows, in block order; with two
+    # parameters one kernel sweep of the whole matrix gives every degree 2
     blocks = [b for b in diag.blocks if b.rows]
-    subs = summands(final, blocks)
-    for sub, table in zip(subs, persistent_betti(subs)):
-        print(f"summand generated by {list(sub.row_labels)}:")
+    tables = persistent_betti(final, blocks)
+    for block, table in zip(blocks, tables):
+        print(f"summand generated by {[final.row_labels[i] for i in block.rows]}:")
         for deg, grades in enumerate(table):  # the sorted grades of each degree
             print(f"  beta_{deg} supported at {[fmt(g) for g in grades]}")
 
     # a summand's dimension function is constant on the cells of the grid
     # of its own distinct grade coordinates, so its values at those grid
-    # points are all, as ``decompose`` writes them
+    # points are all, as ``decompose`` writes them; with two parameters the
+    # table is a free resolution and each value is its alternating count
     print("\ndimension functions, each on its summand's own grade grid\n"
           "(x1 grows downwards, x2 to the right; a grade between grid points\n"
           "takes the value of the grid point at or below it, and a grade\n"
           "below the grid on some axis the value 0):")
-    boxes = [default_box(sub) for sub in subs]
-    for block, box, values in zip(blocks, boxes, blockcodes(subs, boxes)):
+    boxes = [grade_grid(table[0] + table[1], final.d) for table in tables]
+    for block, box, values in zip(blocks, boxes, blockcodes(final, blocks, tables, boxes)):
         xs, ys = (list(axis) for axis in box.axes)
         print(f"  block rows={list(block.rows)}, x1 in {xs}, x2 in {ys}:")
         width = box.shape[-1]  # values are flat, last coordinate fastest

@@ -27,7 +27,7 @@ from operator import sub
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .diagonalize import Diagonalization, Op, replay_certificate, tot_diagonalize
+from .diagonalize import Diagonalization, IndexBlock, Op, replay_certificate, tot_diagonalize
 from .errors import InputError, InternalCheckError, TiedGradesError
 from .f2 import bits
 from .filtration import parse_filtration
@@ -36,10 +36,11 @@ from .grades import check_grade, fmt, leq, read_int, read_lines
 from .invariants import (
     MAX_BOX_POINTS,
     GradeBox,
+    Table,
     blockcodes,
-    default_box,
+    default_box,  # noqa: F401  (perfbench/spans.py times cli.default_box by name)
+    grade_grid,
     persistent_betti,
-    summands,
 )
 from .presentation import (
     format_presentation,
@@ -210,10 +211,12 @@ def _decompose_text(case: str, diag: Diagonalization) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _betti_text(subs: List[GradedMatrix]) -> str:
+def _betti_text(M: GradedMatrix, blocks: List[IndexBlock], tables: List[Table]) -> str:
     lines = []
-    for pos, (sub, table) in enumerate(zip(subs, persistent_betti(subs))):
-        lines.append(f"block {pos} (generators {','.join(sub.row_labels)}):")
+    rows = [b.rows for b in blocks if b.rows]
+    for pos, (block_rows, table) in enumerate(zip(rows, tables, strict=True)):
+        labels = ",".join(M.row_labels[i] for i in block_rows)
+        lines.append(f"block {pos} (generators {labels}):")
         for deg, grades in enumerate(table):
             lines.append(f"  beta_{deg}: {' '.join(map(fmt, grades))}".rstrip())
     return "\n".join(lines) + "\n"
@@ -265,27 +268,29 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
     case, diag, _ = _pipeline(args)
     if args.format == "text":
         return _decompose_text(case, diag)
-    subs = summands(diag.matrix, diag.blocks)
-    if args.format == "betti":
-        return _betti_text(subs)
+    M, blocks = diag.matrix, diag.blocks
+    n_summands = sum(1 for b in blocks if b.rows)
     if args.box:
         box = GradeBox.span(*args.box)
         # every summand gets a value per point, all of them held at once
         points = math.prod(box.shape)
-        if points * len(subs) > MAX_BOX_POINTS:
+        if points * n_summands > MAX_BOX_POINTS:
             raise InputError(
-                f"--box of {points} grade points for {len(subs)} summands asks for "
-                f"{points * len(subs)} values, more than the limit of {MAX_BOX_POINTS}"
+                f"--box of {points} grade points for {n_summands} summands asks for "
+                f"{points * n_summands} values, more than the limit of {MAX_BOX_POINTS}"
             )
-        boxes = [box] * len(subs)
-    else:
-        boxes = [default_box(sub) for sub in subs]
-    codes = blockcodes(subs, boxes)
+        boxes = [box] * n_summands
+    tables = persistent_betti(M, blocks)
+    if args.format == "betti":
+        return _betti_text(M, blocks, tables)
+    if not args.box:
+        boxes = [grade_grid(table[0] + table[1], M.d) for table in tables]
+    codes = blockcodes(M, blocks, tables, boxes)
     if args.format == "csv":
-        return _blockcode_csv(diag.matrix.d, boxes, codes)
+        return _blockcode_csv(M.d, boxes, codes)
     payload = _diagonalize_payload(case, diag)
     # the blocks with rows come first, in the order of their summands
-    for entry, table, box, values in zip(payload["blocks"], persistent_betti(subs), boxes, codes):
+    for entry, table, box, values in zip(payload["blocks"], tables, boxes, codes):
         entry["betti"] = _betti_payload(table)
         entry["grid"] = [list(axis) for axis in box.axes]
         entry["dim_function"] = values

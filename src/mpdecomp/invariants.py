@@ -1,17 +1,26 @@
-"""Invariants read off the summand presentations of a decomposition (``summands``).
+"""Invariants of the summands of a decomposition.
+
+``persistent_betti`` and ``blockcodes`` read a diagonalized matrix and its
+blocks, the output of ``tot_diagonalize``.  ``minimize`` returns a minimal
+presentation, so its row and column grades are exactly the graded Betti
+numbers in degrees 0 and 1, and each summand of its decomposition is
+minimal too.  With two parameters the kernel of that presentation is free,
+so its generators are the whole of degree 2 and the Betti tables are
+complete.  One ``kernel_gens`` sweep of the whole diagonalized matrix
+gives every summand's kernel at once, each generator going to the block
+whose columns it sums.  A Betti table is these grade lists, sorted and
+indexed by degree.
 
 The dimension function of a cokernel at a grade u is (generators born by
-u) minus (rank of the relations born by u).  Both change only where u
-crosses a grade coordinate of the presentation, so they are computed on
-the grid of its distinct coordinates: generator counts by cumulative sums,
-relation ranks by one left-to-right reduction per slice of that grid that
-the box meets (a value of every coordinate after the first), never one rank
-per point.  ``minimize`` returns a minimal presentation, so its row and
-column grades are exactly the graded Betti numbers in degrees 0 and 1, and
-each summand of its decomposition is minimal too.  With two parameters the
-kernel of that presentation is free, so its generators are the whole of
-degree 2 and the Betti tables are complete.  A Betti table is these grade
-lists, sorted and indexed by degree.
+u) minus (rank of the relations born by u).  With two parameters the
+table is the whole free resolution, so it is also the alternating count
+beta0(<= u) - beta1(<= u) + beta2(<= u), which ``blockcodes`` reads off
+the table by cumulative sums, with no reduction.  With one parameter, or
+three or more, where the table stops at degree 1, it runs
+``dimension_function`` on the summand's presentation: generator counts by
+cumulative sums, relation ranks by one left-to-right reduction per slice
+of the grid of distinct coordinates that the box meets (a value of every
+coordinate after the first), never one rank per point.
 
 A dimension function lists one value per grade of a ``GradeBox``, a
 product of per-axis coordinate lists, as a flat list of ints in the C order
@@ -19,18 +28,19 @@ of ``GradeBox.grades()``.  ``default_box`` is the grid of a presentation's
 distinct coordinates, whose values determine the function everywhere: at a
 grade u it is 0 when u lies below the grid on some axis, and otherwise its
 value at the greatest grid point <= u.  So each summand is evaluated on its
-own grid, ``default_box(sub)``, which holds far fewer points than the grid
-of the whole presentation.  ``GradeBox.span`` is every integer grade
-between two corners.  A box of more than ``MAX_BOX_POINTS`` grades is
-refused with an ``InputError`` before any per-point work starts; a
-summand's own grid is capped the same way, one summand at a time.
+own grid, the distinct coordinates of its table's degrees 0 and 1
+(``grade_grid``), which holds far fewer points than the grid of the whole
+presentation.  ``GradeBox.span`` is every integer grade between two
+corners.  A box of more than ``MAX_BOX_POINTS`` grades is refused with an
+``InputError`` before any per-point work starts; a summand's own grid is
+capped the same way, one summand at a time.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, product
-from operator import le
+from operator import add, le
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import InputError
@@ -101,9 +111,16 @@ def default_box(M: GradedMatrix) -> GradeBox:
 
     Every axis is empty when M has no grades.
     """
-    grades = M.row_grades + M.col_grades
+    return grade_grid(M.row_grades + M.col_grades, M.d)
+
+
+def grade_grid(grades: Sequence[Tuple[int, ...]], d: int) -> GradeBox:
+    """The distinct coordinates of d-parameter grades on each axis.
+
+    A summand's own grid is ``grade_grid(table[0] + table[1], d)``.
+    """
     if not grades:
-        return GradeBox(((),) * M.d)
+        return GradeBox(((),) * d)
     return GradeBox(tuple(sorted(set(axis)) for axis in zip(*grades)))
 
 
@@ -159,9 +176,11 @@ def dimension_function(M: GradedMatrix, box: GradeBox) -> List[int]:
     return [v[x] for x in cells[0] for v in tails]
 
 
-def summands(
-    M: GradedMatrix, blocks: Iterable[Tuple[Sequence[int], Sequence[int]]]
-) -> List[GradedMatrix]:
+Blocks = Iterable[Tuple[Sequence[int], Sequence[int]]]  # (rows, cols) index pairs
+Table = List[List[Tuple[int, ...]]]  # a Betti table: sorted grades per degree
+
+
+def summands(M: GradedMatrix, blocks: Blocks) -> List[GradedMatrix]:
     """The presentation of each (rows, cols) block with rows, in block order.
 
     Blocks without rows present the zero module and are skipped (a minimal
@@ -170,25 +189,74 @@ def summands(
     return [_reindexed(M, rows, cols) for rows, cols in blocks if rows]
 
 
-def persistent_betti(subs: Sequence[GradedMatrix]) -> List[List[List[Tuple[int, ...]]]]:
-    """One Betti table per summand of a minimal presentation, from ``summands``.
+def persistent_betti(M: GradedMatrix, blocks: Blocks) -> List[Table]:
+    """One Betti table per block with rows of M, in block order.
 
-    A table lists, by degree, the sorted grades of that degree with
-    multiplicity: the rows, the columns and, with two parameters, the
-    generators of the free kernel, so the table is complete.
+    M is a diagonalized minimal presentation and ``blocks`` its (rows,
+    cols) blocks, so the tables pair with ``summands(M, blocks)``.  A table
+    lists, by degree, the sorted grades of that degree with multiplicity:
+    the block's rows, its columns and, with two parameters, the generators
+    of its summand's free kernel, so the table is complete.
+
+    Those generators come from one ``kernel_gens`` sweep of M.  Its echelon
+    reduces a column only against the owners of the column's rows, which
+    are columns of the same block, so each relation sums the columns of one
+    block and is born where that block's summand alone gives it.  A
+    relation on a block without rows (a zero column) belongs to no summand
+    and is dropped.
     """
-    out = []
-    for sub in subs:
-        table = [sorted(sub.row_grades), sorted(sub.col_grades)]
-        if sub.d == 2:
-            table.append(sorted(kernel_gens(sub).col_grades))
-        out.append(table)
+    rg, cg = M.row_grades, M.col_grades
+    live = [(rows, cols) for rows, cols in blocks if rows]
+    tables = [[sorted(rg[i] for i in rows), sorted(cg[j] for j in cols)] for rows, cols in live]
+    if M.d == 2:
+        kernel_of: Dict[int, List[Tuple[int, ...]]] = {}  # column -> its block's degree 2
+        for table, (_, cols) in zip(tables, live):
+            table.append([])
+            kernel_of.update(dict.fromkeys(cols, table[2]))
+        Z = kernel_gens(M)
+        # Z's columns come in grade order, so each block's list stays sorted
+        for z, g in zip(Z.mat.cols, Z.col_grades):
+            target = kernel_of.get((z & -z).bit_length() - 1)
+            if target is not None:
+                target.append(g)
+    return tables
+
+
+def _euler_values(table: Table, box: GradeBox) -> List[int]:
+    """beta0(<= u) - beta1(<= u) + beta2(<= u) at every grade u of a 2-axis box.
+
+    Each grade puts its sign on the first box point at or above it on each
+    axis (``bisect_left``); a grade above the box on some axis reaches none
+    of its points.  Cumulative sums along the second axis, then the first,
+    spread each sign over every box point above its grade.  Flat in C order.
+    """
+    xs, ys = box.axes
+    width = len(ys)
+    cells = [0] * (len(xs) * width)
+    for sign, grades in zip((1, -1, 1), table):
+        for x, y in grades:
+            i, j = bisect_left(xs, x), bisect_left(ys, y)
+            if i < len(xs) and j < width:
+                cells[i * width + j] += sign
+    out: List[int] = []
+    below = [0] * width  # the values of the previous box row
+    for start in range(0, len(cells), width or 1):
+        below = list(map(add, below, accumulate(cells[start : start + width])))
+        out += below
     return out
 
 
-def blockcodes(subs: Sequence[GradedMatrix], boxes: Sequence[GradeBox]) -> List[List[int]]:
-    """Each summand's dimension function on its own box, one box per summand.
+def blockcodes(
+    M: GradedMatrix, blocks: Blocks, tables: Sequence[Table], boxes: Sequence[GradeBox]
+) -> List[List[int]]:
+    """Each summand's dimension function on its own box, one box per table.
 
+    ``tables`` is ``persistent_betti(M, blocks)``.  With two parameters
+    each value is read off the table (``_euler_values``); otherwise each
+    summand's presentation is built and swept by ``dimension_function``.
     ``perfbench/spans.py`` times it by name.
     """
+    if M.d == 2:
+        return [_euler_values(t, box) for t, box in zip(tables, boxes, strict=True)]
+    subs = summands(M, blocks)
     return [dimension_function(sub, box) for sub, box in zip(subs, boxes, strict=True)]

@@ -22,13 +22,14 @@ from mpdecomp import (
     blockcodes,
     col_reduce,
     default_box,
+    kernel_gens,
     leq,
     persistent_betti,
-    summands,
     topo_order,
     tot_diagonalize,
 )
 from mpdecomp.f2 import bits, reduce_into
+from mpdecomp.invariants import Table
 
 
 def from_dense(rows: Sequence[Sequence[int]]) -> F2Matrix:
@@ -90,9 +91,6 @@ def rewrite_by_elimination(cols: GradedMatrix, basis: GradedMatrix) -> List[Opti
     return out
 
 
-Table = List[List[Tuple[int, ...]]]  # a Betti table: sorted grades per degree
-
-
 def merge_tables(tables: Iterable[Table]) -> Table:
     """The per-degree concatenation of Betti tables, each degree sorted."""
     out: Table = []
@@ -102,6 +100,22 @@ def merge_tables(tables: Iterable[Table]) -> Table:
                 out.append([])
             out[deg] += grades
     return [sorted(grades) for grades in out]
+
+
+def betti_tables_per_summand(subs: Sequence[GradedMatrix]) -> List[Table]:
+    """One Betti table per summand presentation, each from a sweep of its own.
+
+    The tables ``persistent_betti`` builds from one ``kernel_gens`` sweep of
+    the whole diagonalized matrix, restated per summand: its rows, its
+    columns and, with two parameters, the generators of its own kernel.
+    """
+    out = []
+    for sub in subs:
+        table = [sorted(sub.row_grades), sorted(sub.col_grades)]
+        if sub.d == 2:
+            table.append(sorted(kernel_gens(sub).col_grades))
+        out.append(table)
+    return out
 
 
 def betti_euler_function(table: Table, box: GradeBox) -> List[int]:
@@ -152,11 +166,11 @@ def summand_types(M: GradedMatrix) -> List[Tuple]:
     are broken by index, as ``--perturb`` does.
     """
     diag = tot_diagonalize(M, perturb_ties=True)
-    subs = summands(diag.matrix, diag.blocks)
-    codes = blockcodes(subs, [default_box(M)] * len(subs))
+    tables = persistent_betti(diag.matrix, diag.blocks)
+    codes = blockcodes(diag.matrix, diag.blocks, tables, [default_box(M)] * len(tables))
     return sorted(
         (tuple(table[0]), tuple(table[1]), tuple(values))
-        for table, values in zip(persistent_betti(subs), codes, strict=True)
+        for table, values in zip(tables, codes, strict=True)
     )
 
 

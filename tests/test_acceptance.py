@@ -97,7 +97,7 @@ def test_2_persistent_betti_tables():
         blocks = [b for b in diag.blocks if b.rows]
         tables = {
             tuple(b.rows): t
-            for b, t in zip(blocks, persistent_betti(summands(final, blocks)))
+            for b, t in zip(blocks, persistent_betti(final, blocks))
         }
         assert set(tables) == {(0, 1), (2,)}
         m1, m2 = tables[(0, 1)], tables[(2,)]
@@ -116,7 +116,9 @@ def test_3_blockcodes_closed_form():
         blocks = [b for b in diag.blocks if b.rows]
         codes = {
             tuple(block.rows): values
-            for block, values in zip(blocks, blockcodes(summands(final, blocks), [box] * 2))
+            for block, values in zip(
+                blocks, blockcodes(final, blocks, persistent_betti(final, blocks), [box] * 2)
+            )
         }
         m1, m2 = codes[(0, 1)], codes[(2,)]
         for u, v1, v2 in zip(box.grades(), m1, m2, strict=True):
@@ -333,11 +335,11 @@ def test_7_property_suites():
             box = default_box(final)
             total = dimension_function(final, box)
             acc = [0] * len(total)
-            subs = summands(final, diag.blocks)
-            for values in blockcodes(subs, [box] * len(subs)):
+            tables = persistent_betti(final, diag.blocks)
+            for values in blockcodes(final, diag.blocks, tables, [box] * len(tables)):
                 acc = list(map(add, acc, values))
             assert acc == total
-            merged = merge_tables(persistent_betti(subs))
+            merged = merge_tables(tables)
             # the presentation is minimal, so no relation is redundant:
             # diagonalizing zeroes none, and the per-summand tables add up
             # to the table of the whole presentation
@@ -347,15 +349,18 @@ def test_7_property_suites():
             assert merged[2] == sorted(kernel_gens(final).col_grades)
 
         # alternating Betti sums reproduce the dimension function (d = 2),
-        # on the grid of the whole presentation and on each summand's own
+        # on the grid of the whole presentation and on each summand's own:
+        # blockcodes reads them off the table, dimension_function sweeps
         rng = random.Random(76)
         for _ in range(500):
             final, diag = random_pipeline(rng)
             subs = summands(final, diag.blocks)
-            tables = persistent_betti(subs)
+            tables = persistent_betti(final, diag.blocks)
             for boxes in ([default_box(final)] * len(subs), list(map(default_box, subs))):
-                for table, box, values in zip(tables, boxes, blockcodes(subs, boxes), strict=True):
+                codes = blockcodes(final, diag.blocks, tables, boxes)
+                for sub, table, box, values in zip(subs, tables, boxes, codes, strict=True):
                     assert betti_euler_function(table, box) == values
+                    assert dimension_function(sub, box) == values
 
 
 # -- 8: runtime envelope on a doubling family ------------------------------------

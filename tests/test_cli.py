@@ -133,7 +133,7 @@ def test_betti_tables_are_sorted_grade_lists(capsys, path, dim):
     )
     _, diag, _ = cli._pipeline(args)
     d = diag.matrix.d
-    tables = mpdecomp.persistent_betti(mpdecomp.summands(diag.matrix, diag.blocks))
+    tables = mpdecomp.persistent_betti(diag.matrix, diag.blocks)
     assert tables
     for table in tables:
         assert type(table) is list and len(table) == (3 if d == 2 else 2)
@@ -391,11 +391,17 @@ def test_decompose_builds_each_summand_once(capsys, monkeypatch):
         return reindexed(M, rows, cols, *rest)
 
     monkeypatch.setattr(invariants, "_reindexed", counting)
-    code, out, _ = run_cli(capsys, "decompose", SUSPENSION, "--dim", "1")
+    # d = 3: dimension_function sweeps each summand's presentation
+    code, out, _ = run_cli(capsys, "decompose", K23, "--perturb")
     assert code == 0
     with_rows = [b["rows"] for b in json.loads(out)["blocks"] if b["rows"]]
     assert len(with_rows) > 1
     assert [list(rows) for rows in calls] == with_rows
+    # d = 2: the values are read off the Betti tables, no summand is built
+    calls.clear()
+    code, out, _ = run_cli(capsys, "decompose", SUSPENSION, "--dim", "1")
+    assert code == 0 and len([b for b in json.loads(out)["blocks"] if b["rows"]]) > 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("flag", ["1_0,0:3,3", "+1,0:3,3", "0,0:3, 3"])
@@ -505,7 +511,7 @@ def test_box_values_are_capped_over_all_summands(monkeypatch, capsys):
     # suspension in degree 1 has three summands, triangle one
     monkeypatch.setattr(cli, "MAX_BOX_POINTS", 30)
 
-    def unreachable(subs, box):
+    def unreachable(*args):
         raise AssertionError("blockcodes ran on a refused box")
 
     def run(path, fmt, box):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from itertools import product
 from operator import add, le
 from pathlib import Path
@@ -24,16 +25,27 @@ from mpdecomp import (
     minimize,
     parse_filtration,
     persistent_betti,
+    pres_2param,
     pres_h0,
     sort_by_grade,
     summands,
+    tied_pairs,
     tot_diagonalize,
 )
 from mpdecomp.cli import main
 from mpdecomp.errors import InputError
 from mpdecomp import invariants
-from mpdecomp.invariants import MAX_BOX_POINTS
-from reference import betti_euler_function, dim_oracle, from_dense, merge_tables, rank
+from mpdecomp.invariants import MAX_BOX_POINTS, grade_grid
+from reference import (
+    betti_euler_function,
+    betti_tables_per_summand,
+    dim_oracle,
+    from_dense,
+    merge_tables,
+    rank,
+)
+from test_certificate_output_identity import random_mpfilt
+from test_diagonalize import equivalence_cases
 from test_dimension_output_identity import random_mppres
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -177,8 +189,7 @@ def test_box_over_point_cap_rejected():
 
 def test_persistent_betti_reproduces_reference_table():
     final, diag = triangle_pipeline()
-    subs = summands(final, diag.blocks)
-    tables = persistent_betti(subs)
+    tables = persistent_betti(final, diag.blocks)
     assert len(tables) == 2
     (b1, t1), (b2, t2) = zip(diag.blocks, tables)
     assert b1.rows == (0, 1) and b2.rows == (2,)
@@ -193,7 +204,7 @@ def test_persistent_betti_reproduces_reference_table():
 def test_global_betti_is_sum_of_blocks():
     final, diag = triangle_pipeline()
     whole = [final.row_grades, final.col_grades]
-    merged = merge_tables(persistent_betti(summands(final, diag.blocks)))
+    merged = merge_tables(persistent_betti(final, diag.blocks))
     for deg in (0, 1):
         assert merged[deg] == sorted(whole[deg])
     b2_whole = kernel_gens(final).col_grades
@@ -203,7 +214,7 @@ def test_global_betti_is_sum_of_blocks():
 def test_blockcode_reference_values():
     final, diag = triangle_pipeline()
     box = GradeBox.span((0, 0), (3, 3))
-    codes = blockcodes(summands(final, diag.blocks), [box] * 2)
+    codes = blockcodes(final, diag.blocks, persistent_betti(final, diag.blocks), [box] * 2)
     assert len(codes) == 2
     m1, m2 = codes
     for u, v1, v2 in zip(box.grades(), m1, m2, strict=True):
@@ -216,8 +227,8 @@ def test_dimension_function_additive_over_blocks():
     box = default_box(final)
     total = dimension_function(final, box)
     acc = [0] * len(total)
-    subs = summands(final, diag.blocks)
-    for values in blockcodes(subs, [box] * len(subs)):
+    tables = persistent_betti(final, diag.blocks)
+    for values in blockcodes(final, diag.blocks, tables, [box] * len(tables)):
         acc = list(map(add, acc, values))
     assert acc == total
 
@@ -225,11 +236,13 @@ def test_dimension_function_additive_over_blocks():
 def test_hilbert_consistency_betti_vs_dimension():
     final, diag = triangle_pipeline()
     subs = summands(final, diag.blocks)
-    tables = persistent_betti(subs)
+    tables = persistent_betti(final, diag.blocks)
     # on the whole presentation's grid and on each summand's own grid
     for boxes in ([default_box(final)] * len(subs), list(map(default_box, subs))):
-        for table, box, values in zip(tables, boxes, blockcodes(subs, boxes), strict=True):
+        codes = blockcodes(final, diag.blocks, tables, boxes)
+        for sub, table, box, values in zip(subs, tables, boxes, codes, strict=True):
             assert betti_euler_function(table, box) == values
+            assert dimension_function(sub, box) == values
 
 
 def test_persistent_betti_skips_free_columns_only_blocks():
@@ -245,7 +258,7 @@ def test_persistent_betti_skips_free_columns_only_blocks():
     assert rowless
     subs = summands(M, diag.blocks)
     assert all(sub.n_rows for sub in subs)
-    assert len(persistent_betti(subs)) == len(diag.blocks) - len(rowless)
+    assert len(persistent_betti(M, diag.blocks)) == len(diag.blocks) - len(rowless)
 
 
 def test_betti_table_merge_and_counts():
@@ -395,6 +408,137 @@ def test_dimension_function_takes_no_rank(monkeypatch):
     rng = random.Random(5)
     P = random_presentation(rng, 2, 6, 12, lambda k: rng.sample(range(20), 18))
     assert_matches_oracle(P, default_box(P))
+
+
+# -- tables from one kernel sweep, values read off them -------------------------
+
+
+def tied_d2_presentations():
+    """Minimized, sorted H0 and H1 presentations of d = 2 complexes with tied grades."""
+    for seed in range(12):
+        filt = parse_filtration(random_mpfilt(random.Random(seed), 2))
+        for P in (pres_h0(filt), pres_2param(filt, 1)):
+            yield sort_by_grade(minimize(P))
+
+
+def d1_presentations(rng):
+    for _ in range(40):
+        n, m = rng.randint(1, 6), rng.randint(0, 8)
+        P = random_presentation(rng, 1, n, m, lambda k: [rng.randint(0, 4) for _ in range(n + m)])
+        yield sort_by_grade(P)
+        yield sort_by_grade(minimize(P))
+
+
+def test_tables_from_one_sweep_equal_the_per_summand_tables():
+    # equivalence_cases holds d = 2 and d = 3 inputs, minimal or not, ties
+    # included; every diagonalization breaks ties by index, as --perturb does
+    cases = [*equivalence_cases(), *tied_d2_presentations(), *d1_presentations(random.Random(25))]
+    per_d = Counter()
+    n_tied = n_beta2 = 0
+    for M in cases:
+        diag = tot_diagonalize(M, perturb_ties=True)
+        tables = persistent_betti(diag.matrix, diag.blocks)
+        assert tables == betti_tables_per_summand(summands(diag.matrix, diag.blocks))
+        per_d[M.d] += 1
+        n_tied += M.d == 2 and bool(tied_pairs(M.row_grades) or tied_pairs(M.col_grades))
+        n_beta2 += sum(len(t[2]) for t in tables if M.d == 2)
+    assert min(per_d[d] for d in (1, 2, 3)) >= 60, per_d
+    assert n_tied > 20 and n_beta2 > 100, (n_tied, n_beta2)
+
+
+def zero_column_presentation():
+    """Not minimal: the column at (1,1) is zero, a block without rows.
+
+    In row 0's block the relations at (1,0) and (0,1) sum to a kernel
+    generator at (1,1); row 1's block, one relation, has none; the zero
+    column is a kernel generator at (1,1) of its own that belongs to no
+    summand.
+    """
+    return GradedMatrix(
+        from_dense([[1, 1, 0, 1], [0, 0, 0, 1]]),
+        [(0, 0), (0, 1)],
+        [(1, 0), (0, 1), (1, 1), (2, 1)],
+    )
+
+
+def test_tables_drop_the_kernel_of_a_zero_column():
+    M = sort_by_grade(zero_column_presentation())
+    diag = tot_diagonalize(M)
+    assert any(not b.rows for b in diag.blocks)
+    assert len(kernel_gens(diag.matrix).col_grades) == 2  # one of them on the zero column
+    tables = persistent_betti(diag.matrix, diag.blocks)
+    assert tables == [[[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]], [[(0, 1)], [(2, 1)], []]]
+    subs = summands(diag.matrix, diag.blocks)
+    assert tables == betti_tables_per_summand(subs)
+    boxes = [default_box(sub) for sub in subs]
+    codes = blockcodes(diag.matrix, diag.blocks, tables, boxes)
+    assert codes == [dimension_function(sub, box) for sub, box in zip(subs, boxes)]
+
+
+def test_values_read_off_the_tables_equal_the_sweep_and_the_oracle():
+    # on each summand's own grid and on a span from two below its grades to
+    # two above; this kills two mutants of the alternating count: dropping
+    # beta2 (the summands with a kernel) and bisect_right for bisect_left (a
+    # grade on a box coordinate would land one cell too high)
+    rng = random.Random(26)
+    n_no_cols = n_beta2 = 0
+    for case in range(200):
+        n, m = rng.randint(1, 6), rng.randint(0, 9)
+        top = rng.choice([2, 4, 8])
+        P = random_presentation(rng, 2, n, m, lambda k: [rng.randint(0, top) for _ in range(n + m)])
+        diag = tot_diagonalize(sort_by_grade(minimize(P)), perturb_ties=True)
+        M, blocks = diag.matrix, diag.blocks
+        tables = persistent_betti(M, blocks)
+        subs = summands(M, blocks)
+        own = [default_box(sub) for sub in subs]
+        assert own == [grade_grid(t[0] + t[1], 2) for t in tables]
+        spans = [
+            GradeBox.span([a[0] - 2 for a in box.axes], [a[-1] + 2 for a in box.axes])
+            for box in own
+        ]
+        for boxes in (own, spans):
+            codes = blockcodes(M, blocks, tables, boxes)
+            for sub, box, values in zip(subs, boxes, codes, strict=True):
+                assert values == dimension_function(sub, box)
+                assert values == [dim_oracle(sub, u) for u in box.grades()]
+        n_no_cols += sum(not t[1] for t in tables)
+        n_beta2 += sum(bool(t[2]) for t in tables)
+    assert n_no_cols > 50 and n_beta2 > 20, (n_no_cols, n_beta2)
+
+
+def test_one_kernel_sweep_per_decompose(monkeypatch, capsys, tmp_path):
+    # d = 2: one kernel_gens call for all tables and no dimension_function;
+    # d = 1 and d = 3: no kernel sweep, one dimension_function per summand
+    calls = Counter()
+    for name in ("kernel_gens", "dimension_function"):
+
+        def spy(*args, _real=getattr(invariants, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(invariants, name, spy)
+    d1 = tmp_path / "d1.mppres"
+    d1.write_text("mppres 1\nparams 1\nrows 3\nr 0\nr 1\nr 1\ncols 2\nc 2 : 0 1\nc 3 : 2\n")
+    cases = [
+        (["decompose", str(DATA / "suspension.mpfilt"), "--dim", "1"], 2, "--box=-1,0:3,3"),
+        (["decompose", str(DATA / "triangle.mpfilt")], 2, "--box=0,0:2,2"),
+        (["decompose", str(DATA / "k23.mpfilt"), "--perturb"], 3, "--box=0,0,0:1,1,1"),
+        (["decompose", str(d1), "--perturb"], 1, "--box=-1:4"),
+    ]
+    for argv, d, box in cases:
+        n_summands = None
+        for extra in (["--format", "betti"], [], ["--format", "csv"], [box]):
+            calls.clear()
+            assert main(argv + extra) == 0
+            out = capsys.readouterr().out
+            if n_summands is None:  # the betti text comes first
+                n_summands = out.count("\nblock ") + out.startswith("block ")
+            if d == 2:
+                assert calls == {"kernel_gens": 1}, (argv, extra)
+            else:
+                want = {} if extra[-1:] == ["betti"] else {"dimension_function": n_summands}
+                assert calls == want, (argv, extra)
+        assert n_summands >= 2, argv
 
 
 # -- Betti numbers against rank counts on the input ----------------------------

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands: decompose, diagonalize, check, export-pres.
+Subcommands: decompose, check, export-pres, each on the minimal presentation
+(``tot_diagonalize`` gives the raw blocks of a non-minimal matrix, demo 01).
 Input files are recognized by their header line (mpfilt or mppres).  JSON
 output is byte-deterministic: keys sorted, arrays in canonical index order.
 ``decompose`` gives each summand's Betti table and its dimension function
@@ -92,15 +93,19 @@ def _load(args: argparse.Namespace) -> Tuple[GradedMatrix, str]:
     return pres_dparam(obj, p), "D_PARAM"
 
 
-def _pipeline(
-    args: argparse.Namespace, minimal: bool = True
-) -> Tuple[str, Diagonalization, GradedMatrix]:
-    """Parse, build, minimize if minimal, sort, diagonalize; keep the sorted input."""
+def _pipeline(args: argparse.Namespace) -> Tuple[str, Diagonalization, GradedMatrix]:
+    """Parse, build, minimize, sort, diagonalize; keep the sorted input.
+
+    A minimal presentation has no zero relation, so a block without rows is
+    an internal fault: the outputs pair the i-th block with the i-th summand.
+    """
     M, case = _load(args)
-    if minimal:
-        M = minimize(M)
-    sorted_matrix = sort_by_grade(M)
-    return case, tot_diagonalize(sorted_matrix, perturb_ties=args.perturb), sorted_matrix
+    sorted_matrix = sort_by_grade(minimize(M))
+    diag = tot_diagonalize(sorted_matrix, perturb_ties=args.perturb)
+    for b in diag.blocks:
+        if not b.rows:
+            raise InternalCheckError(f"minimal presentation has a block without rows: {b}")
+    return case, diag, sorted_matrix
 
 
 # -- serialization -----------------------------------------------------------
@@ -126,7 +131,7 @@ def _betti_payload(table: List[List[Tuple[int, ...]]]) -> dict:
     return {str(deg): _grade_list(grades) for deg, grades in enumerate(table)}
 
 
-def _diagonalize_payload(case: str, diag: Diagonalization) -> dict:
+def _decompose_payload(case: str, diag: Diagonalization) -> dict:
     M = diag.matrix
     return {
         "case": case,
@@ -142,7 +147,6 @@ def _diagonalize_payload(case: str, diag: Diagonalization) -> dict:
                 "col_grades": _grade_list(M.col_grades[j] for j in b.cols),
                 "row_labels": [M.row_labels[i] for i in b.rows],
                 "col_labels": [M.col_labels[j] for j in b.cols],
-                "trivial": not b.rows,
             }
             for b in diag.blocks
         ],
@@ -206,16 +210,14 @@ def _decompose_text(case: str, diag: Diagonalization) -> str:
     for pos, b in enumerate(diag.blocks):
         rows = ",".join(str(i) for i in b.rows)
         cols = ",".join(str(j) for j in b.cols)
-        suffix = " (trivial)" if not b.rows else ""
-        lines.append(f"  {pos}: rows=[{rows}] cols=[{cols}]{suffix}")
+        lines.append(f"  {pos}: rows=[{rows}] cols=[{cols}]")
     return "\n".join(lines) + "\n"
 
 
 def _betti_text(M: GradedMatrix, blocks: List[IndexBlock], tables: List[Table]) -> str:
     lines = []
-    rows = [b.rows for b in blocks if b.rows]
-    for pos, (block_rows, table) in enumerate(zip(rows, tables, strict=True)):
-        labels = ",".join(M.row_labels[i] for i in block_rows)
+    for pos, (b, table) in enumerate(zip(blocks, tables, strict=True)):
+        labels = ",".join(M.row_labels[i] for i in b.rows)
         lines.append(f"block {pos} (generators {labels}):")
         for deg, grades in enumerate(table):
             lines.append(f"  beta_{deg}: {' '.join(map(fmt, grades))}".rstrip())
@@ -269,7 +271,7 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
     if args.format == "text":
         return _decompose_text(case, diag)
     M, blocks = diag.matrix, diag.blocks
-    n_summands = sum(1 for b in blocks if b.rows)
+    n_summands = len(blocks)
     if args.box:
         box = GradeBox.span(*args.box)
         # every summand gets a value per point, all of them held at once
@@ -288,20 +290,12 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
     codes = blockcodes(M, blocks, tables, boxes)
     if args.format == "csv":
         return _blockcode_csv(M.d, boxes, codes)
-    payload = _diagonalize_payload(case, diag)
-    # the blocks with rows come first, in the order of their summands
+    payload = _decompose_payload(case, diag)
     for entry, table, box, values in zip(payload["blocks"], tables, boxes, codes):
         entry["betti"] = _betti_payload(table)
         entry["grid"] = [list(axis) for axis in box.axes]
         entry["dim_function"] = values
     return _dump_json(payload)
-
-
-def _cmd_diagonalize(args: argparse.Namespace) -> str:
-    case, diag, _ = _pipeline(args, minimal=False)
-    if args.format == "text":
-        return _decompose_text(case, diag)
-    return _dump_json(_diagonalize_payload(case, diag))
 
 
 def _cmd_check(args: argparse.Namespace) -> str:
@@ -344,7 +338,6 @@ def _cmd_export_pres(args: argparse.Namespace) -> str:
 # one output form), the other options the command reads
 _COMMANDS = {
     "decompose": (_cmd_decompose, ("json", "text", "csv", "betti"), ("--perturb", "--box")),
-    "diagonalize": (_cmd_diagonalize, ("json", "text"), ("--perturb",)),
     "check": (_cmd_check, (), ("--perturb",)),
     "export-pres": (_cmd_export_pres, (), ("--output",)),
 }
@@ -363,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after it.
 
     Parsing leaves the parser unchanged, so repeated in-process calls of
-    ``main`` share one instance instead of rebuilding four subparsers.
+    ``main`` share one instance instead of rebuilding three subparsers.
     """
     parser = argparse.ArgumentParser(
         prog="mpdecomp",

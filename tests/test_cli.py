@@ -4,6 +4,7 @@ import argparse
 import importlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import mpdecomp
-from mpdecomp import cli, invariants
+from mpdecomp import cli, invariants, parse_presentation, sort_by_grade, tot_diagonalize
 from mpdecomp.cli import _build_parser, main
+from mpdecomp.grades import leq
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -38,11 +40,7 @@ def test_decompose_json_worked_example(capsys):
     payload = json.loads(out)
     assert payload["case"] == "H0"
     assert payload["perturbed"] is False
-    blocks = [
-        (tuple(b["row_labels"]), tuple(b["col_labels"]))
-        for b in payload["blocks"]
-        if not b["trivial"]
-    ]
+    blocks = [(tuple(b["row_labels"]), tuple(b["col_labels"])) for b in payload["blocks"]]
     assert sorted(blocks) == [(("0", "1"), ("3",)), (("2",), ("4", "5"))]
     assert payload["matrix"]["columns"] == [[0, 1], [2], [2]]
     # each dimension function on its summand's own grid of distinct
@@ -66,10 +64,9 @@ def test_decompose_json_worked_example(capsys):
 )
 def test_case_names_the_construction(capsys, path, dim, case):
     flags = ["--dim", dim] if dim is not None else []
-    for command in ("decompose", "diagonalize"):
-        code, out, err = run_cli(capsys, command, path, *flags, "--perturb")
-        assert code == 0, err
-        assert json.loads(out)["case"] == case
+    code, out, err = run_cli(capsys, "decompose", path, *flags, "--perturb")
+    assert code == 0, err
+    assert json.loads(out)["case"] == case
     code, out, err = run_cli(capsys, "decompose", path, *flags, "--format", "text")
     assert code == 0, err
     assert out.startswith(f"case {case}, ")
@@ -112,7 +109,7 @@ def test_betti_json_torus_analogue(capsys):
     code, out, _ = run_cli(capsys, "decompose", SUSPENSION, "--dim", "1")
     assert code == 0
     payload = json.loads(out)
-    betti = [b["betti"] for b in payload["blocks"] if b["rows"]]
+    betti = [b["betti"] for b in payload["blocks"]]
     assert betti == [
         {"0": [[0, 1], [1, 0]], "1": [[1, 1]], "2": []},
         {"0": [[1, 1]], "1": [[1, 2], [2, 1]], "2": [[2, 2]]},
@@ -143,7 +140,7 @@ def test_betti_tables_are_sorted_grade_lists(capsys, path, dim):
     dim_flag = [] if dim is None else ["--dim", dim]
     code, out, _ = run_cli(capsys, "decompose", path, *dim_flag, "--perturb")
     assert code == 0
-    from_json = [b["betti"] for b in json.loads(out)["blocks"] if b["rows"]]
+    from_json = [b["betti"] for b in json.loads(out)["blocks"]]
     assert from_json == [
         {str(deg): [list(g) for g in grades] for deg, grades in enumerate(table)}
         for table in tables
@@ -223,15 +220,18 @@ def test_check_replays_the_certificate(monkeypatch, capsys, tamper, message):
 
 
 def test_diagonalize_raw_presentation(capsys):
-    code, out, _ = run_cli(capsys, "diagonalize", RAW, "--format", "text")
+    code, out, _ = run_cli(capsys, "decompose", RAW, "--format", "text")
     assert code == 0
     assert "blocks:" in out
     assert "rows=[0,1] cols=[0]" in out
-    code, out, _ = run_cli(capsys, "diagonalize", RAW)
+    code, out, _ = run_cli(capsys, "decompose", RAW)
     assert code == 0
     payload = json.loads(out)
     assert "box" not in payload and "grid" not in payload
-    assert all("dim_function" not in b for b in payload["blocks"])
+    assert [(b["grid"], b["dim_function"]) for b in payload["blocks"]] == [
+        ([[0, 1], [0, 1]], [0, 1, 1, 1]),
+        ([[1, 2], [1, 2]], [1, 0, 0, 0]),
+    ]
 
 
 def test_export_pres_round_trips(tmp_path, capsys):
@@ -241,12 +241,10 @@ def test_export_pres_round_trips(tmp_path, capsys):
     )
     assert code == 0
     text = out_file.read_text()
-    code2, out2, _ = run_cli(capsys, "diagonalize", str(out_file), "--format", "text")
+    code2, out2, _ = run_cli(capsys, "decompose", str(out_file), "--format", "text")
     assert code2 == 0
     assert "rows=[3] cols=[]" in out2
     # emitted file parses back to the identical matrix
-    from mpdecomp import parse_presentation
-
     P = parse_presentation(text)
     assert P.n_rows == 4 and P.n_cols == 3
 
@@ -306,7 +304,7 @@ def test_main_twice_in_one_process_keeps_no_flags(tmp_path, capsys):
     assert code == 0
     assert out.startswith("case H0, 2 parameters, perturbed: no\n")
     assert out.endswith("  0: rows=[0,1] cols=[0]\n  1: rows=[2] cols=[1,2]\n")
-    code, out, err = run_cli(capsys, "diagonalize", RAW, "--perturb", "--dim", "1")
+    code, out, err = run_cli(capsys, "decompose", RAW, "--perturb", "--dim", "1")
     assert code == 2
     assert "filtration" in err
     code, out, _ = run_cli(capsys, "decompose", SUSPENSION, "--dim", "1")
@@ -333,17 +331,17 @@ def test_exit_code_3_on_tied_grades(tmp_path, capsys):
     tied.write_text(
         "mppres 1\nparams 2\nrows 2\nr 0 0\nr 0 0\ncols 1\nc 1 1 : 0 1\n"
     )
-    code, _, err = run_cli(capsys, "diagonalize", str(tied))
+    code, _, err = run_cli(capsys, "decompose", str(tied))
     assert code == 3
     assert "tied" in err
-    code2, out, _ = run_cli(capsys, "diagonalize", str(tied), "--perturb",
+    code2, out, _ = run_cli(capsys, "decompose", str(tied), "--perturb",
                             "--format", "text")
     assert code2 == 0
     assert "perturbed: yes" in out
 
 
 def test_dim_flag_rejected_for_presentations(capsys):
-    code, _, err = run_cli(capsys, "diagonalize", RAW, "--dim", "1")
+    code, _, err = run_cli(capsys, "decompose", RAW, "--dim", "1")
     assert code == 2
     assert "filtration" in err
 
@@ -394,13 +392,13 @@ def test_decompose_builds_each_summand_once(capsys, monkeypatch):
     # d = 3: dimension_function sweeps each summand's presentation
     code, out, _ = run_cli(capsys, "decompose", K23, "--perturb")
     assert code == 0
-    with_rows = [b["rows"] for b in json.loads(out)["blocks"] if b["rows"]]
-    assert len(with_rows) > 1
-    assert [list(rows) for rows in calls] == with_rows
+    rows = [b["rows"] for b in json.loads(out)["blocks"]]
+    assert len(rows) > 1
+    assert [list(r) for r in calls] == rows
     # d = 2: the values are read off the Betti tables, no summand is built
     calls.clear()
     code, out, _ = run_cli(capsys, "decompose", SUSPENSION, "--dim", "1")
-    assert code == 0 and len([b for b in json.loads(out)["blocks"] if b["rows"]]) > 1
+    assert code == 0 and len(json.loads(out)["blocks"]) > 1
     assert calls == []
 
 
@@ -417,14 +415,19 @@ def test_box_coordinates_are_decimal_digits(capsys, flag):
     [
         (["export-pres", SUSPENSION, "--dim", "1", "--perturb"], "unrecognized arguments"),
         (["export-pres", SUSPENSION, "--format", "text"], "unrecognized arguments"),
-        (["diagonalize", TRIANGLE, "--box", "0,0:3,3"], "unrecognized arguments"),
+        (["decompose", TRIANGLE, "--output", "x.mppres"], "unrecognized arguments"),
         (["check", K23, "--box", "0,0,0:1,1,1"], "unrecognized arguments"),
         (["check", K23, "--format", "text"], "unrecognized arguments"),
         # --dim is read like every other integer: digits after an optional '-'
         (["export-pres", SUSPENSION, "--dim", "0_1"], "argument --dim: invalid int value: '0_1'"),
         (["decompose", SUSPENSION, "--dim", "+1"], "argument --dim: invalid int value: '+1'"),
+        # the raw view of a non-minimal matrix is tot_diagonalize's, not a command's
+        (["diagonalize", RAW], "argument command: invalid choice: 'diagonalize'"),
     ],
-    ids=["argv0", "argv1", "argv2", "argv3", "argv4", "dim-underscore", "dim-plus"],
+    ids=[
+        "argv0", "argv1", "argv2", "argv3", "argv4", "dim-underscore", "dim-plus",
+        "no-diagonalize-command",
+    ],
 )
 def test_options_a_command_does_not_read_are_refused(argv, refusal, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -458,7 +461,78 @@ def test_redundant_relation_leaves_no_trivial_block(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "decompose", str(path), "--perturb", "--format", "text")
     assert code == 0
     assert "matrix 3x2," in out
-    assert "(trivial)" not in out
+    assert "rows=[]" not in out
+
+
+def non_minimal_mppres(rng: random.Random, d: int) -> tuple:
+    """An mppres text that is not minimal, and its column count.
+
+    Among random relations it has a zero column, a unit pivot (a relation at
+    its generator's own grade) and a relation repeated at or above its grade.
+    """
+    rows = [[rng.randint(0, 3) for _ in range(d)] for _ in range(rng.randint(1, 6))]
+
+    def relation(grade, first=()):
+        hits = {i for i, r in enumerate(rows) if leq(r, grade) and rng.random() < 0.5}
+        return grade, sorted(hits | set(first))
+
+    cols = [relation([rng.randint(0, 5) for _ in range(d)]) for _ in range(rng.randint(0, 6))]
+    pivot = rng.randrange(len(rows))
+    cols.append(relation(rows[pivot], [pivot]))
+    grade, hits = rng.choice(cols)
+    cols.append(([x + rng.randint(0, 1) for x in grade], hits))
+    cols.append(([rng.randint(0, 5) for _ in range(d)], []))
+    rng.shuffle(cols)
+    lines = ["mppres 1", f"params {d}", f"rows {len(rows)}"]
+    lines += ["r " + " ".join(map(str, r)) for r in rows]
+    lines.append(f"cols {len(cols)}")
+    lines += ["c " + " ".join(map(str, g)) + " : " + " ".join(map(str, h)) for g, h in cols]
+    return "\n".join(lines) + "\n", len(cols)
+
+
+def test_decompose_blocks_all_have_rows_and_partition_the_matrix(tmp_path, capsys):
+    # the raw diagonalization of each input has a block without rows, which
+    # the minimal presentation that decompose reads never has
+    rng = random.Random("non-minimal")
+    # argv and, for a random input, its column count before minimize
+    runs = [([path, "--dim", dim], None) for path in (TRIANGLE, SUSPENSION, K23) for dim in "01"]
+    runs.append(([RAW], None))
+    for case in range(150):
+        text, n_cols = non_minimal_mppres(rng, 1 + case % 3)
+        raw = tot_diagonalize(sort_by_grade(parse_presentation(text)), perturb_ties=True)
+        assert any(not b.rows for b in raw.blocks), text
+        path = tmp_path / f"case{case}.mppres"
+        path.write_text(text)
+        runs.append(([str(path)], n_cols))
+    for argv, n_cols in runs:
+        code, out, err = run_cli(capsys, "decompose", *argv, "--perturb")
+        assert code == 0, (argv, err)
+        payload = json.loads(out)
+        blocks, M = payload["blocks"], payload["matrix"]
+        assert all(b["rows"] for b in blocks), argv
+        assert sorted(i for b in blocks for i in b["rows"]) == list(range(M["n_rows"]))
+        assert sorted(j for b in blocks for j in b["cols"]) == list(range(M["n_cols"]))
+        if n_cols is not None:
+            assert M["n_cols"] < n_cols  # minimize dropped a relation
+        code, text_out, _ = run_cli(capsys, "decompose", *argv, "--perturb", "--format", "text")
+        assert code == 0 and "rows=[]" not in text_out
+
+
+def test_block_without_rows_after_minimize_exits_4(tmp_path, monkeypatch, capsys):
+    # a zero column survives only if minimize is skipped; the outputs would
+    # then pair blocks with the wrong summands' invariants
+    path = tmp_path / "zero.mppres"
+    path.write_text("mppres 1\nparams 2\nrows 1\nr 0 0\ncols 2\nc 1 0 : 0\nc 1 1 : \n")
+    assert run_cli(capsys, "decompose", str(path))[0] == 0
+    monkeypatch.setattr(cli, "minimize", lambda M: M)
+    commands = [["decompose", "--format", fmt] for fmt in ("json", "text", "csv", "betti")]
+    for argv in commands + [["check"]]:
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (4, ""), argv
+        assert err == (
+            "internal error: minimal presentation has a block without rows: "
+            "IndexBlock(rows=(), cols=(1,))\n"
+        )
 
 
 def test_runaway_box_exits_2_quickly(tmp_path, capsys):
@@ -550,18 +624,17 @@ def test_far_grades_decompose_on_their_grid(tmp_path, capsys):
 
 def test_text_exponents_may_leave_the_grade_range(tmp_path, capsys):
     # c1 absorbs c0, so its expression carries t^(g1 - g0) with an
-    # exponent of 2**63 + 5, which is no grade but is a valid exponent
+    # exponent of 2**63 + 4, which is no grade but is a valid exponent
     low, high = -(2**62 + 5), 2**62
     path = tmp_path / "wide.mppres"
     path.write_text(
-        f"mppres 1\nparams 1\nrows 2\nr {low}\nr {low}\n"
-        f"cols 2\nc {low} : 0\nc {high} : 0 1\n"
+        f"mppres 1\nparams 1\nrows 2\nr {low}\nr {low + 1}\n"
+        f"cols 2\nc {low + 1} : 0\nc {high} : 0 1\n"
     )
-    code, out, err = run_cli(capsys, "diagonalize", str(path), "--perturb",
-                             "--format", "text")
+    code, out, err = run_cli(capsys, "decompose", str(path), "--format", "text")
     assert code == 0, err
-    assert f"  [1] c1 ({high}) = c1 + t^({2**63 + 5})*c0\n" in out
-    code, _, _ = run_cli(capsys, "diagonalize", str(path), "--perturb")
+    assert f"  [1] c1 ({high}) = c1 + t^({2**63 + 4})*c0\n" in out
+    code, _, _ = run_cli(capsys, "decompose", str(path))
     assert code == 0
 
 

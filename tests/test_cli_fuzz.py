@@ -1,7 +1,7 @@
 """Seeded byte-level mutations of ``data/*`` never crash the command line.
 
 Each case flips, deletes or inserts a few bytes of one data file, or
-repeats or drops one of its lines, and runs one of the four commands on
+repeats or drops one of its lines, and runs one of the three commands on
 the result in process.  Every call must end in one of the documented exit
 codes: a malformed input is refused with exit 2, never with a traceback.
 Exit 4 reports an internal consistency failure; only ``check``, whose job
@@ -20,7 +20,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 CASES = 400
 # bytes that keep a mutation close to the grammar, plus ones that break UTF-8
 NEAR = b"0123456789 -+:#_\n\t\x00\xff\xc3"
-FORMATS = {"decompose": ("json", "text", "csv", "betti"), "diagonalize": ("json", "text")}
+FORMATS = {"decompose": ("json", "text", "csv", "betti")}
 
 
 def _mutate(rng: random.Random, raw: bytes) -> bytes:
@@ -45,7 +45,7 @@ def _mutate(rng: random.Random, raw: bytes) -> bytes:
 
 
 def _argv(rng: random.Random, path: Path) -> list:
-    command = rng.choice(("decompose", "diagonalize", "check", "export-pres"))
+    command = rng.choice(("decompose", "check", "export-pres"))
     argv = [command, str(path)]
     if path.suffix == ".mpfilt":
         argv += rng.choice(([], ["--dim", "0"], ["--dim", "1"]))

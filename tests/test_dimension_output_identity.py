@@ -129,6 +129,8 @@ def dense_outputs(code: int, out: str, box) -> list:
         hi = [min(axis[-1] + 1, TOP) if axis else 1 for axis in axes]
     else:
         lo, hi = ([int(x) for x in part.split(",")] for part in box.split(":"))
+    for b in payload["blocks"]:
+        b["trivial"] = not b["rows"]  # a field the earlier JSON had
     with_rows = [b for b in payload["blocks"] if b["rows"]]
     codes = [densified(b.pop("grid"), b["dim_function"], lo, hi) for b in with_rows]
     box = {"lo": lo, "hi": hi}

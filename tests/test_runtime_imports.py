@@ -28,7 +28,7 @@ RUNS = [
     ["decompose", "triangle.mpfilt", "--format", "csv", "--box", "0,0:3,3"],
     ["decompose", "suspension.mpfilt", "--dim", "1", "--box", "0,0:3,3"],
     ["decompose", "suspension.mpfilt", "--dim", "1", "--format", "betti"],
-    ["diagonalize", "triangle.mppres"],
+    ["decompose", "triangle.mppres"],
     ["export-pres", "suspension.mpfilt", "--dim", "1"],
     ["check", "k23.mpfilt", "--dim", "1"],  # last: it loads the oracle
 ]

@@ -1,7 +1,7 @@
 """Total diagonalization of a graded matrix under admissible operations.
 
 The outer loop introduces columns one at a time and keeps a set of blocks
-(a row mask paired with a column mask) that are already mutually decoupled:
+(sorted rows, their mask and a column mask) that are mutually decoupled:
 on the columns seen so far, each block's rows are zero outside its columns.
 At column t a block whose rows are zero in column t therefore stays as it
 is, and the loop only visits the blocks that own a row column t meets.
@@ -21,16 +21,17 @@ combination.  Building the region and the vectors costs about one step
 per set bit of the region's columns and of B's: admissibility is read
 from bitmasks, and an Op is made only for an operation that is applied.
 Blocks that fail merge with column t, by OR of their masks, and nothing
-is applied to them.
+is applied to them; only then are the merged block's rows sorted again.
 
-Before any of that, each entry of B's rows in column t is checked for a
-source vector with a bit there: a row outside B that may be added into its
-row and meets column t, or a column of B that may be added into column t
-and meets its row.  A combination of the sources can only reach bits that
-some source has, so an entry with neither makes the system unsolvable, and
-the call fails without building it.  On random H0 and H1 presentations
-this decides most of the calls that fail (72-98% of them), and it leaves
-every answer, operation and certificate as it was.
+Before any of that, ``tot_diagonalize`` checks each entry of B's rows in
+column t for a source vector with a bit there (``_unreachable``): a row
+outside B that may be added into its row and meets column t, or a column
+of B that may be added into column t and meets its row.  A combination of
+the sources can only reach bits that some source has, so an entry with
+neither makes the system unsolvable, and B merges with column t before
+its region, its sources or ``block_reduce`` exist.  On random H0 and H1
+presentations this decides most of the blocks that fail (72-98% of them),
+and it leaves every answer, operation and certificate as it was.
 
 The operations realized for a block that passes change only its rows.
 The region starts clear on the columns before t and ends clear on all of
@@ -74,6 +75,32 @@ def _block_key(b: IndexBlock):
     return (0, b.rows[0]) if b.rows else (1, b.cols[0])
 
 
+def _unreachable(cols: List[int], ops: AdmissibleOps, rmask: int, b_cols: int, t: int) -> bool:
+    """Whether an entry of the rows in rmask in column t has no source.
+
+    Each entry (k, t) needs a row outside rmask that may be added into k
+    and meets column t, or a column in b_cols that may be added into t and
+    meets row k.  No combination of the sources reaches an entry without
+    either, so the block cannot be cleared.
+    """
+    col = cols[t]
+    outside = col & ~rmask
+    row_mask = ops.row_mask
+    reach = -1  # the rows that the columns in b_cols feeding t meet
+    c = col & rmask
+    while c:
+        low = c & -c
+        if not row_mask[low.bit_length() - 1] & outside:
+            if reach < 0:
+                reach = 0
+                for i in bits(ops.col_mask[t] & b_cols):
+                    reach |= cols[i]
+            if not reach & low:
+                return True
+        c ^= low
+    return False
+
+
 def block_reduce(
     A: GradedMatrix,
     ops: AdmissibleOps,
@@ -93,58 +120,47 @@ def block_reduce(
     earliest column.  One source vector is built per admissible operation
     that feeds the region: column additions out of B into a column of T,
     and row additions from outside T's rows into them.  One pass over T's
-    columns, walking set bits, builds the region and the trace of every row
-    that may feed one of T's rows; the admissibility masks then name the
-    columns of B to read and, intersected with the nonzero columns and
-    traces, the sources.  Sources are kept as plain tuples.  When the region
-    lies in the span of the sources, the operations of the combination
-    found are applied to A (row additions act on whole rows, so columns
-    after t pick up their side effects) and appended to the certificate as
-    Ops, and True is returned.  Otherwise A is left unchanged and False is
-    returned.  A target entry in the region's last column that no source
-    vector has a bit at returns False before any of this is built: no
-    combination of the sources can reach it.
+    columns, walking set bits, builds the region, the trace of every row
+    that may feed one of T's rows and the column sources, reading each
+    column of B on T's rows once; the admissibility masks, intersected with
+    the traces, then name the row sources.  Sources are plain tuples.  When
+    the region lies in the span of the sources, the operations of the
+    combination found are applied to A (row additions act on whole rows, so
+    columns after t pick up their side effects) and appended to the
+    certificate as Ops, and True is returned.  Otherwise A is left unchanged
+    and False is returned.  ``tot_diagonalize`` refuses a block with an
+    entry no source reaches before it builds T; a direct call makes the
+    same check on the region's last column first and returns False without
+    a system.
     """
     rows_t = T.rows
     cols_t = T.cols[: bisect_right(T.cols, t)]
     if not rows_t or not cols_t:
         return True
-    n_rt = len(rows_t)
-    n_ct = len(cols_t)
+    row_mask, col_mask = ops.row_mask, ops.col_mask
     mask = 0  # T's rows
-    for i in rows_t:
-        mask |= 1 << i
-    cols = A.mat.cols
-
-    # each target entry (k, j) in the last column needs a row outside T
-    # that may be added into k and meets column j, or a column of B that
-    # may be added into j and meets row k
-    j = cols_t[-1]
-    reach = None  # the rows that B's columns feeding column j meet
-    for k in bits(cols[j] & mask):
-        if ops.row_mask[k] & cols[j] & ~mask:
-            continue
-        if reach is None:
-            reach = 0
-            for i in bits(ops.col_mask[j] & b_cols):
-                reach |= cols[i]
-        if not reach >> k & 1:
-            return False
-
     slot_bit: Dict[int, int] = {}  # row of T -> its bit within a slot
     row_feeders = 0  # the rows outside T that may be added into one of T's
     for rpos, i in enumerate(rows_t):
+        mask |= 1 << i
         slot_bit[i] = 1 << rpos
-        row_feeders |= ops.row_mask[i]
+        row_feeders |= row_mask[i]
     row_feeders &= ~mask
+    cols = A.mat.cols
+    if _unreachable(cols, ops, mask, b_cols, cols_t[-1]):
+        return False
 
-    # T's columns: the region, and the traces of the rows that may feed it
+    n_rt = len(rows_t)
+    slot = len(cols_t) * n_rt
     c = 0
     traces: Dict[int, int] = {}  # row -> its trace on the region, row position 0
     trace_mask = 0
-    col_feeders = 0  # the columns that may be added into one of T's
-    for cpos, j in enumerate(cols_t):
-        slot = (n_ct - 1 - cpos) * n_rt
+    b_vecs: Dict[int, int] = {}  # column of B -> its vector on T's rows
+    # (is_col, source, target) per vector; an Op only for those applied
+    sources: List[Tuple[bool, int, int]] = []
+    vecs: List[int] = []
+    for j in cols_t:
+        slot -= n_rt
         col = cols[j]
         if col & mask:
             c |= remap(col & mask, slot_bit) << slot
@@ -152,35 +168,32 @@ def block_reduce(
         if rest:
             trace_mask |= rest
             bit = 1 << slot
-            for l in bits(rest):
+            while rest:
+                low = rest & -rest
+                l = low.bit_length() - 1
                 traces[l] = traces.get(l, 0) | bit
-        col_feeders |= ops.col_mask[j]
-    # B's columns that may feed one of T's, on T's rows
-    b_vecs: Dict[int, int] = {}
-    b_mask = 0
-    for i in bits(col_feeders & b_cols):
-        if cols[i] & mask:
-            b_vecs[i] = remap(cols[i] & mask, slot_bit)
-            b_mask |= 1 << i
-
-    # (is_col, source, target) per vector; an Op only for those applied
-    sources: List[Tuple[bool, int, int]] = []
-    vecs: List[int] = []
-    for cpos, j in enumerate(cols_t):
-        feeds = ops.col_mask[j] & b_mask
-        if feeds:
-            base = (n_ct - 1 - cpos) * n_rt
-            for i in bits(feeds):
+                rest ^= low
+        feeds = col_mask[j] & b_cols
+        while feeds:
+            low = feeds & -feeds
+            i = low.bit_length() - 1
+            v = b_vecs.get(i)
+            if v is None:
+                v = b_vecs[i] = remap(cols[i] & mask, slot_bit)
+            if v:
                 sources.append((True, i, j))
-                vecs.append(b_vecs[i] << base)
+                vecs.append(v << slot)
+            feeds ^= low
     for kpos, k in enumerate(rows_t):
-        feeds = ops.row_mask[k] & trace_mask
-        if feeds:
-            for l in bits(feeds):
-                sources.append((False, l, k))
-                vecs.append(traces[l] << kpos)
+        feeds = row_mask[k] & trace_mask
+        while feeds:
+            low = feeds & -feeds
+            l = low.bit_length() - 1
+            sources.append((False, l, k))
+            vecs.append(traces[l] << kpos)
+            feeds ^= low
 
-    combo = col_reduce(F2Matrix(n_rt * n_ct, vecs), c)
+    combo = col_reduce(F2Matrix(n_rt * len(cols_t), vecs), c)
     if combo is None:
         return False
     for idx in bits(combo):
@@ -219,32 +232,45 @@ def tot_diagonalize(A: GradedMatrix, *, perturb_ties: bool = False) -> Diagonali
 
     work = A.copy()
     ops = admissible_ops(work)
-    owner = [(1 << i, 0) for i in range(work.n_rows)]  # row -> its block's masks
+    cols = work.mat.cols
+    # row -> its block: the sorted rows, their mask and the columns' mask
+    owner = [((i,), 1 << i, 0) for i in range(work.n_rows)]
     certificate: List[Op] = []
 
     for t in range(work.n_cols):
         # earlier columns outside a block are already clear on its rows, so
         # only the blocks whose rows column t meets need work, by lowest row,
         # and only their columns and t can take part in clearing them
-        met = {owner[i] for i in bits(work.mat.cols[t])}
+        met = []
         met_cols = 1 << t
-        for _, cmask in met:
-            met_cols |= cmask
-        merged_rows, merged_cols = 0, 1 << t
-        for rmask, cmask in sorted(met, key=lambda b: b[0] & -b[0]):
-            T = IndexBlock(tuple(bits(rmask)), tuple(bits(met_cols & ~cmask)))
-            if not block_reduce(work, ops, T, t, certificate, cmask):
+        c = cols[t]
+        while c:
+            block = owner[(c & -c).bit_length() - 1]
+            met.append(block)
+            met_cols |= block[2]
+            c &= ~block[1]
+        met.sort()  # disjoint row tuples compare by their lowest row
+        merged_rows, merged_cols, joined = 0, 1 << t, []
+        for rows, rmask, cmask in met:
+            if _unreachable(cols, ops, rmask, cmask, t) or not block_reduce(
+                work, ops, IndexBlock(rows, tuple(bits(met_cols & ~cmask))), t, certificate, cmask
+            ):
                 merged_rows |= rmask
                 merged_cols |= cmask
-        for i in bits(merged_rows):
-            owner[i] = (merged_rows, merged_cols)
+                joined.append(rows)
+        if joined:
+            rows = joined[0] if len(joined) == 1 else tuple(bits(merged_rows))
+            block = (rows, merged_rows, merged_cols)
+            for i in rows:
+                owner[i] = block
 
     blocks = [
-        IndexBlock(tuple(bits(rmask)), tuple(bits(cmask)))
-        for rmask, cmask in dict.fromkeys(owner)  # each first met at its lowest row
+        IndexBlock(rows, tuple(bits(cmask)))
+        for i, (rows, _, cmask) in enumerate(owner)
+        if rows[0] == i  # each block once, at its lowest row
     ]
     # exactly the columns that joined no block with rows end up zero
-    blocks += [IndexBlock((), (j,)) for j, c in enumerate(work.mat.cols) if not c]
+    blocks += [IndexBlock((), (j,)) for j, c in enumerate(cols) if not c]
     return Diagonalization(
         matrix=work,
         blocks=blocks,

@@ -13,18 +13,21 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mpdecomp import (
     AdmissibleOps,
+    Diagonalization,
     F2Matrix,
     Filtration,
     GradeBox,
     GradedMatrix,
     IndexBlock,
     Op,
+    admissible_ops,
     blockcodes,
     col_reduce,
     default_box,
     kernel_gens,
     leq,
     persistent_betti,
+    tied_pairs,
     topo_order,
     tot_diagonalize,
 )
@@ -295,6 +298,41 @@ def block_reduce_lin(
                 A.mat.add_row(op.source, op.target)
             certificate.append(op)
     return True
+
+
+
+def tot_diagonalize_reference(A: GradedMatrix) -> Diagonalization:
+    """``tot_diagonalize(A, perturb_ties=True)`` with no early refusal.
+
+    Each row's block is a (row mask, column mask) pair.  At column t every
+    block whose rows column t meets, by lowest row, goes through
+    ``block_reduce_lin`` over the met blocks' columns and t, and merges with
+    t when that system has no solution.  A sorted A is assumed.
+    """
+    work = A.copy()
+    ops = admissible_ops(work)
+    owner = [(1 << i, 0) for i in range(work.n_rows)]
+    certificate: List[Op] = []
+    for t in range(work.n_cols):
+        met = {owner[i] for i in bits(work.mat.cols[t])}
+        met_cols = 1 << t
+        for _, cmask in met:
+            met_cols |= cmask
+        merged_rows, merged_cols = 0, 1 << t
+        for rmask, cmask in sorted(met, key=lambda b: b[0] & -b[0]):
+            T = IndexBlock(tuple(bits(rmask)), tuple(bits(met_cols & ~cmask)))
+            if not block_reduce_lin(work, ops, T, t, certificate):
+                merged_rows |= rmask
+                merged_cols |= cmask
+        for i in bits(merged_rows):
+            owner[i] = (merged_rows, merged_cols)
+    blocks = [
+        IndexBlock(tuple(bits(rmask)), tuple(bits(cmask)))
+        for rmask, cmask in dict.fromkeys(owner)
+    ]
+    blocks += [IndexBlock((), (j,)) for j, c in enumerate(work.mat.cols) if not c]
+    perturbed = bool(tied_pairs(A.row_grades) or tied_pairs(A.col_grades))
+    return Diagonalization(work, blocks, certificate, perturbed)
 
 
 def minimize_per_tail(M: GradedMatrix) -> GradedMatrix:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -28,7 +28,7 @@ from mpdecomp.errors import InputError, TiedGradesError
 from mpdecomp.graded import admissible_ops
 from mpdecomp.grades import tied_pairs
 from mpdecomp.oracle import block_partition, brute_force_finest, op_pairs
-from reference import barcode, block_reduce_lin, from_dense, lin
+from reference import barcode, block_reduce_lin, from_dense, lin, tot_diagonalize_reference
 from test_acceptance import merge_chain, random_filtration_text
 from test_graded_matrix import random_graded
 from test_presentation import graph_filtration, random_graph_boundary
@@ -221,8 +221,9 @@ def test_earlier_columns_never_regress(monkeypatch):
     rng = random.Random(29)
     cases = [random_sorted_graded(rng, n_max=4, m_max=4) for _ in range(50)]
     # H0 of random graphs: clearing their blocks also takes column
-    # additions into columns before t, which undo the row additions there
-    for _ in range(30):
+    # additions into columns before t, which undo the row additions there;
+    # blocks refused before their system make no call, hence 50 of them
+    for _ in range(50):
         cases.append(sort_by_grade(minimize(random_graph_boundary(rng, 10, 20))))
     calls = 0
     for M in cases:
@@ -417,6 +418,67 @@ def test_d1_decomposition_at_size_is_the_barcode(tmp_path, capsys, ties):
     assert n_finite[0] > 300 and n_finite[1] > 900
 
 
+# -- the loop against its reference -----------------------------------------------
+
+
+def test_tot_diagonalize_matches_reference_loop(monkeypatch):
+    # refusing a block before its region is built, and keeping each block's
+    # rows, give what sending every met block through the full system gives
+    real = diagonalize._unreachable
+    refused = 0
+
+    def counted(*args):
+        nonlocal refused
+        out = real(*args)
+        refused += out
+        return out
+
+    monkeypatch.setattr(diagonalize, "_unreachable", counted)
+    rng = random.Random(97)
+    graphs = [
+        sort_by_grade(minimize(random_graph_boundary(rng, 14, 42, span=20))) for _ in range(60)
+    ]
+    n_inputs = 0
+    for M in chain(equivalence_cases(), graphs):
+        got = tot_diagonalize(M, perturb_ties=True)
+        want = tot_diagonalize_reference(M)
+        assert got.matrix == want.matrix
+        assert got.blocks == want.blocks
+        assert got.certificate == want.certificate
+        assert got.perturbed == want.perturbed
+        n_inputs += 1
+    assert n_inputs == 380
+    assert refused > 1000
+
+
+def test_tot_diagonalize_builds_one_system_per_block_reduce_call(monkeypatch):
+    real_block_reduce = diagonalize.block_reduce
+    real_col_reduce = diagonalize.col_reduce
+    systems = []  # per block_reduce call, its t and the col_reduce calls it made
+
+    def block_reduce_spy(A, ops, T, t, certificate, b_cols):
+        systems.append([t, 0])
+        return real_block_reduce(A, ops, T, t, certificate, b_cols)
+
+    def col_reduce_spy(S, c):
+        systems[-1][1] += 1
+        return real_col_reduce(S, c)
+
+    monkeypatch.setattr(diagonalize, "block_reduce", block_reduce_spy)
+    monkeypatch.setattr(diagonalize, "col_reduce", col_reduce_spy)
+    for M in equivalence_cases():
+        tot_diagonalize(M, perturb_ties=True)
+    assert len(systems) > 2000
+    assert {n for _, n in systems} == {1}
+    # at t = 2 the block of rows 0 and 2 has an entry no source reaches
+    systems.clear()
+    M = two_source_block(row_1_in_t=False)
+    diag = tot_diagonalize(M)
+    assert 2 not in {t for t, _ in systems}
+    assert diag == tot_diagonalize_reference(M)
+    assert diag.blocks == [IndexBlock((0, 2), (0, 1, 2)), IndexBlock((1,), ())]
+
+
 # -- cost of the per-column BlockReduce ------------------------------------------
 
 
@@ -425,7 +487,7 @@ def cost_cases():
     yield from (merge_chain(n) for n in range(2, 6))
     rng = random.Random(53)
     n_random = 0
-    while n_random < 60:
+    while n_random < 100:
         M = sort_by_grade(minimize(pres_h0(parse_filtration(random_filtration_text(rng)))))
         if tied_pairs(M.row_grades) or tied_pairs(M.col_grades):
             continue

@@ -50,9 +50,9 @@ class F2Matrix:
         self.n_rows = n_rows
         self.cols: List[int] = list(cols) if cols is not None else []
         bound = 1 << n_rows
-        for j, c in enumerate(self.cols):
-            if c < 0 or c >= bound:
-                raise InputError(f"column {j} has bits outside {n_rows} rows")
+        for c in self.cols:
+            if c < 0 or c >= bound:  # no earlier column holds this value
+                raise InputError(f"column {self.cols.index(c)} has bits outside {n_rows} rows")
 
     # -- shape and access --------------------------------------------------
 

@@ -13,18 +13,20 @@ simplex's faces do.  Grades must be monotone along face relations.  Each
 simplex appears once; multi-critical input (the same facet set declared at
 several grades) is rejected, such a filtration has to be converted to a
 one-critical one first (for instance by a mapping-telescope construction).
+A plain file (no comment, blank line, CR or unsorted facet list) is decided
+in bulk; any other is read line by line, and only that reader words refusals.
 """
 from __future__ import annotations
 
 import re
-from itertools import count, repeat
-from operator import itemgetter, le
+from itertools import chain, count, repeat
+from operator import itemgetter, le, lshift, lt, or_, xor
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import InputError
 from .f2 import F2Matrix
 from .graded import GradedMatrix, _trusted
-from .grades import fmt, read_grade, read_int, read_lines, read_params
+from .grades import MAX_PARAMS, fmt, read_grade, read_int, read_lines, read_params
 
 
 class Filtration:
@@ -92,23 +94,29 @@ def _read_simplex(line_no: int, line: str, d: int) -> Tuple[Tuple[int, ...], Lis
         _fail(line_no, f"non-integer facet id in {facet_tokens}")
 
 
+def _plain(d: int, group: str = "") -> str:
+    """A plain simplex line: ASCII ``s``, d coordinates of at most 18 digits
+    (so inside 64 bits), ``:`` and facet ids, split by spaces or tabs; the
+    coordinates and the facets are groups, non-capturing if group is "?:".
+    """
+    return (
+        rf"[ \t]*s({group}(?:[ \t]+-?[0-9]{{1,18}}){{{d}}})"
+        rf"[ \t]+:({group}(?:[ \t]+[0-9]{{1,18}})*)[ \t]*"
+    )
+
+
 def _simplex_lines(
     text: str, after: int, d: int
 ) -> Iterator[Tuple[int, Tuple[int, ...], List[int]]]:
     """(line number, grade, sorted facet ids) of each simplex line after line ``after``.
 
-    One pattern vets a line of plain ASCII: ``s``, d coordinates of at most
-    18 digits (so inside 64 bits), ``:`` and facet ids, split by spaces or
-    tabs.  Its tokens are what ``read_grade`` and ``read_int`` would accept,
-    with the values ``int`` gives them, so the integers of all such lines
-    are read in one go.  Every other line (comments, blank lines, other
-    whitespace or digits, longer numbers, bad syntax) is read by
-    ``_read_simplex``, so its refusal or oddity is the same as ever.
+    The integers of all ``_plain`` lines are read in one go: their tokens are
+    what ``read_grade`` and ``read_int`` accept, with the values ``int`` gives.
+    Every other line (comments, blank lines, other whitespace or digits,
+    longer numbers, bad syntax) is read by ``_read_simplex``, as ever.
     """
     lines = text.splitlines()[after:]
-    plain = re.compile(
-        rf"[ \t]*s((?:[ \t]+-?[0-9]{{1,18}}){{{d}}})[ \t]+:((?:[ \t]+[0-9]{{1,18}})*)[ \t]*"
-    ).fullmatch
+    plain = re.compile(_plain(d)).fullmatch
     fields = list(map(plain, lines))
     vetted = list(filter(None, fields))
     coords = map(int, " ".join(map(itemgetter(1), vetted)).split())
@@ -126,9 +134,81 @@ def _simplex_lines(
 def parse_filtration(text: str) -> Filtration:
     """Parse the mpfilt format; diagnostics carry 1-based line numbers.
 
-    The lines are read by ``_simplex_lines``; the checks of what each line
-    means run here, the same for every line, in line order.
+    ``_bulk`` decides a plain file as a whole; any other text, and a plain
+    file it declines, goes to ``_parse_lines``, which alone words refusals.
     """
+    return _bulk(text) or _parse_lines(text)
+
+
+def _bulk(text: str) -> Optional[Filtration]:
+    """The filtration of a plain file that passes every check, else None.
+
+    Plain: the exact header ``mpfilt 1``, ``params <d>``, then ``_plain``
+    lines split by ``\\n`` alone.  A line of k facets claims dimension k - 1
+    (0 if k = 0).  Per dimension q each check is one pass over a facet
+    column: facets increasing, declared before the simplex, of dimension
+    q - 1 and graded at most as it is, no facet set twice, boundaries that
+    cancel.  So unsorted facets and lines of one facet are declined too.
+    """
+    head = re.match(r"mpfilt 1\nparams ([1-9][0-9]?)\n", text)
+    if not head or int(head[1]) > MAX_PARAMS:
+        return None
+    d = int(head[1])
+    body = text[head.end() :]
+    if not re.fullmatch(rf"(?:{_plain(d, '?:')}\n)*{_plain(d, '?:')}\n?", body):
+        return None
+    # 's' and ':' occur only as separators: coordinates and facets alternate
+    pieces = body.replace("s", ":").split(":")
+    coords = list(map(int, " ".join(pieces[1::2]).split()))
+    facets = list(map(str.split, pieces[2::2]))
+    ks = list(map(len, facets))
+    if 1 in ks:
+        return None
+    claimed = [k - 1 if k else 0 for k in ks]
+    order = sorted(range(len(ks)), key=claimed.__getitem__)  # ids by dimension
+    flat = list(map(int, chain.from_iterable(map(facets.__getitem__, order))))
+    axes = [coords[a::d] for a in range(d)]
+    F = Filtration(d)
+    start = fstart = 0
+    for q in range(max(claimed) + 1):
+        end = start + claimed.count(q)
+        ids = order[start:end]
+        own = [list(map(ax.__getitem__, ids)) for ax in axes]
+        F.grades.append(list(zip(*own)))
+        F.labels.append(list(map(str, ids)))
+        if not q:
+            F.boundaries.append([0] * len(ids))
+            start, below = end, ids
+            continue
+        fend = fstart + (end - start) * (q + 1)
+        cols = [flat[fstart + j : fend : q + 1] for j in range(q + 1)]
+        index = dict(zip(below, count()))  # (q-1)-simplex id -> position
+        pos = list(map(index.get, flat[fstart:fend], repeat(-1)))
+        if not (
+            all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
+            and all(map(lt, cols[-1], ids))
+            and min(pos, default=-1) >= 0
+            and all(
+                all(map(le, map(ax.__getitem__, col), mine))
+                for ax, mine in zip(axes, own)
+                for col in cols
+            )
+            and len(set(zip(*cols))) == len(ids)
+        ):
+            return None
+        masks = closure = repeat(0)
+        for j in range(q + 1):
+            masks = map(or_, masks, map(lshift, repeat(1), pos[j :: q + 1]))
+            closure = map(xor, closure, map(F.boundaries[q - 1].__getitem__, pos[j :: q + 1]))
+        if q > 1 and any(closure):
+            return None
+        F.boundaries.append(list(masks))
+        start, fstart, below = end, fend, ids
+    return F
+
+
+def _parse_lines(text: str) -> Filtration:
+    """The line reader: ``_simplex_lines`` reads, then each line's checks run in order."""
     lines = read_lines(text)
     line_no, line = next(lines, (0, ""))
     if not line:

@@ -39,6 +39,14 @@ def test_entry_column_row_low():
     assert F2Matrix(3, [0]).cols[0] == 0  # a zero column has no low
 
 
+def test_construction_names_the_first_column_outside_the_rows():
+    for n_rows, cols, j in ((2, [1, 4, 3], 1), (2, [0, 3, -1, 8], 2), (0, [0, 1], 1), (3, [8], 0)):
+        with pytest.raises(InputError) as info:
+            F2Matrix(n_rows, cols)
+        assert str(info.value) == f"column {j} has bits outside {n_rows} rows"
+    assert F2Matrix(3, [7, 0]).cols == [7, 0] and F2Matrix(0, []).cols == []
+
+
 def test_add_col_and_add_row():
     M = from_dense([[1, 0], [0, 1]])
     M.add_col(0, 1)

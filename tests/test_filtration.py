@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from mpdecomp import boundary_matrix, parse_filtration, parse_presentation
+from mpdecomp import boundary_matrix, filtration, parse_filtration, parse_presentation
 from mpdecomp.errors import InputError
 from reference import matmul
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 GOOD = """
 mpfilt 1
@@ -247,7 +251,21 @@ READER_TABLE = {
         H2 + "s 0 0 :\n# note\ns 1 0 :\ns 0 0 : 0 1\n",
         "line 6: grade (0,0) of simplex 2 is not above grade (1,0) of its facet 1",
     ),
+    # plain text that the bulk route declines, so the line loop reads it
+    "unsorted facets": (H2 + "s 0 0 :\ns 1 0 :\ns 1 1 : 1 0\n", EDGE),
+    "one facet": (H2 + "s 0 0 :\ns 1 1 : 0\n", "line 4: a 1-simplex needs 2 facets, got 1"),
+    "params 07": (
+        "mpfilt 1\nparams 07\ns 0 0 :\n", "line 3: expected 7 grade coordinates, got 2"
+    ),
+    "params 02": ("mpfilt 1\nparams 02\ns 0 0 :\ns 1 0 :\ns 1 1 : 0 1\n", EDGE),
+    "-0 facet": (H2 + "s 0 0 :\ns 1 0 :\ns 1 1 : -0 1\n", EDGE),
+    "crlf, last line": (H2 + "s 0 0 :\ns 1 0 :\ns 1 1 : 0 1\r\n", EDGE),
 }
+# rows whose text is plain but for one thing, with "crlf" and "empty body" above
+BULK_DECLINES = (
+    "crlf", "empty body", "unsorted facets", "one facet", "params 07", "params 02",
+    "-0 facet", "crlf, last line",
+)
 
 
 @pytest.mark.parametrize("name", list(READER_TABLE))
@@ -260,3 +278,140 @@ def test_reader_boundary_table(name):
     else:
         filt = parse_filtration(text)
         assert (filt.d, filt.grades, filt.labels, filt.boundaries) == (2, *expected)
+
+
+def test_bulk_route_declines_reader_corners_or_agrees():
+    for name, (text, expected) in READER_TABLE.items():
+        bulk = filtration._bulk(text)
+        if name in BULK_DECLINES:
+            assert bulk is None, name
+        elif bulk is not None:
+            assert (bulk.d, bulk.grades, bulk.labels, bulk.boundaries) == (2, *expected)
+
+
+# -- the bulk route against the line loop --------------------------------------
+
+
+def _perfbench_gen():
+    """perfbench/gen.py, the generator of the benchmark's inputs, loaded read-only."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GEN = _perfbench_gen()
+
+
+def valid_filtration_text(rng: random.Random) -> str:
+    """A random valid filtration, d = 1-3, in plain lines with odd spacing.
+
+    Grades tie often; a simplex is declared at a random point after its
+    facets, so vertices come after edges; blanks are tabs or runs of spaces;
+    one facet list in ten is unsorted; the final newline is sometimes left out.
+    """
+    d, nv = rng.randint(1, 3), rng.randint(1, 7)
+    grade = {(v,): tuple(rng.randrange(3) for _ in range(d)) for v in range(nv)}
+    for size in (2, 3, 4):
+        for s in combinations(range(nv), size):
+            faces = list(combinations(s, size - 1))
+            if all(f in grade for f in faces) and rng.random() < 0.6:
+                lub = [max(grade[f][a] for f in faces) for a in range(d)]
+                grade[s] = tuple(x + rng.randrange(2) for x in lub)
+    ids, lines = {}, []
+    pending = list(grade)
+    while pending:
+        ready = [s for s in pending if all(f in ids for f in combinations(s, len(s) - 1) if f)]
+        s = rng.choice(ready)
+        pending.remove(s)
+        ids[s] = len(ids)
+        facets = sorted(ids[f] for f in combinations(s, len(s) - 1) if f)
+        if rng.random() < 0.1:
+            rng.shuffle(facets)
+        tokens = [*map(str, grade[s]), ":", *map(str, facets)]
+        spaced = "".join(rng.choice((" ", "\t", "  ", " \t ", "   ")) + t for t in tokens)
+        lines.append(rng.choice(("", " ", "\t")) + "s" + spaced + rng.choice(("", "", " ", "\t")))
+    text = f"mpfilt 1\nparams {d}\n" + "\n".join(lines)
+    return text + "\n" if rng.random() < 0.7 else text
+
+
+def mutate_lines(rng: random.Random, text: str) -> str:
+    """One line-level change to the body of a plain file.
+
+    A facet id or a coordinate changes, a line is dropped, added or
+    duplicated, or two lines swap.
+    """
+    head, body = text.splitlines()[:2], text.splitlines()[2:]
+    n = len(body)
+    k = rng.randrange(n)
+    tokens = body[k].split()
+    kind = rng.randrange(6)
+    if kind == 0 and tokens[-1] != ":":
+        i = rng.randrange(tokens.index(":") + 1, len(tokens))
+        tokens[i] = str(rng.choice((int(tokens[i]) + rng.choice((-1, 1)), rng.randrange(n + 2))))
+        body[k] = " ".join(tokens)
+    elif kind <= 1:
+        i = rng.randrange(1, tokens.index(":"))
+        tokens[i] = str(int(tokens[i]) + rng.choice((-3, -1, 1, 2)))
+        body[k] = " ".join(tokens)
+    elif kind == 2:
+        del body[k]
+    elif kind == 3:
+        facets = rng.sample(range(n + 1), rng.choice((0, 1, 2, 2, 3)))
+        grade = " ".join(str(rng.randrange(40)) for _ in range(tokens.index(":") - 1))
+        body.insert(rng.randrange(n + 1), f"s {grade} : " + " ".join(map(str, facets)))
+    elif kind == 4:
+        body.insert(rng.randrange(k, n + 1), body[k])
+    else:
+        j = rng.randrange(n)
+        body[k], body[j] = body[j], body[k]
+    return "\n".join(head + body) + "\n"
+
+
+def outcome(parse, text: str):
+    """What parse returns, or the message of its refusal."""
+    try:
+        return parse(text)
+    except InputError as exc:
+        return str(exc)
+
+
+def differential_cases():
+    """Random valid files, and line mutations of them and of gen.py's files."""
+    rng = random.Random("bulk-differential")
+    valid = [valid_filtration_text(rng) for _ in range(300)]
+    plain = [t for w in ("export-h1", "decompose-h0") for _, t in GEN.generate(w, 1)[:20]]
+    yield from valid
+    for _ in range(600):
+        yield mutate_lines(rng, rng.choice(plain))
+    for _ in range(300):
+        yield mutate_lines(rng, rng.choice(valid))
+
+
+def test_bulk_route_declines_or_returns_what_the_loop_returns():
+    tally = Counter()
+    for text in differential_cases():
+        loop = outcome(filtration._parse_lines, text)
+        bulk = filtration._bulk(text)
+        if bulk is not None:
+            assert bulk == loop, text
+        assert outcome(parse_filtration, text) == loop, text
+        tally[bulk is not None, isinstance(loop, str)] += 1
+    # both routes are exercised: 441 accepted in bulk, 96 declined and then
+    # accepted by the loop, 663 refused
+    assert tally[True, False] >= 350 and tally[False, False] >= 60, tally
+    assert tally[False, True] >= 450, tally
+
+
+def test_plain_files_skip_the_loop_and_commented_ones_reach_it(monkeypatch):
+    calls = []
+    loop = filtration._parse_lines
+    monkeypatch.setattr(filtration, "_parse_lines", lambda text: calls.append(text) or loop(text))
+    for workload in GEN.FAMILIES:
+        for _, text in GEN.generate(workload, 1):
+            parse_filtration(text)
+    assert not calls
+    names = sorted(DATA.glob("*.mpfilt"))
+    for path in names:
+        parse_filtration(path.read_text())
+    assert len(calls) == len(names) == 3
